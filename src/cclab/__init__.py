@@ -18,12 +18,10 @@ from .bits import (
     xor_bits,
 )
 from .codes import (
-    EnumerationCursor,
     PdlCode,
     SdlCode,
     budget_cap,
     decode_signature,
-    enumerate_protocols,
     enumerate_sets,
     enumerate_signature,
     load_pdl,
@@ -50,7 +48,6 @@ from .complexity import (
     set_to_oneway,
     structure_function_profile,
     tcc_identity_profile,
-    transcript_decoder,
 )
 from .constructions import (
     HARD_INSTANCE_SCHEMA,
@@ -66,7 +63,6 @@ from .constructions import (
     prefix_protocol,
     replay_hard_instance,
     separating_index_set,
-    shortest_description_protocol,
     th7_hard_instance,
     th7_protocol,
     verify_certificate,
@@ -106,7 +102,6 @@ from .protocol import (
     is_one_way,
     is_total,
     run,
-    tree_depth,
     tree_has_stuck,
     value_as_help_protocol,
 )
@@ -127,7 +122,6 @@ from .reference import (
     equality_protocols,
     identity_protocols,
     ip_protocols,
-    reference_families,
 )
 from .solver import dcc_exact
 from .verify import SUITES, CheckResult, VerificationReport, run_suite

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .codes import enumerate_sets, enumerate_signature, pdl_encode
 from .complexity import (
@@ -106,21 +105,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        if args.replay is not None:
-            raise UsageError("--replay needs a single replayable suite")
-        names = list(SUITES)
-        # workers bounded by --jobs; printed order stays canonical
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            reports = list(pool.map(run_suite, names))
-        for report in reports:
-            print(report.to_text(), end="")
-            print(f"runtime: {report.runtime:.1f}s", file=sys.stderr)
-        return 0 if all(r.ok for r in reports) else 1
-    report = run_suite(args.suite, replay=args.replay)
-    print(report.to_text(), end="")
-    print(f"runtime: {report.runtime:.1f}s", file=sys.stderr)
-    return 0 if report.ok else 1
+    if args.suite == "all" and args.replay is not None:
+        raise UsageError("--replay needs a single replayable suite")
+    ok = True
+    for name in SUITES if args.suite == "all" else [args.suite]:
+        report = run_suite(name, replay=args.replay)
+        print(report.to_text(), end="")
+        print(f"runtime: {report.runtime:.1f}s", file=sys.stderr)
+        ok = ok and report.ok
+    return 0 if ok else 1
 
 
 def _cmd_dcc(args) -> int:
@@ -136,12 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cclab",
         description="Per-input communication cost laboratory for tiny two-party protocols.",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker bound for multi-suite verification; output order is canonical",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -217,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     try:
         return args.handler(args)
     except AuditFailure as exc:

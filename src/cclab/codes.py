@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -56,6 +56,7 @@ from .protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
+    node_is_one_way,
     tree_has_stuck,
 )
 
@@ -64,11 +65,9 @@ __all__ = [
     "PDL_VERSION",
     "PdlCode",
     "SdlCode",
-    "EnumerationCursor",
     "pdl_encode",
     "pdl_decode",
     "pdl_complexity",
-    "enumerate_protocols",
     "enumerate_signature",
     "save_pdl",
     "load_pdl",
@@ -306,7 +305,6 @@ def save_pdl(tree: ProtocolTree, path: str | os.PathLike) -> None:
     """Write a versioned binary code file for the tree."""
     code = pdl_encode(tree)
     bits = code.bits
-    pad = (-len(bits)) % 8
     payload = bytes(
         int(bits[i:i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8)
     ) if bits else b""
@@ -315,7 +313,6 @@ def save_pdl(tree: ProtocolTree, path: str | os.PathLike) -> None:
     header += tree.out_len.to_bytes(2, "big") + len(bits).to_bytes(4, "big")
     with open(path, "wb") as fh:
         fh.write(header + payload)
-    del pad
 
 
 def load_pdl(path: str | os.PathLike) -> ProtocolTree:
@@ -339,35 +336,6 @@ def load_pdl(path: str | os.PathLike) -> ProtocolTree:
 
 # ---------------------------------------------------------------------------
 # protocol enumeration
-
-
-@dataclass(frozen=True)
-class EnumerationCursor:
-    """Position in the canonical (length, lexicographic) protocol stream.
-
-    Filters: require_total drops every tree containing a stuck leaf,
-    require_one_way drops every tree in which Alice speaks, and
-    allow_partial=False is a synonym for require_total.  position skips
-    that many already-yielded entries, so a stream can be resumed.
-    """
-
-    n: int
-    budget: int
-    require_total: bool = False
-    require_one_way: bool = False
-    allow_partial: bool = True
-    position: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise UsageError("n must be positive")
-        if self.budget < 0:
-            raise UsageError("budget must be nonnegative")
-        if self.position < 0:
-            raise UsageError("position must be nonnegative")
-
-    def advanced(self, count: int) -> "EnumerationCursor":
-        return replace(self, position=self.position + count)
 
 
 def _fn_encodings(m: int, budget: int) -> list[tuple[str, NodeFunction]]:
@@ -439,14 +407,6 @@ def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tup
     return tuple(_raw_enumeration(na, nb, out_len, budget))
 
 
-def _node_is_one_way(node: Node) -> bool:
-    if isinstance(node, Speak):
-        if node.owner == ALICE:
-            return False
-        return _node_is_one_way(node.child0) and _node_is_one_way(node.child1)
-    return True
-
-
 _HARD_BUDGET_LIMIT = 28
 _warned_about_cap = False
 
@@ -501,29 +461,9 @@ def enumerate_signature(
     for bits, node in _enumeration_table(na, nb, out_len, budget):
         if require_total and tree_has_stuck(node):
             continue
-        if require_one_way and not _node_is_one_way(node):
+        if require_one_way and not node_is_one_way(node):
             continue
         yield PdlCode(bits), ProtocolTree(na, nb, out_len, node)
-
-
-def enumerate_protocols(cursor: EnumerationCursor, cap: int | None = None):
-    """Yield (code, tree) pairs passing the cursor's filters, in canonical order.
-
-    Every decodable code of length at most the budget appears exactly once
-    in the underlying stream; the cursor's position skips a prefix.
-    """
-    stream = enumerate_signature(
-        cursor.n,
-        cursor.n,
-        cursor.n,
-        cursor.budget,
-        require_total=cursor.require_total or not cursor.allow_partial,
-        require_one_way=cursor.require_one_way,
-        cap=cap,
-    )
-    for i, item in enumerate(stream):
-        if i >= cursor.position:
-            yield item
 
 
 # ---------------------------------------------------------------------------

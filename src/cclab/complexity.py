@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bits import all_bitstrings, bits_from_int, check_bits, log2ceil
 from .codes import (
     PdlCode,
-    SdlCode,
     budget_cap,
     enumerate_sets,
     enumerate_signature,
@@ -47,19 +46,6 @@ INF = float("inf")
 
 FAMILIES = ("TCC", "CC", "PCC")
 
-# Exhaustive measures re-test the same trees for totality across calls;
-# the verdict only depends on the code and the signature.
-_totality_cache: dict = {}
-
-
-def _tree_is_total(code_bits: str, tree: ProtocolTree) -> bool:
-    key = (code_bits, tree.n_alice, tree.n_bob, tree.out_len)
-    hit = _totality_cache.get(key)
-    if hit is None:
-        hit = is_total(tree)
-        _totality_cache[key] = hit
-    return hit
-
 
 @dataclass(frozen=True)
 class Measure:
@@ -84,35 +70,24 @@ class Measure:
             raise UsageError("budget must be nonnegative")
 
 
-def _pair_cost(tree: ProtocolTree, f: FunctionSpec, x: str, y: str, help: HelpSpec):
-    if help.alice_bits == 0 and help.bob_bits == 0:
-        return cc_on_input(tree, f, x, y)
-    return cc_with_help(tree, f, x, y, help)
-
-
-def _everywhere(tree: ProtocolTree, f: FunctionSpec, help: HelpSpec) -> bool:
-    if help.alice_bits == 0 and help.bob_bits == 0:
-        return computes_everywhere(tree, f)
-    return all(
-        cc_with_help(tree, f, x, y, help) != INF
-        for x in all_bitstrings(f.n)
-        for y in all_bitstrings(f.n)
-    )
-
-
-def _admissible(code_bits: str, tree: ProtocolTree, m: Measure, f: FunctionSpec) -> bool:
-    if m.family in ("TCC", "CC") and not _tree_is_total(code_bits, tree):
-        return False
-    if m.family == "TCC" and not _everywhere(tree, f, m.help):
-        return False
-    return True
+def _admissible(tree: ProtocolTree, m: Measure, f: FunctionSpec) -> bool:
+    """Whether the tree belongs to the measure's protocol family."""
+    if m.family == "PCC":
+        return True
+    if m.family == "CC":
+        return is_total(tree)
+    # correct on every pair means no pair is stranded; with help bits only
+    # one help string per pair has to answer, so the others still need the
+    # totality test
+    return computes_everywhere(tree, f, m.help) and (m.help == HelpSpec() or is_total(tree))
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     """Cheapest correct conversation on (x, y) within the measure's family.
 
     Returns (bits, witness code); the minimum of an empty family is
-    infinity with no witness.  Ties go to the canonically first code.
+    infinity with no witness.  Ties go to the canonically first code, so
+    the scan stops at the first admissible witness that costs nothing.
     """
     n = f.n
     if n > 3:
@@ -126,43 +101,17 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     for code, tree in enumerate_signature(
         n + a, n + b, n, m.alpha, require_one_way=m.one_way
     ):
-        cost = _pair_cost(tree, f, x, y, m.help)
-        if cost == INF or cost >= best[0]:
-            continue
-        if not _admissible(code.bits, tree, m, f):
+        cost = cc_with_help(tree, f, x, y, m.help)
+        if cost >= best[0] or not _admissible(tree, m, f):
             continue
         best = (cost, code)
+        if cost == 0:
+            break
     return best
 
 
 # ---------------------------------------------------------------------------
 # one-way simulation of total identity protocols
-
-
-def transcript_decoder(tree: ProtocolTree, x: str, transcript: str) -> str | None:
-    """Replay a transcript against Alice's input alone and read the answer.
-
-    Walks the tree letting the transcript stand in for Bob; Alice's own
-    bits must match the transcript or the replay is rejected (None), as
-    is a transcript that ends early or runs long.  A successful replay
-    shows the pair (code, transcript) determines the output given x.
-    """
-    from .protocol import OutputLeaf, Speak, StuckLeaf, ALICE
-
-    check_bits(x, tree.n_alice)
-    node = tree.root
-    pos = 0
-    while isinstance(node, Speak):
-        if pos >= len(transcript):
-            return None
-        bit = int(transcript[pos])
-        if node.owner == ALICE and node.fn.evaluate(x) != bit:
-            return None
-        pos += 1
-        node = node.child1 if bit else node.child0
-    if isinstance(node, StuckLeaf) or pos != len(transcript):
-        return None
-    return node.fn.evaluate(x, tree.out_len)
 
 
 @dataclass
@@ -197,7 +146,7 @@ def one_way_from_two_way(tree: ProtocolTree, y: str) -> OneWaySimulation:
     check_bits(y, n)
     if tree.grid_size > (1 << 16):
         raise UsageError("input grid too large to walk exhaustively")
-    if not (is_total(tree) and computes_everywhere(tree, f)):
+    if not computes_everywhere(tree, f):
         raise UsageError("protocol is not total and correct for the identity")
     messages = {}
     for col in all_bitstrings(n):
@@ -261,7 +210,7 @@ def oneway_to_set(tree: ProtocolTree, y: str) -> frozenset:
     check_bits(y, n)
     if not is_one_way(tree):
         raise UsageError("expected a one-way protocol")
-    if not (is_total(tree) and computes_everywhere(tree, identity_fn(n))):
+    if not computes_everywhere(tree, identity_fn(n)):
         raise UsageError("protocol is not total and correct for the identity")
     target = len(bob_message(tree, y))
     result = frozenset(
@@ -434,17 +383,14 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
         for code, tree in enumerate_signature(
             n, n, n, alpha_max, require_one_way=True
         ):
-            if not _tree_is_total(code.bits, tree):
-                continue
-            if not computes_everywhere(tree, f):
-                continue
-            yield len(code.bits), len(bob_message(tree, y)), code
+            if computes_everywhere(tree, f):
+                yield len(code.bits), len(bob_message(tree, y)), code
 
     one_way = _fold_profile(f"oneway({y})", alpha_max, oneway_candidates())
 
     admissible = []
     for code, tree in enumerate_signature(n, n, n, alpha_max):
-        if _tree_is_total(code.bits, tree) and computes_everywhere(tree, f):
+        if computes_everywhere(tree, f):
             admissible.append((code, tree))
     two_way = {}
     for row in rows:

@@ -1,10 +1,10 @@
 """Hand-built protocols and pigeonhole hard instances, with exact bit counts.
 
 Everything here is constructed directly rather than found by search: the
-prefix-match sender, the all-or-nothing shortest-set sender, the equality
-shortcut, rectangle-index shortcuts, the separating-index exchange, and
-the fiber-certificate generator that produces input pairs on which every
-small enumerated one-way protocol must talk a lot.
+prefix-match sender, the equality shortcut, rectangle-index shortcuts, the
+separating-index exchange, and the fiber-certificate generator that
+produces input pairs on which every small enumerated one-way protocol must
+talk a lot.
 """
 
 from __future__ import annotations
@@ -14,16 +14,24 @@ import math
 from dataclasses import dataclass, field
 from random import Random
 
-from .bits import all_bitstrings, bits_from_int, bits_to_hex, check_bits, embed_bit, log2ceil
+from .bits import (
+    all_bitstrings,
+    bits_from_hex,
+    bits_from_int,
+    bits_to_hex,
+    check_bits,
+    embed_bit,
+    log2ceil,
+)
 from .codes import (
     PdlCode,
     budget_cap,
+    decode_signature,
     enumerate_signature,
     pdl_encode,
-    sdl_encode,
 )
 from .errors import AuditFailure, UsageError
-from .functions import FunctionSpec, equality_fn
+from .functions import FunctionSpec
 from .protocol import (
     ALICE,
     BOB,
@@ -34,9 +42,10 @@ from .protocol import (
     Speak,
     StuckLeaf,
     _literal_send_chain,
+    bob_message,
     run,
 )
-from .rectangles import Rectangle, rectangle_color
+from .rectangles import rectangle_color
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +144,6 @@ def prefix_protocol(y_target: str, a: int) -> ProtocolTree:
             messages[y] = "1" + y
     outputs = {y: y for y in messages}
     return message_protocol(messages, outputs, n, n)
-
-
-def shortest_description_protocol(n: int, c_budget: int) -> ProtocolTree:
-    """Bob sends the set code pinning down his input, gated on its length.
-
-    Bob's message is the canonical singleton code for {y} exactly when
-    that code has the hard-wired length c_budget; any other input is
-    stuck.  Since every canonical singleton code has the same length
-    1 + 2n, the gate is all-or-nothing: either every y gets through at
-    uniform cost 1 + 2n or none does.  Unreached branches hold stuck
-    leaves either way, so only the matching budget yields a protocol
-    that never actually strands a pair.
-    """
-    if c_budget > budget_cap():
-        raise UsageError(f"budget {c_budget} exceeds the enumeration cap")
-    messages = {}
-    for y in all_bitstrings(n):
-        code = sdl_encode({y}, n)
-        if len(code.bits) == c_budget:
-            messages[y] = code.bits
-    outputs = {y: y for y in messages}
-    return message_protocol(messages, outputs, n, n, stuck_filler=True)
 
 
 def _eq_tail(n: int, y_prefix: str, pos: int) -> object:
@@ -396,6 +383,65 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
 
 HARD_INSTANCE_SCHEMA = "cclab-hard-instance/1"
 
+# Replay rebuilds an instance from stored parameters, so they are bounded
+# before any work starts: the fiber scan walks all 2^k blocks, and the
+# companion's exchange tree has one leaf per answer to its 2^(a+b+s) slot
+# queries, 2^(2^(a+b+s)) leaves in all (65,536 at a+b+s = 4).
+_MAX_HARD_K = 16
+_MAX_HARD_SLOTS_LOG = 4
+
+
+# Expected JSON shape per certificate field: "int", "int?" (integer or
+# null), "str", "obj", "strs" / "ints" (lists of those) or "rows" (the
+# served table: [protocol index, Alice help, Bob help, member or null]).
+_INSTANCE_FIELDS = dict(
+    k="int", s="int", l="int", a="int", b="int", budget="int", n="int",
+    protocols="strs", fiber_label="strs", fiber_size="int", fiber_floor="int",
+    z_blocks="strs", x="str", y_family="strs", served="rows", hard_index="int",
+    companion="obj", seed="int?",
+)
+_COMPANION_FIELDS = dict(kind="str", code="str", signature="ints", cost="int", bound_bits="int")
+_ROW_SHAPE = ("int", "str", "str", "int?")
+
+
+def _has_shape(v, shape: str) -> bool:
+    if shape == "int?" and v is None:
+        return True
+    if shape in ("int", "int?"):
+        return isinstance(v, int) and not isinstance(v, bool)
+    if shape == "str":
+        return isinstance(v, str)
+    if shape == "obj":
+        return isinstance(v, dict)
+    if not isinstance(v, list):
+        return False
+    if shape == "rows":
+        return all(
+            isinstance(r, list) and len(r) == 4 and all(map(_has_shape, r, _ROW_SHAPE))
+            for r in v
+        )
+    return all(_has_shape(e, shape[:-1]) for e in v)
+
+
+def _check_fields(data: dict, fields: dict, where: str) -> None:
+    for name, shape in fields.items():
+        if name not in data or not _has_shape(data[name], shape):
+            raise UsageError(f"{where} field {name!r} is missing or not of shape {shape}")
+
+
+def _check_hard_parameters(k: int, s: int, l: int, a: int, b: int, budget: int) -> None:
+    if not 1 <= k <= _MAX_HARD_K:
+        raise UsageError(f"k must be between 1 and {_MAX_HARD_K}, got {k}")
+    if min(s, a, b) < 0:
+        raise UsageError("s, a and b must be nonnegative")
+    if l < 1:
+        raise UsageError(f"l must be at least 1, got {l}")
+    if a + b + s > min(k, _MAX_HARD_SLOTS_LOG):
+        raise UsageError(f"a+b+s = {a + b + s} exceeds min(k, {_MAX_HARD_SLOTS_LOG})")
+    cap = budget_cap()
+    if not 0 <= budget <= cap:
+        raise UsageError(f"budget must be between 0 and the enumeration cap {cap}, got {budget}")
+
 
 @dataclass
 class HardInstance:
@@ -473,18 +519,35 @@ class HardInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "HardInstance":
-        from .bits import bits_from_hex
-
-        data = json.loads(text)
+        """Parse a stored certificate, rejecting any malformed field."""
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"instance is not valid JSON: {exc}")
+        if not isinstance(data, dict):
+            raise UsageError("instance must be a JSON object")
         if data.get("schema") != HARD_INSTANCE_SCHEMA:
             raise UsageError(f"unknown instance schema {data.get('schema')!r}")
+        _check_fields(data, _INSTANCE_FIELDS, "instance")
         comp = data["companion"]
+        _check_fields(comp, _COMPANION_FIELDS, "companion")
+        k, s, a, b = data["k"], data["s"], data["a"], data["b"]
+        _check_hard_parameters(k, s, data["l"], a, b, data["budget"])
+        if data["n"] != ((1 << (a + b + s)) + 1) * k:
+            raise UsageError(f"n = {data['n']} does not equal (2^(a+b+s)+1)*k")
+        if not 0 <= data["hard_index"] < len(data["y_family"]):
+            raise UsageError("hard_index does not name a family member")
+        try:
+            x = bits_from_hex(data["x"])
+            y_family = tuple(bits_from_hex(y) for y in data["y_family"])
+        except ValueError as exc:
+            raise UsageError(f"malformed hex field: {exc}")
         return cls(
-            k=data["k"],
-            s=data["s"],
+            k=k,
+            s=s,
             l=data["l"],
-            a=data["a"],
-            b=data["b"],
+            a=a,
+            b=b,
             budget=data["budget"],
             n=data["n"],
             protocols=tuple(data["protocols"]),
@@ -492,8 +555,8 @@ class HardInstance:
             fiber_size=data["fiber_size"],
             fiber_floor=data["fiber_floor"],
             z_blocks=tuple(data["z_blocks"]),
-            x=bits_from_hex(data["x"]),
-            y_family=tuple(bits_from_hex(y) for y in data["y_family"]),
+            x=x,
+            y_family=y_family,
             served=tuple(tuple(row) for row in data["served"]),
             hard_index=data["hard_index"],
             companion_kind=comp["kind"],
@@ -505,16 +568,8 @@ class HardInstance:
         )
 
 
-def _enumerated_one_way(n_alice: int, n_bob: int, out_len: int, budget: int):
-    return list(
-        enumerate_signature(n_alice, n_bob, out_len, budget, require_one_way=True)
-    )
-
-
 def _fiber_message(tree: ProtocolTree, y_ext: str, l: int) -> str | None:
     # one-way walk; None is the infinity marker (stuck or too long)
-    from .protocol import bob_message
-
     msg = bob_message(tree, y_ext)
     if msg is None or len(msg) >= l:
         return None
@@ -525,13 +580,14 @@ def _build_hard_instance(
     k: int, s: int, l: int, a: int, b: int, budget: int, companion_kind: str,
     seed: int | None = None,
 ) -> HardInstance:
+    _check_hard_parameters(k, s, l, a, b, budget)
     blocks = (1 << (a + b + s)) + 1
     n = blocks * k
     if k < a + b + s + l * (1 << (s + b)):
         raise UsageError(
             f"need k >= a+b+s+l*2^(s+b) = {a + b + s + l * (1 << (s + b))}, got k={k}"
         )
-    protos = _enumerated_one_way(n + a, n + b, n, budget)
+    protos = list(enumerate_signature(n + a, n + b, n, budget, require_one_way=True))
     count = len(protos)
     # the serving argument needs strictly fewer (protocol, help) triples
     # than family members, and the fiber floor must clear the family size
@@ -709,8 +765,7 @@ def replay_hard_instance(instance: HardInstance) -> ReplayReport:
     ):
         if getattr(fresh, name) != getattr(instance, name):
             diffs.append(name)
-    report = ReplayReport(not diffs, diffs)
-    return report
+    return ReplayReport(not diffs, diffs)
 
 
 def verify_certificate(instance: HardInstance) -> bool:
@@ -720,8 +775,6 @@ def verify_certificate(instance: HardInstance) -> bool:
     no correct conversation shorter than l exists; also re-checks the
     stored serving rows.  Raises AuditFailure on any discrepancy.
     """
-    from .codes import decode_signature
-
     n, a, b, l = instance.n, instance.a, instance.b, instance.l
     trees = [
         decode_signature(PdlCode.from_hex(h), n + a, n + b, n)

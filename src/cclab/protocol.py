@@ -13,11 +13,11 @@ the plain case is symmetric with output width equal to the input length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Union
 
-from .bits import bits_to_int, check_bits, embed_bit, xor_bits
+from .bits import all_bitstrings, bits_to_int, check_bits, embed_bit, xor_bits
 from .errors import UsageError
 from .functions import FunctionSpec
 
@@ -44,8 +44,8 @@ __all__ = [
     "cc_with_help",
     "help_bit_totalizer",
     "value_as_help_protocol",
-    "tree_depth",
     "tree_has_stuck",
+    "node_is_one_way",
 ]
 
 ALICE = "A"
@@ -214,18 +214,21 @@ class StuckLeaf:
 Node = Union[Speak, OutputLeaf, StuckLeaf]
 
 
-def tree_depth(node: Node) -> int:
-    if isinstance(node, Speak):
-        return 1 + max(tree_depth(node.child0), tree_depth(node.child1))
-    return 0
-
-
 def tree_has_stuck(node: Node) -> bool:
     if isinstance(node, StuckLeaf):
         return True
     if isinstance(node, Speak):
         return tree_has_stuck(node.child0) or tree_has_stuck(node.child1)
     return False
+
+
+def node_is_one_way(node: Node) -> bool:
+    """True iff no speak node below (and including) node belongs to Alice."""
+    if isinstance(node, Speak):
+        if node.owner == ALICE:
+            return False
+        return node_is_one_way(node.child0) and node_is_one_way(node.child1)
+    return True
 
 
 def default_depth_cap(n_alice: int, n_bob: int) -> int:
@@ -356,34 +359,17 @@ def bob_message(tree: ProtocolTree, y: str) -> str | None:
 
 def cc_on_input(tree: ProtocolTree, f: FunctionSpec, x: str, y: str) -> int | float:
     """Bits spoken on (x, y) when the answer is right, else infinity."""
-    if not tree.is_symmetric or tree.n_alice != f.n:
-        raise UsageError("protocol shape does not match the function")
-    outcome = run(tree, x, y)
-    if outcome.is_stuck or outcome.output != f.value(x, y):
-        return float("inf")
-    return outcome.cost
+    return cc_with_help(tree, f, x, y)
 
 
 def is_one_way(tree: ProtocolTree) -> bool:
     """True iff no speak node anywhere in the tree belongs to Alice."""
-
-    def scan(node: Node) -> bool:
-        if isinstance(node, Speak):
-            if node.owner == ALICE:
-                return False
-            return scan(node.child0) and scan(node.child1)
-        return True
-
-    return scan(tree.root)
+    return node_is_one_way(tree.root)
 
 
-def _pairs(tree: ProtocolTree):
+def _check_grid(tree: ProtocolTree) -> None:
     if tree.grid_size > _EXHAUSTIVE_LIMIT:
         raise UsageError("input grid too large for an exhaustive check")
-    return product(
-        ("".join(t) for t in product("01", repeat=tree.n_alice)),
-        ("".join(t) for t in product("01", repeat=tree.n_bob)),
-    )
 
 
 def is_total(tree: ProtocolTree) -> bool:
@@ -395,44 +381,55 @@ def is_total(tree: ProtocolTree) -> bool:
     """
     if not tree_has_stuck(tree.root):
         return True
-    return all(not run(tree, x, y).is_stuck for x, y in _pairs(tree))
+    _check_grid(tree)
+    return all(
+        not run(tree, x, y).is_stuck
+        for x in all_bitstrings(tree.n_alice)
+        for y in all_bitstrings(tree.n_bob)
+    )
 
 
 def computes_on(tree: ProtocolTree, f: FunctionSpec, x: str, y: str) -> bool:
     """True iff the run on (x, y) announces exactly f(x, y)."""
-    if not tree.is_symmetric or tree.n_alice != f.n:
-        raise UsageError("protocol shape does not match the function")
-    outcome = run(tree, x, y)
-    return not outcome.is_stuck and outcome.output == f.value(x, y)
+    return cc_with_help(tree, f, x, y) != math.inf
 
 
-def computes_everywhere(tree: ProtocolTree, f: FunctionSpec) -> bool:
-    """True iff every input pair terminates with the right answer."""
-    if not tree.is_symmetric or tree.n_alice != f.n:
-        raise UsageError("protocol shape does not match the function")
-    return all(computes_on(tree, f, x, y) for x, y in _pairs(tree))
+def computes_everywhere(
+    tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec = HelpSpec()
+) -> bool:
+    """True iff every input pair has a correct run under some help string.
+
+    Without help bits this means every pair terminates with the right
+    answer, so such a tree is also total.
+    """
+    _check_grid(tree)
+    return all(
+        cc_with_help(tree, f, x, y, help_spec) != math.inf
+        for x in all_bitstrings(f.n)
+        for y in all_bitstrings(f.n)
+    )
 
 
 def cc_with_help(
-    tree: ProtocolTree, f: FunctionSpec, x: str, y: str, help_spec: HelpSpec
+    tree: ProtocolTree, f: FunctionSpec, x: str, y: str, help_spec: HelpSpec = HelpSpec()
 ) -> int | float:
-    """Cheapest correct run over all help strings appended to the inputs.
+    """Cheapest correct run on (x, y) over all help strings appended to the inputs.
 
     The tree must be declared over the extended lengths (n + alice_bits,
     n + bob_bits) with output width n; the answer is compared against
-    f on the base pair.  With no help bits this equals cc_on_input.
+    f on the base pair.  With no help bits (the default) this is the
+    number of bits spoken on (x, y) when the answer is right, else
+    infinity.
     """
-    check_bits(x, f.n)
-    check_bits(y, f.n)
     if tree.n_alice != f.n + help_spec.alice_bits or tree.n_bob != f.n + help_spec.bob_bits:
-        raise UsageError("protocol shape does not match the help specification")
+        raise UsageError("protocol shape does not match the function and help bits")
     if tree.out_len != f.n:
         raise UsageError("output width must match the base input length")
     want = f.value(x, y)
-    best: int | float = float("inf")
-    for ha in product("01", repeat=help_spec.alice_bits):
-        for hb in product("01", repeat=help_spec.bob_bits):
-            outcome = run(tree, x + "".join(ha), y + "".join(hb))
+    best: int | float = math.inf
+    for ha in all_bitstrings(help_spec.alice_bits):
+        for hb in all_bitstrings(help_spec.bob_bits):
+            outcome = run(tree, x + ha, y + hb)
             if not outcome.is_stuck and outcome.output == want and outcome.cost < best:
                 best = outcome.cost
     return best

@@ -38,12 +38,6 @@ class Rectangle:
     def contains(self, x: str, y: str) -> bool:
         return x in self.rows and y in self.cols
 
-    def sorted_rows(self) -> list:
-        return sorted(self.rows)
-
-    def sorted_cols(self) -> list:
-        return sorted(self.cols)
-
 
 @dataclass
 class TranscriptPartition:
@@ -295,10 +289,6 @@ class DiagonalReport:
     lengths: dict
     max_length: int
     distinct: int
-
-    @property
-    def min_required(self) -> int:
-        return self.n
 
 
 def equality_diagonal_bound(tree: ProtocolTree) -> DiagonalReport:

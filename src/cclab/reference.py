@@ -189,15 +189,3 @@ def equality_protocols(n: int) -> dict:
             equality_fn(n), [off_diagonal_quadrant(n)]
         ),
     }
-
-
-def reference_families(n: int) -> dict:
-    """All reference protocols keyed by (function name, protocol name)."""
-    out = {}
-    for name, tree in identity_protocols(n).items():
-        out[("identity", name)] = tree
-    for name, tree in ip_protocols(n).items():
-        out[("ip", name)] = tree
-    for name, tree in equality_protocols(n).items():
-        out[("eq", name)] = tree
-    return out

@@ -29,7 +29,6 @@ from .complexity import (
     set_to_oneway,
     structure_function_profile,
     tcc_identity_profile,
-    _tree_is_total,
 )
 from .constructions import (
     HardInstance,
@@ -52,6 +51,7 @@ from .protocol import (
     cc_with_help,
     computes_everywhere,
     help_bit_totalizer,
+    is_total,
     run,
     value_as_help_protocol,
 )
@@ -130,7 +130,7 @@ def verify_rectangles(sample: int = 1000) -> VerificationReport:
             failure = f"{code.bits}: {exc}"
             break
         audited += 1
-        if _tree_is_total(code.bits, tree) and not partition.is_total_cover:
+        if is_total(tree) and not partition.is_total_cover:
             totals_covered = False
             failure = f"total protocol {code.bits} leaves pairs uncovered"
             break
@@ -172,7 +172,7 @@ def verify_rectangles(sample: int = 1000) -> VerificationReport:
 def _total_identity_protocols(n: int, budget: int):
     f = identity_fn(n)
     for code, tree in enumerate_signature(n, n, n, budget):
-        if _tree_is_total(code.bits, tree) and computes_everywhere(tree, f):
+        if computes_everywhere(tree, f):
             yield code, tree
 
 
@@ -300,7 +300,7 @@ def verify_ip_bound() -> VerificationReport:
     stray = sum(
         1
         for code, tree in enumerate_signature(2, 2, 2, 20)
-        if _tree_is_total(code.bits, tree) and computes_everywhere(tree, f)
+        if computes_everywhere(tree, f)
     )
     out.add(
         "n2-enumerated-family-empty",
@@ -395,7 +395,7 @@ def verify_counting(alpha_max: int = 10) -> VerificationReport:
         for report in hard_reports:
             best = INF
             for code, tree in enumerate_signature(n, n, n, alpha, cap=alpha_max):
-                if not _tree_is_total(code.bits, tree):
+                if not is_total(tree):
                     continue
                 outcome = run(tree, report.x, report.y)
                 if outcome.is_stuck or outcome.output != report.y:
@@ -443,7 +443,7 @@ def verify_equiv() -> VerificationReport:
     oneway_n2 = [
         code
         for code, tree in enumerate_signature(2, 2, 2, 20, require_one_way=True)
-        if _tree_is_total(code.bits, tree) and computes_everywhere(tree, f2)
+        if computes_everywhere(tree, f2)
     ]
     out.add(
         "n2-enumerated-oneway-family-empty",
@@ -457,7 +457,7 @@ def verify_equiv() -> VerificationReport:
     audited = 0
     failure = ""
     for code, tree in enumerate_signature(1, 1, 1, 20, require_one_way=True):
-        if not (_tree_is_total(code.bits, tree) and computes_everywhere(tree, f1)):
+        if not computes_everywhere(tree, f1):
             continue
         audited += 1
         for y in all_bitstrings(1):
@@ -500,29 +500,32 @@ def verify_equiv() -> VerificationReport:
 # profiles
 
 
-def _naive_set_profile(y: str, alpha_max: int) -> dict:
-    """All-subsets oracle, written independently of the enumeration path."""
-    n = len(y)
+def _naive_set_profiles(n: int, alpha_max: int) -> dict:
+    """All-subsets oracle for every y of length n, independent of enumeration.
+
+    Each subset is encoded once and then improves the profile of every
+    one of its members.
+    """
     universe = [format(v, f"0{n}b") for v in range(1 << n)]
-    position = universe.index(y)
-    best = {a: INF for a in range(alpha_max + 1)}
+    best = {y: {a: INF for a in range(alpha_max + 1)} for y in universe}
     for mask in range(1, 1 << len(universe)):
-        if not mask >> position & 1:
-            continue
         members = frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
         cost = len(sdl_encode(members, n).bits)
         if cost > alpha_max:
             continue
         value = math.log2(len(members))
-        for a in range(cost, alpha_max + 1):
-            if value < best[a]:
-                best[a] = value
+        for y in members:
+            row = best[y]
+            for a in range(cost, alpha_max + 1):
+                if value < row[a]:
+                    row[a] = value
     return best
 
 
 def verify_profiles(alpha_max: int = 20) -> VerificationReport:
     out = _Collector("profiles")
 
+    oracles = _naive_set_profiles(2, alpha_max)
     for y in all_bitstrings(2):
         sets = structure_function_profile(y, alpha_max)
         identity = tcc_identity_profile(y, alpha_max)
@@ -536,7 +539,7 @@ def verify_profiles(alpha_max: int = 20) -> VerificationReport:
             failure = str(exc)
         out.add(f"n2-nonincreasing-y{y}", failure == "", witness=failure)
 
-        oracle = _naive_set_profile(y, alpha_max)
+        oracle = oracles[y]
         mismatch = next(
             (a for a in range(alpha_max + 1) if oracle[a] != sets.value(a)), None
         )
@@ -546,6 +549,7 @@ def verify_profiles(alpha_max: int = 20) -> VerificationReport:
             witness="" if mismatch is None else f"first mismatch at budget {mismatch}",
         )
 
+    oracles = _naive_set_profiles(4, alpha_max)
     for y in all_bitstrings(4):
         sets = structure_function_profile(y, alpha_max)
         failure = ""
@@ -553,7 +557,7 @@ def verify_profiles(alpha_max: int = 20) -> VerificationReport:
             sets.assert_nonincreasing()
         except AuditFailure as exc:
             failure = str(exc)
-        oracle = _naive_set_profile(y, alpha_max)
+        oracle = oracles[y]
         mismatch = next(
             (a for a in range(alpha_max + 1) if oracle[a] != sets.value(a)), None
         )
@@ -602,13 +606,18 @@ def _instance_checks(out: _Collector, label: str, instance: HardInstance) -> Non
     )
 
 
+def _replayed(suite: str, path: str) -> VerificationReport:
+    out = _Collector(suite)
+    with open(path, "r", encoding="utf-8") as handle:
+        instance = HardInstance.from_json(handle.read())
+    _instance_checks(out, "replayed", instance)
+    return out.report()
+
+
 def verify_th7(replay: str | None = None) -> VerificationReport:
-    out = _Collector("th7")
     if replay is not None:
-        with open(replay, "r", encoding="utf-8") as handle:
-            instance = HardInstance.from_json(handle.read())
-        _instance_checks(out, "replayed", instance)
-        return out.report()
+        return _replayed("th7", replay)
+    out = _Collector("th7")
 
     for s, k in ((1, 2), (2, 4), (2, 8)):
         members = _lex_members(k, (1 << s) + 1)
@@ -643,12 +652,9 @@ def verify_th7(replay: str | None = None) -> VerificationReport:
 
 
 def verify_helpbits(replay: str | None = None, totalizer_budget: int = 20) -> VerificationReport:
-    out = _Collector("helpbits")
     if replay is not None:
-        with open(replay, "r", encoding="utf-8") as handle:
-            instance = HardInstance.from_json(handle.read())
-        _instance_checks(out, "replayed", instance)
-        return out.report()
+        return _replayed("helpbits", replay)
+    out = _Collector("helpbits")
 
     specs = {
         "both": HelpSpec(1, 1),

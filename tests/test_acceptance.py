@@ -2,11 +2,14 @@
 
 One test per shipped claim, named so the verbose pytest report doubles as
 the pass/fail checklist.  Criteria 1 through 9 run the matching library
-verification suite and fail with its full report text; criterion 10 is an
-independent in-line sweep.  Two suites carry wall-clock budgets.
+verification suite and fail with its full report text, and each report
+must match its committed golden text in tests/golden byte for byte;
+criterion 10 is an independent in-line sweep.  Two suites carry
+wall-clock budgets.
 """
 
 import time
+from pathlib import Path
 
 from cclab import (
     Measure,
@@ -18,12 +21,16 @@ from cclab import (
 )
 from cclab.verify import run_suite
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def _passes(name, limit=None):
     start = time.perf_counter()
     report = run_suite(name)
     elapsed = time.perf_counter() - start
     assert report.ok, "\n" + report.to_text()
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert report.to_text() == golden, f"{name} report differs from tests/golden/{name}.txt"
     if limit is not None:
         assert elapsed <= limit, f"{name} took {elapsed:.1f}s, budget {limit}s"
 

@@ -1,6 +1,7 @@
 """End-to-end command checks, all in process through main(argv)."""
 
 import json
+import time
 
 import pytest
 
@@ -140,6 +141,28 @@ def test_replay_rejected_for_plain_suite(tmp_path, capsys):
 def test_missing_replay_file_is_a_usage_error(capsys):
     code, _out = run_cli(capsys, "verify", "th7", "--replay", "/nonexistent/inst.json")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ['{"schema":"cclab-hard-instance/1"}', '["cclab-hard-instance/1", 1]'],
+    ids=["missing-fields", "top-level-list"],
+)
+def test_malformed_replay_is_a_usage_error(tmp_path, capsys, payload):
+    target = tmp_path / "inst.json"
+    target.write_text(payload)
+    code, out = run_cli(capsys, "verify", "th7", "--replay", str(target))
+    assert code == 2
+    assert out == ""
+
+
+def test_hardness_parameters_bounded_before_work(capsys):
+    start = time.perf_counter()
+    code, _out = run_cli(
+        capsys, "hardness", "th7", "--k", "40", "--s", "1", "--l", "2", "--budget", "6"
+    )
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_flag_exits_two(capsys):

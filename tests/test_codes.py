@@ -4,7 +4,6 @@ import pytest
 
 from cclab import (
     DecodeError,
-    EnumerationCursor,
     NodeFunction,
     OutputFunction,
     OutputLeaf,
@@ -16,7 +15,6 @@ from cclab import (
     bits_from_hex,
     bits_to_hex,
     decode_signature,
-    enumerate_protocols,
     enumerate_sets,
     enumerate_signature,
     load_pdl,
@@ -180,12 +178,6 @@ def test_budget_cap_env_override(monkeypatch):
         budget_cap()
     monkeypatch.delenv("CCLAB_BUDGET_CAP")
     assert budget_cap() == 20
-
-
-def test_cursor_skips_a_prefix():
-    full = list(enumerate_protocols(EnumerationCursor(n=2, budget=10)))
-    tail = list(enumerate_protocols(EnumerationCursor(n=2, budget=10, position=5)))
-    assert [c.bits for c, _ in tail] == [c.bits for c, _ in full[5:]]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from cclab import (
     UsageError,
     all_bitstrings,
     enumerate_sets,
+    enumerate_signature,
+    equality_fn,
     find_hard_y,
     identity_fn,
     individual_cc,
@@ -22,10 +24,9 @@ from cclab import (
     set_to_oneway,
     structure_function_profile,
     tcc_identity_profile,
-    transcript_decoder,
 )
-from cclab.protocol import bob_message, cc_on_input
-from cclab.reference import alice_flag_identity, identity_protocols, literal_send_protocol
+from cclab.protocol import bob_message, cc_on_input, run
+from cclab.reference import alice_flag_identity, identity_protocols
 
 
 def test_measure_validation():
@@ -75,6 +76,66 @@ def test_families_are_nested():
                 assert pcc <= cc <= tcc
 
 
+# one budget per (Alice, Bob, output) signature at n = 1: large enough that
+# every family is nonempty somewhere, small enough to walk in well under 5 s
+ORACLE_BUDGETS = {(1, 1, 1): 16, (2, 1, 1): 16, (1, 2, 1): 16, (2, 2, 1): 16}
+
+
+def _brute_force_values(f, one_way, help_bits):
+    """individual_cc for every pair and family, straight from the definitions.
+
+    Walks the family once with plain runs: a tree is total when no run on
+    any extended pair is stuck, and a pair's cost is the cheapest correct
+    run over all help strings.  TCC admits total trees that have a correct
+    run on every pair, CC admits total trees, PCC admits every tree; the
+    value is the least cost, ties going to the canonically first code.
+    """
+    n = f.n
+    a, b = help_bits
+    pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
+    best = {(fam, pair): (INF, None) for fam in ("TCC", "CC", "PCC") for pair in pairs}
+    budget = ORACLE_BUDGETS[n + a, n + b, n]
+    for code, tree in enumerate_signature(n + a, n + b, n, budget, require_one_way=one_way):
+        total = True
+        cost = {}
+        for x, y in pairs:
+            cost[x, y] = INF
+            for ha in all_bitstrings(a):
+                for hb in all_bitstrings(b):
+                    outcome = run(tree, x + ha, y + hb)
+                    if outcome.is_stuck:
+                        total = False
+                    elif outcome.output == f.value(x, y):
+                        cost[x, y] = min(cost[x, y], outcome.cost)
+        families = ["PCC"]
+        if total:
+            families.append("CC")
+            if INF not in cost.values():
+                families.append("TCC")
+        for fam in families:
+            for pair in pairs:
+                if cost[pair] < best[fam, pair][0]:
+                    best[fam, pair] = (cost[pair], code)
+    return best
+
+
+@pytest.mark.parametrize("help_bits", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("one_way", [False, True], ids=["two-way", "one-way"])
+@pytest.mark.parametrize("f", [identity_fn(1), equality_fn(1)], ids=lambda f: f.name)
+def test_individual_cc_matches_brute_force(f, one_way, help_bits):
+    n = f.n
+    budget = ORACLE_BUDGETS[n + help_bits[0], n + help_bits[1], n]
+    expected = _brute_force_values(f, one_way, help_bits)
+    for (family, (x, y)), want in expected.items():
+        m = Measure(family, one_way, HelpSpec(*help_bits), budget)
+        assert individual_cc(m, f, x, y) == want, (family, x, y)
+    # the comparison must reach finite values in every family
+    assert all(
+        any(v[0] != INF for (fam, _), v in expected.items() if fam == family)
+        for family in ("TCC", "CC", "PCC")
+    )
+
+
 def test_one_way_restriction_never_helps():
     f = identity_fn(1)
     m_free = Measure(family="CC", alpha=15)
@@ -114,12 +175,6 @@ def test_simulation_rejects_partial_protocols():
     leaf = ProtocolTree(2, 2, 2, OutputLeaf(OutputFunction.copy_x()))
     with pytest.raises((AuditFailure, UsageError)):
         one_way_from_two_way(leaf, "00")
-
-
-def test_transcript_decoder():
-    tree = literal_send_protocol(identity_fn(2))
-    assert transcript_decoder(tree, "00", "10") == "10"
-    assert transcript_decoder(tree, "00", "1") is None  # stops mid-tree
 
 
 # ---------------------------------------------------------------------------

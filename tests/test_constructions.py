@@ -18,9 +18,7 @@ from cclab import (
     equality_shortcut_protocol,
     fit_node_function,
     helpbit_hard_instance,
-    identity_fn,
     is_one_way,
-    is_total,
     large_rectangle_shortcut,
     message_protocol,
     pdl_complexity,
@@ -28,10 +26,8 @@ from cclab import (
     replay_hard_instance,
     run,
     separating_index_set,
-    shortest_description_protocol,
     th7_hard_instance,
     th7_protocol,
-    tree_has_stuck,
     verify_certificate,
 )
 from cclab.rectangles import Rectangle
@@ -85,24 +81,6 @@ def test_prefix_protocol_routing():
     assert bob_message(sender, "1010") == "010"
     assert bob_message(sender, "1001") == "001"
     assert bob_message(sender, "0110") == "10110"
-
-
-def test_shortest_description_sender():
-    tree = shortest_description_protocol(2, 5)
-    assert tree_has_stuck(tree.root)
-    assert is_total(tree)  # every singleton code has exactly 5 bits
-    assert computes_everywhere(tree, identity_fn(2))
-    for y in all_bitstrings(2):
-        assert run(tree, "00", y).cost == 5
-
-
-def test_shortest_description_budget_mismatch_strands_everyone():
-    # singleton codes all have length 5 at n = 2, so budget 4 matches none
-    tree = shortest_description_protocol(2, 4)
-    assert not is_total(tree)
-    for x in all_bitstrings(2):
-        for y in all_bitstrings(2):
-            assert run(tree, x, y).is_stuck
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +204,44 @@ def test_hard_instance_json_round_trip():
     text = inst.to_json()
     assert json.loads(text)["schema"] == "cclab-hard-instance/1"
     assert HardInstance.from_json(text) == inst
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("served"),
+        lambda d: d.update(k=True),
+        lambda d: d.update(k=40, n=120),
+        lambda d: d.update(n=31),
+        lambda d: d.update(budget=-1),
+        lambda d: d.update(hard_index=3),
+        lambda d: d.update(x="5:zz"),
+        lambda d: d.update(served=[[0, "", ""]]),
+        lambda d: d.update(companion=[]),
+        lambda d: d["companion"].pop("cost"),
+        lambda d: d["companion"].update(signature=[30, "30"]),
+    ],
+    ids=[
+        "missing-field", "bool-k", "k-over-bound", "n-mismatch", "negative-budget",
+        "hard-index-range", "bad-hex", "short-served-row", "companion-not-object",
+        "companion-missing-cost", "signature-not-ints",
+    ],
+)
+def test_hard_instance_from_json_rejects_malformed_fields(edit):
+    data = json.loads(th7_hard_instance(10, 1, 2, 6).to_json())
+    edit(data)
+    with pytest.raises(UsageError):
+        HardInstance.from_json(json.dumps(data))
+
+
+def test_hard_instance_parameters_bounded():
+    for args in ((17, 1, 2, 6), (0, 1, 2, 6), (10, -1, 2, 6), (10, 1, 0, 6), (10, 1, 2, 99)):
+        with pytest.raises(UsageError):
+            th7_hard_instance(*args)
+    with pytest.raises(UsageError):
+        helpbit_hard_instance(4, 2, 1, 1, 1, 6)  # a+b+s = 4 > k
+    with pytest.raises(UsageError):
+        helpbit_hard_instance(16, 0, 1, 5, 0, 0)  # 2^(2^5) companion leaves
 
 
 def test_hard_instance_replay():

@@ -33,7 +33,6 @@ def test_rectangle_helpers():
     assert rect.size == 2
     assert rect.contains("00", "10")
     assert not rect.contains("10", "10")
-    assert rect.sorted_rows() == ["00", "01"]
 
 
 def test_partition_of_literal_send():
