@@ -15,10 +15,16 @@ Protocol grammar (pre-order, self-delimiting given the input lengths):
               | "10" bits(m)                Alice's input xor a mask
               | "11" bits(w * 2^m)          full table
 
-The encoder always emits the shortest kind that matches the function
-extensionally, so the canonical code of a tree is minimal for its shape;
-ties cannot arise because equal-length kinds never coincide.  Protocol
-complexity is the canonical code length in bits ("PDL bits" in reports).
+This grammar is the spec that the form lists of `_node_rule` and
+`_output_rule` implement; the decoder, the encoder and the enumeration all
+read those lists.  The encoder emits each function in the shortest form
+equal to it, so the canonical code of a tree is minimal for its shape.
+Every kind but a table is already shortest (for m >= 1 no constant equals
+a bit, negated-bit, copy or xor form, and distinct indices or masks never
+coincide); a table, or an all-zero xor mask, is collapsed to the shortest
+equal form, and a table over more than 16 input bits is refused.
+Protocol complexity is the canonical code length in bits ("PDL bits" in
+reports).
 
 Set grammar: a leading form tag, then either a per-position template
 ("0", then 2 bits per position: 00 fixed zero, 01 fixed one, 10 free) or
@@ -35,15 +41,16 @@ import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
+from typing import Any, Callable, NamedTuple
 
 from .bits import (
+    all_bitstrings,
     bits_from_hex,
     bits_from_int,
     bits_to_hex,
     bits_to_int,
     check_bits,
     log2ceil,
-    xor_bits,
 )
 from .errors import DecodeError, UsageError
 from .protocol import (
@@ -56,6 +63,8 @@ from .protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
+    _EXHAUSTIVE_LIMIT,
+    default_depth_cap,
     node_is_one_way,
     tree_has_stuck,
 )
@@ -86,8 +95,8 @@ PDL_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
-class PdlCode:
-    """A protocol code; ordering is canonical (length, then lexicographic)."""
+class _Code:
+    """A bit code; ordering is canonical (length, then lexicographic)."""
 
     sort_key: tuple[int, str] = field(init=False, repr=False)
     bits: str
@@ -103,114 +112,152 @@ class PdlCode:
         return bits_to_hex(self.bits)
 
     @classmethod
-    def from_hex(cls, h: str) -> "PdlCode":
+    def from_hex(cls, h: str):
         return cls(bits_from_hex(h))
 
 
-@dataclass(frozen=True, order=True)
-class SdlCode:
-    """A set code; same canonical ordering as PdlCode."""
+class PdlCode(_Code):
+    """A protocol code."""
 
-    sort_key: tuple[int, str] = field(init=False, repr=False)
-    bits: str
 
-    def __post_init__(self) -> None:
-        check_bits(self.bits)
-        object.__setattr__(self, "sort_key", (len(self.bits), self.bits))
+class SdlCode(_Code):
+    """A set code; never equal to a protocol code with the same bits."""
 
-    def __len__(self) -> int:
-        return len(self.bits)
 
-    def hex(self) -> str:
-        return bits_to_hex(self.bits)
+# ---------------------------------------------------------------------------
+# the forms of the fn and out rules
+
+
+class _Form(NamedTuple):
+    """One alternative of a rule: its selector, then `width` payload bits.
+
+    build makes the function a payload stands for (DecodeError if none);
+    payload reads the payload back off a function of this kind (by
+    default its stored value, which is the payload of every output kind).
+    """
+
+    selector: str
+    width: int
+    kind: str
+    build: Callable[[str], Any]
+    payload: Callable[[Any], str] = lambda fn: fn.value
+
+
+class _Rule:
+    """The forms of one rule, by selector and by function kind.
+
+    shorten(fn) is fn in the shortest form equal to it.
+    """
+
+    def __init__(self, shorten: Callable[[Any], Any], *forms: _Form):
+        self.shorten = shorten
+        self.forms = forms
+        self.by_selector = {form.selector: form for form in forms}
+        self.by_kind = {form.kind: form for form in forms}
+
+    def emit(self, fn) -> str:
+        fn = self.shorten(fn)
+        form = self.by_kind[fn.kind]
+        return form.selector + form.payload(fn)
+
+    def read(self, r: "_Reader"):
+        sel = r.take(len(self.forms[0].selector))
+        if sel not in self.by_selector:
+            raise DecodeError(f"invalid function selector {sel}")
+        form = self.by_selector[sel]
+        return form.build(r.take(form.width))
+
+
+def _check_table_width(m: int) -> None:
+    if 1 << m > _EXHAUSTIVE_LIMIT:
+        raise UsageError(f"table over {m} input bits is too large to encode")
+
+
+@lru_cache(maxsize=64)
+def _node_rule(m: int) -> _Rule:
+    """The fn rule for a party with an m-bit input."""
+    w = log2ceil(m)
+
+    def index(payload: str) -> int:
+        i = bits_to_int(payload)
+        if i >= m:
+            raise DecodeError(f"bit index {i} out of range for m={m}")
+        return i
+
+    def shorten(fn: NodeFunction) -> NodeFunction:
+        if fn.kind != "table":
+            return fn
+        _check_table_width(m)
+        return _short_node_functions(m).get(fn.table, fn)
+
+    no_payload = lambda fn: ""  # noqa: E731
+    index_bits = lambda fn: bits_from_int(fn.index, w)  # noqa: E731
+    return _Rule(
+        shorten,
+        _Form("000", 0, "const0", lambda p: NodeFunction.const(0), no_payload),
+        _Form("001", 0, "const1", lambda p: NodeFunction.const(1), no_payload),
+        _Form("010", w, "bit", lambda p: NodeFunction.input_bit(index(p)), index_bits),
+        _Form("011", w, "notbit", lambda p: NodeFunction.negated_bit(index(p)), index_bits),
+        _Form("100", 1 << m, "table", NodeFunction.from_table, lambda fn: fn.table),
+    )
+
+
+@lru_cache(maxsize=16)
+def _short_node_functions(m: int) -> dict[str, NodeFunction]:
+    """Every node function with a shorter code than a table, by truth table."""
+    table = _node_rule(m).by_kind["table"]
+    shorter = _encodings(_node_rule(m).forms, len(table.selector) + table.width - 1)
+    return {"".join(str(fn.evaluate(u)) for u in all_bitstrings(m)): fn for _, fn in shorter}
+
+
+@lru_cache(maxsize=64)
+def _output_rule(m: int, w: int) -> _Rule:
+    """The out rule for Alice's m-bit input and a w-bit answer."""
+    forms = [_Form("00", w, "const", OutputFunction.const)]
+    if m == w:
+        forms.append(_Form("01", 0, "copy_x", lambda p: OutputFunction.copy_x()))
+        forms.append(_Form("10", m, "xor_mask", OutputFunction.xor_mask))
+
+    def shorten(fn: OutputFunction) -> OutputFunction:
+        if fn.kind == "xor_mask" and "1" not in fn.value:
+            return OutputFunction.copy_x()
+        if fn.kind != "table":
+            return fn
+        _check_table_width(m)
+        inputs = list(all_bitstrings(m))
+        outputs = [fn.evaluate(u, w) for u in inputs]
+        # each other form is pinned down by its answer on the all-zero input
+        for form in forms:
+            short = form.build(outputs[0][:form.width])
+            if all(short.evaluate(u, w) == out for u, out in zip(inputs, outputs)):
+                return short
+        return fn
+
+    return _Rule(shorten, *forms, _Form("11", w << m, "table", OutputFunction.from_table))
 
 
 # ---------------------------------------------------------------------------
 # protocol encoding
 
 
-# Above this input width, canonical encoding goes by the stored kind
-# instead of tabulating the function over all 2^m inputs.  The two agree:
-# for m >= 1 no constant matches a bit, negated-bit, copy or xor form
-# extensionally, and distinct indices or masks never coincide.
-_ENCODE_EXHAUSTIVE_BITS = 16
-
-
-def _encode_node_fn_structural(fn: NodeFunction, m: int) -> str:
-    if fn.kind == "const0":
-        return "000"
-    if fn.kind == "const1":
-        return "001"
-    if fn.kind == "bit":
-        return "010" + bits_from_int(fn.index, log2ceil(m))
-    if fn.kind == "notbit":
-        return "011" + bits_from_int(fn.index, log2ceil(m))
-    raise UsageError(f"table function over {m} bits is too large to encode")
-
-
-def _encode_node_fn(fn: NodeFunction, m: int) -> str:
-    if m > _ENCODE_EXHAUSTIVE_BITS:
-        return _encode_node_fn_structural(fn, m)
-    vector = fn.value_vector(m)
-    if vector == "0" * (1 << m):
-        return "000"
-    if vector == "1" * (1 << m):
-        return "001"
-    w = log2ceil(m)
-    for i in range(m):
-        direct = "".join(format(v, f"0{m}b")[i] for v in range(1 << m))
-        if vector == direct:
-            return "010" + bits_from_int(i, w)
-        if vector == "".join("1" if c == "0" else "0" for c in direct):
-            return "011" + bits_from_int(i, w)
-    return "100" + vector
-
-
-def _encode_output_fn_structural(fn: OutputFunction, m: int, w: int) -> str:
-    if fn.kind == "copy_x":
-        return "01"
-    if fn.kind == "const":
-        return "00" + fn.value
-    if fn.kind == "xor_mask":
-        if fn.value == "0" * m:
-            return "01"
-        return "10" + fn.value
-    raise UsageError(f"table output over {m} input bits is too large to encode")
-
-
-def _encode_output_fn(fn: OutputFunction, m: int, w: int) -> str:
-    if m > _ENCODE_EXHAUSTIVE_BITS:
-        return _encode_output_fn_structural(fn, m, w)
-    outputs = [fn.evaluate(format(v, f"0{m}b"), w) for v in range(1 << m)]
-    if m == w and all(outputs[v] == format(v, f"0{m}b") for v in range(1 << m)):
-        return "01"
-    if len(set(outputs)) == 1:
-        return "00" + outputs[0]
-    if m == w:
-        mask = xor_bits(outputs[0], format(0, f"0{m}b"))
-        if all(outputs[v] == xor_bits(format(v, f"0{m}b"), mask) for v in range(1 << m)):
-            return "10" + mask
-    return "11" + "".join(outputs)
-
-
-def _encode_node(node: Node, na: int, nb: int, out_len: int) -> str:
-    if isinstance(node, StuckLeaf):
-        return "11"
+def _encode_node(node: Node, alice: _Rule, bob: _Rule, out: _Rule) -> str:
+    if isinstance(node, Speak):
+        return (
+            ("00" + alice.emit(node.fn) if node.owner == ALICE else "01" + bob.emit(node.fn))
+            + _encode_node(node.child0, alice, bob, out)
+            + _encode_node(node.child1, alice, bob, out)
+        )
     if isinstance(node, OutputLeaf):
-        return "10" + _encode_output_fn(node.fn, na, out_len)
-    m = na if node.owner == ALICE else nb
-    tag = "00" if node.owner == ALICE else "01"
-    return (
-        tag
-        + _encode_node_fn(node.fn, m)
-        + _encode_node(node.child0, na, nb, out_len)
-        + _encode_node(node.child1, na, nb, out_len)
-    )
+        return "10" + out.emit(node.fn)
+    return "11"
 
 
 def pdl_encode(tree: ProtocolTree) -> PdlCode:
     """Canonical code of a protocol tree."""
-    return PdlCode(_encode_node(tree.root, tree.n_alice, tree.n_bob, tree.out_len))
+    na, nb = tree.n_alice, tree.n_bob
+    return PdlCode(
+        _encode_node(tree.root, _node_rule(na), _node_rule(nb), _output_rule(na, tree.out_len))
+    )
 
 
 def pdl_complexity(tree: ProtocolTree) -> int:
@@ -234,47 +281,15 @@ class _Reader:
         return self.pos == len(self.bits)
 
 
-def _decode_node_fn(r: _Reader, m: int) -> NodeFunction:
-    sel = r.take(3)
-    if sel == "000":
-        return NodeFunction.const(0)
-    if sel == "001":
-        return NodeFunction.const(1)
-    if sel in ("010", "011"):
-        i = bits_to_int(r.take(log2ceil(m)))
-        if i >= m:
-            raise DecodeError(f"bit index {i} out of range for m={m}")
-        return NodeFunction.input_bit(i) if sel == "010" else NodeFunction.negated_bit(i)
-    if sel == "100":
-        return NodeFunction.from_table(r.take(1 << m))
-    raise DecodeError(f"invalid node function selector {sel}")
-
-
-def _decode_output_fn(r: _Reader, m: int, w: int) -> OutputFunction:
-    sel = r.take(2)
-    if sel == "00":
-        return OutputFunction.const(r.take(w))
-    if sel == "01":
-        if m != w:
-            raise DecodeError("copy form needs output width equal to Alice's input length")
-        return OutputFunction.copy_x()
-    if sel == "10":
-        if m != w:
-            raise DecodeError("xor form needs output width equal to Alice's input length")
-        return OutputFunction.xor_mask(r.take(m))
-    return OutputFunction.from_table(r.take(w << m))
-
-
 def _decode_node(r: _Reader, na: int, nb: int, out_len: int, depth: int) -> Node:
-    if depth > 4 * max(na, nb):
+    if depth > default_depth_cap(na, nb):
         raise DecodeError("code exceeds the depth cap")
     tag = r.take(2)
     if tag == "11":
         return StuckLeaf()
     if tag == "10":
-        return OutputLeaf(_decode_output_fn(r, na, out_len))
-    m = na if tag == "00" else nb
-    fn = _decode_node_fn(r, m)
+        return OutputLeaf(_output_rule(na, out_len).read(r))
+    fn = _node_rule(na if tag == "00" else nb).read(r)
     child0 = _decode_node(r, na, nb, out_len, depth + 1)
     child1 = _decode_node(r, na, nb, out_len, depth + 1)
     return Speak(ALICE if tag == "00" else BOB, fn, child0, child1)
@@ -338,44 +353,19 @@ def load_pdl(path: str | os.PathLike) -> ProtocolTree:
 # protocol enumeration
 
 
-def _fn_encodings(m: int, budget: int) -> list[tuple[str, NodeFunction]]:
-    """Every valid fn encoding of at most `budget` bits, by code."""
-    out: list[tuple[str, NodeFunction]] = []
-    if budget >= 3:
-        out.append(("000", NodeFunction.const(0)))
-        out.append(("001", NodeFunction.const(1)))
-    w = log2ceil(m)
-    if budget >= 3 + w:
-        for i in range(m):
-            idx = bits_from_int(i, w)
-            out.append(("010" + idx, NodeFunction.input_bit(i)))
-            out.append(("011" + idx, NodeFunction.negated_bit(i)))
-    if budget >= 3 + (1 << m):
-        for tup in product("01", repeat=1 << m):
-            bits = "".join(tup)
-            out.append(("100" + bits, NodeFunction.from_table(bits)))
+def _encodings(forms, budget: int) -> list[tuple[str, object]]:
+    """Every code of at most `budget` bits under the forms, with its function."""
+    out: list[tuple[str, object]] = []
+    for form in forms:
+        if len(form.selector) + form.width > budget:
+            continue
+        for tup in product("01", repeat=form.width):
+            payload = "".join(tup)
+            try:
+                out.append((form.selector + payload, form.build(payload)))
+            except DecodeError:
+                continue
     return out
-
-
-def _out_encodings(m: int, w: int, budget: int) -> list[tuple[str, OutputFunction]]:
-    out: list[tuple[str, OutputFunction]] = []
-    if budget >= 2 + w:
-        for tup in product("01", repeat=w):
-            s = "".join(tup)
-            out.append(("00" + s, OutputFunction.const(s)))
-    if m == w and budget >= 2:
-        out.append(("01", OutputFunction.copy_x()))
-    if m == w and budget >= 2 + m:
-        for tup in product("01", repeat=m):
-            s = "".join(tup)
-            out.append(("10" + s, OutputFunction.xor_mask(s)))
-    payload = w << m
-    if budget >= 2 + payload:
-        for tup in product("01", repeat=payload):
-            s = "".join(tup)
-            out.append(("11" + s, OutputFunction.from_table(s)))
-    return out
-
 
 def _raw_enumeration(na: int, nb: int, out_len: int, budget: int) -> list[tuple[str, Node]]:
     """All decodable codes of length <= budget, sorted canonically."""
@@ -388,10 +378,10 @@ def _raw_enumeration(na: int, nb: int, out_len: int, budget: int) -> list[tuple[
         if hit is not None:
             return hit
         results: list[tuple[str, Node]] = [("11", StuckLeaf())]
-        for code, fn in _out_encodings(na, out_len, b - 2):
+        for code, fn in _encodings(_output_rule(na, out_len).forms, b - 2):
             results.append(("10" + code, OutputLeaf(fn)))
         for tag, owner, m in (("00", ALICE, na), ("01", BOB, nb)):
-            for fn_code, fn in _fn_encodings(m, b - 2 - 4):
+            for fn_code, fn in _encodings(_node_rule(m).forms, b - 2 - 4):
                 head = 2 + len(fn_code)
                 for c0, t0 in gen(b - head - 2):
                     for c1, t1 in gen(b - head - len(c0)):
@@ -490,13 +480,7 @@ def _template_of(members: frozenset[str], n: int) -> str | None:
 
 def sdl_complexity(members, n: int) -> int:
     """Shortest set-code length for the given nonempty set."""
-    members = frozenset(members)
-    if not members:
-        raise UsageError("the empty set has no code")
-    for m in members:
-        check_bits(m, n)
-    list_len = 1 + n + len(members) * n
-    return 1 + 2 * n if _template_of(members, n) is not None else list_len
+    return len(sdl_encode(members, n))
 
 
 def sdl_encode(members, n: int) -> SdlCode:
@@ -508,12 +492,9 @@ def sdl_encode(members, n: int) -> SdlCode:
         check_bits(m, n)
     template = _template_of(members, n)
     list_bits = "1" + bits_from_int(len(members) - 1, n) + "".join(sorted(members))
-    if template is None:
+    if template is None or 1 + len(template) > len(list_bits):
         return SdlCode(list_bits)
-    template_bits = "0" + template
-    if len(template_bits) <= len(list_bits):
-        return SdlCode(template_bits)
-    return SdlCode(list_bits)
+    return SdlCode("0" + template)
 
 
 def sdl_decode(code: SdlCode | str, n: int) -> frozenset[str]:

@@ -33,6 +33,7 @@ from .functions import FunctionSpec, identity_fn
 from .protocol import (
     HelpSpec,
     ProtocolTree,
+    _check_grid,
     bob_message,
     cc_on_input,
     cc_with_help,
@@ -144,8 +145,7 @@ def one_way_from_two_way(tree: ProtocolTree, y: str) -> OneWaySimulation:
     n = tree.n
     f = identity_fn(n)
     check_bits(y, n)
-    if tree.grid_size > (1 << 16):
-        raise UsageError("input grid too large to walk exhaustively")
+    _check_grid(tree)
     if not computes_everywhere(tree, f):
         raise UsageError("protocol is not total and correct for the identity")
     messages = {}

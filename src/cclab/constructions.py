@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from random import Random
 
 from .bits import (
@@ -31,7 +31,7 @@ from .codes import (
     pdl_encode,
 )
 from .errors import AuditFailure, UsageError
-from .functions import FunctionSpec
+from .functions import FunctionSpec, equality_fn
 from .protocol import (
     ALICE,
     BOB,
@@ -41,7 +41,8 @@ from .protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
-    _literal_send_chain,
+    _spell_input,
+    _table_answer,
     bob_message,
     run,
 )
@@ -146,19 +147,6 @@ def prefix_protocol(y_target: str, a: int) -> ProtocolTree:
     return message_protocol(messages, outputs, n, n)
 
 
-def _eq_tail(n: int, y_prefix: str, pos: int) -> object:
-    if pos == n:
-        return OutputLeaf(
-            OutputFunction.from_map(n, n, lambda u: embed_bit(int(u == y_prefix), n))
-        )
-    return Speak(
-        BOB,
-        NodeFunction.input_bit(pos),
-        _eq_tail(n, y_prefix + "0", pos + 1),
-        _eq_tail(n, y_prefix + "1", pos + 1),
-    )
-
-
 def equality_shortcut_protocol(n: int) -> ProtocolTree:
     """Equality with a 2-bit fast path on the off-diagonal quadrant.
 
@@ -171,12 +159,12 @@ def equality_shortcut_protocol(n: int) -> ProtocolTree:
     if n < 1:
         raise UsageError("need n >= 1")
     zero = OutputLeaf(OutputFunction.const(embed_bit(0, n)))
-    slow1 = _eq_tail(n, "1", 1)
+    answer = _table_answer(equality_fn(n))
     root = Speak(
         BOB,
         NodeFunction.input_bit(0),
-        _eq_tail(n, "0", 1),
-        Speak(ALICE, NodeFunction.input_bit(0), zero, slow1),
+        _spell_input(BOB, n, answer, "0"),
+        Speak(ALICE, NodeFunction.input_bit(0), zero, _spell_input(BOB, n, answer, "1")),
     )
     return ProtocolTree.symmetric(n, root)
 
@@ -204,7 +192,7 @@ def large_rectangle_shortcut(f: FunctionSpec, rects: list) -> ProtocolTree:
             if rects[i].rows & rects[j].rows and rects[i].cols & rects[j].cols:
                 raise UsageError(f"rectangles {i} and {j} overlap")
     width = log2ceil(len(rects) + 1)
-    default = _literal_send_chain(f, "", 0)
+    default = _spell_input(BOB, n, _table_answer(f))
 
     def index_of(y: str) -> int:
         for i, rect in enumerate(rects):
@@ -756,15 +744,11 @@ def replay_hard_instance(instance: HardInstance) -> ReplayReport:
         instance.companion_kind,
         instance.seed,
     )
-    diffs = []
-    for name in (
-        "k", "s", "l", "a", "b", "budget", "n", "protocols", "fiber_label",
-        "fiber_size", "fiber_floor", "z_blocks", "x", "y_family", "served",
-        "hard_index", "companion_kind", "companion_hex", "companion_signature",
-        "companion_cost", "companion_bound_bits",
-    ):
-        if getattr(fresh, name) != getattr(instance, name):
-            diffs.append(name)
+    diffs = [
+        f.name
+        for f in fields(HardInstance)
+        if f.name != "seed" and getattr(fresh, f.name) != getattr(instance, f.name)
+    ]
     return ReplayReport(not diffs, diffs)
 
 

@@ -51,8 +51,9 @@ __all__ = [
 ALICE = "A"
 BOB = "B"
 
-# Exhaustive semantic checks walk the full input grid; beyond this many
-# pairs they refuse rather than silently taking forever.
+# Exhaustive checks walk the full input grid (or tabulate a function over
+# all its inputs); beyond this many cells they refuse rather than silently
+# taking forever.
 _EXHAUSTIVE_LIMIT = 1 << 16
 
 
@@ -110,16 +111,6 @@ class NodeFunction:
         if self.kind == "notbit":
             return 1 - int(u[self.index])
         return int(self.table[bits_to_int(u)])
-
-    def value_vector(self, n_input: int) -> str:
-        """The function written out over all 2^n inputs in order."""
-        if self.kind == "table":
-            return self.table
-        out = []
-        for v in range(1 << n_input):
-            u = format(v, f"0{n_input}b") if n_input else ""
-            out.append(str(self.evaluate(u)))
-        return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -453,20 +444,27 @@ def _lift_output_fn(fn: OutputFunction, n_base: int, extra: int) -> OutputFuncti
     return OutputFunction.from_map(n_base + extra, n_base, lambda u: base_eval(u[:n_base]))
 
 
-def _literal_send_chain(f: FunctionSpec, prefix: str, extra_alice: int) -> Node:
-    """Bob sends the remaining bits of y; Alice answers from the table."""
-    n = f.n
+def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
+    """The owner sends its input bit by bit from position len(prefix) on.
+
+    leaf(u) ends the branch on which the whole input u has been sent.
+    """
     if len(prefix) == n:
-        y_fixed = prefix
-        return OutputLeaf(
-            OutputFunction.from_map(n + extra_alice, n, lambda u: f.value(u[:n], y_fixed))
-        )
+        return leaf(prefix)
     i = len(prefix)
     return Speak(
-        BOB,
+        owner,
         NodeFunction.input_bit(i),
-        _literal_send_chain(f, prefix + "0", extra_alice),
-        _literal_send_chain(f, prefix + "1", extra_alice),
+        _spell_input(owner, n, leaf, prefix + "0"),
+        _spell_input(owner, n, leaf, prefix + "1"),
+    )
+
+
+def _table_answer(f: FunctionSpec, extra_alice: int = 0):
+    """Leaf for Bob spelling out y: Alice answers f(x, y) from a table."""
+    n = f.n
+    return lambda y: OutputLeaf(
+        OutputFunction.from_map(n + extra_alice, n, lambda u: f.value(u[:n], y))
     )
 
 
@@ -519,7 +517,7 @@ def help_bit_totalizer(
 
     filler = OutputLeaf(OutputFunction.const("0" * n))
     replay = _totalize(lift(tree.root), filler)
-    default = _literal_send_chain(f, "", extra_alice)
+    default = _spell_input(BOB, n, _table_answer(f, extra_alice))
     if extra_bob:
         root = Speak(BOB, NodeFunction.input_bit(n), default, replay)
     else:

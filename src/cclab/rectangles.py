@@ -18,10 +18,7 @@ from dataclasses import dataclass, field
 from .bits import all_bitstrings, bits_to_int, embed_bit, xor_bits
 from .errors import AuditFailure, RectangleViolation, UsageError
 from .functions import FunctionSpec, FunctionTable, equality_fn, inner_product_fn
-from .protocol import ProtocolTree, computes_everywhere, run
-
-# Exhaustive audits refuse anything past this many grid cells.
-GRID_CAP = 1 << 16
+from .protocol import _EXHAUSTIVE_LIMIT, ProtocolTree, _check_grid, computes_everywhere, run
 
 
 @dataclass(frozen=True)
@@ -67,10 +64,7 @@ def transcript_partition(tree: ProtocolTree) -> TranscriptPartition:
     RectangleViolation carrying the transcript and up to four witness
     pairs rather than silently producing a bad partition.
     """
-    if tree.grid_size > GRID_CAP:
-        raise UsageError(
-            f"grid of {tree.grid_size} cells exceeds the exhaustive cap {GRID_CAP}"
-        )
+    _check_grid(tree)
     groups: dict = {}
     covered = set()
     for x in all_bitstrings(tree.n_alice):
@@ -220,8 +214,8 @@ def max_monochromatic_rectangle(table: FunctionTable) -> MonoRectResult:
         raise UsageError("rectangle maximization needs a truth-valued table")
     n = table.n
     size = 1 << n
-    if size * size > GRID_CAP:
-        raise UsageError(f"table with {size * size} cells exceeds the cap {GRID_CAP}")
+    if size * size > _EXHAUSTIVE_LIMIT:
+        raise UsageError(f"table with {size * size} cells exceeds the cap {_EXHAUSTIVE_LIMIT}")
     labels = list(all_bitstrings(n))
     # column mask per row and color: bit j set iff f(row, labels[j]) == color
     masks = {

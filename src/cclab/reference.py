@@ -22,27 +22,15 @@ from .protocol import (
     OutputLeaf,
     ProtocolTree,
     Speak,
-    _literal_send_chain,
+    _spell_input,
+    _table_answer,
 )
 from .rectangles import Rectangle
 
 
 def literal_send_protocol(f: FunctionSpec) -> ProtocolTree:
     """Bob spells out y, Alice answers from the table.  Cost n everywhere."""
-    return ProtocolTree.symmetric(f.n, _literal_send_chain(f, "", 0))
-
-
-def _bob_tail(n: int, prefix: str, leaf) -> object:
-    # Bob sends positions len(prefix)..n-1; leaf(full_y) builds the leaf
-    if len(prefix) == n:
-        return leaf(prefix)
-    i = len(prefix)
-    return Speak(
-        BOB,
-        NodeFunction.input_bit(i),
-        _bob_tail(n, prefix + "0", leaf),
-        _bob_tail(n, prefix + "1", leaf),
-    )
+    return ProtocolTree.symmetric(f.n, _spell_input(BOB, f.n, _table_answer(f)))
 
 
 def alice_flag_identity(n: int) -> ProtocolTree:
@@ -52,7 +40,7 @@ def alice_flag_identity(n: int) -> ProtocolTree:
     computed; the 1-branch of the opener is dead (a constant function
     never takes it) and holds a zero leaf.
     """
-    chain = _literal_send_chain(identity_fn(n), "", 0)
+    chain = _spell_input(BOB, n, _table_answer(identity_fn(n)))
     dead = OutputLeaf(OutputFunction.const("0" * n))
     return ProtocolTree.symmetric(
         n, Speak(ALICE, NodeFunction.const(0), chain, dead)
@@ -66,16 +54,8 @@ def alice_bit_identity(n: int) -> ProtocolTree:
     full literal sender; a genuinely two-way tree whose one-way collapse
     saves exactly one bit.
     """
-    f = identity_fn(n)
-    return ProtocolTree.symmetric(
-        n,
-        Speak(
-            ALICE,
-            NodeFunction.input_bit(0),
-            _literal_send_chain(f, "", 0),
-            _literal_send_chain(f, "", 0),
-        ),
-    )
+    chain = _spell_input(BOB, n, _table_answer(identity_fn(n)))
+    return ProtocolTree.symmetric(n, Speak(ALICE, NodeFunction.input_bit(0), chain, chain))
 
 
 def interleaved_identity(n: int) -> ProtocolTree:
@@ -90,13 +70,9 @@ def interleaved_identity(n: int) -> ProtocolTree:
     def leaf(y: str):
         return OutputLeaf(OutputFunction.const(y))
 
-    def after_alice(prefix: str):
-        return _bob_tail(n, prefix, leaf)
-
     def alice_node(prefix: str):
-        return Speak(
-            ALICE, NodeFunction.input_bit(0), after_alice(prefix), after_alice(prefix)
-        )
+        after_alice = _spell_input(BOB, n, leaf, prefix)
+        return Speak(ALICE, NodeFunction.input_bit(0), after_alice, after_alice)
 
     root = Speak(BOB, NodeFunction.input_bit(0), alice_node("0"), alice_node("1"))
     return ProtocolTree.symmetric(n, root)
@@ -134,18 +110,7 @@ def alice_sends_x_ip(n: int) -> ProtocolTree:
             OutputLeaf(OutputFunction.const(embed_bit(1, n))),
         )
 
-    def alice_chain(prefix: str):
-        if len(prefix) == n:
-            return bob_reply(prefix)
-        i = len(prefix)
-        return Speak(
-            ALICE,
-            NodeFunction.input_bit(i),
-            alice_chain(prefix + "0"),
-            alice_chain(prefix + "1"),
-        )
-
-    return ProtocolTree.symmetric(n, alice_chain(""))
+    return ProtocolTree.symmetric(n, _spell_input(ALICE, n, bob_reply))
 
 
 def zero_indicator_ip(n: int) -> ProtocolTree:
@@ -161,7 +126,7 @@ def zero_indicator_ip(n: int) -> ProtocolTree:
         table="".join("1" if x == "0" * n else "0" for x in all_bitstrings(n)),
     )
     return ProtocolTree.symmetric(
-        n, Speak(ALICE, fn, _literal_send_chain(f, "", 0), zero_leaf)
+        n, Speak(ALICE, fn, _spell_input(BOB, f.n, _table_answer(f)), zero_leaf)
     )
 
 

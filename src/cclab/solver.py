@@ -3,8 +3,9 @@
 The classic baseline for contrast with per-input values: the cheapest
 depth any tree needs on its worst pair, found by trying every way either
 party can split the current sub-grid.  Announcing the answer at a leaf
-is free, matching the cost convention everywhere else in the package, so
-a sub-grid is finished exactly when the function is constant on it.
+is free, matching the cost convention everywhere else in the package, and
+a leaf's answer is a function of Alice's input, so a sub-grid is finished
+exactly when every row is constant on it.
 """
 
 from __future__ import annotations
@@ -28,11 +29,13 @@ from .protocol import (
 def dcc_exact(f: FunctionSpec) -> tuple[int, ProtocolTree]:
     """Worst-case bits needed for f, with a tree achieving that depth.
 
-    Memoized min-max over sub-grids: a constant sub-grid costs 0, and
-    otherwise one bit plus the best achievable worst half over every
-    proper bipartition of either side.  Deterministic tie-breaking
-    (Alice's splits first, earlier bipartitions first) pins down the
-    returned tree.  Exponential in 2^n, hence the n <= 3 cap.
+    Memoized min-max over sub-grids: a sub-grid on which every row is
+    constant costs 0 (a constant leaf when the rows agree, else a table
+    of Alice's input), and otherwise one bit plus the best achievable
+    worst half over every proper bipartition of either side.
+    Deterministic tie-breaking (Alice's splits first, earlier bipartitions
+    first) pins down the returned tree.  Exponential in 2^n, hence the
+    n <= 3 cap.
     """
     n = f.n
     if n > 3:
@@ -46,11 +49,14 @@ def dcc_exact(f: FunctionSpec) -> tuple[int, ProtocolTree]:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        first = value[rows[0], cols[0]]
-        if all(value[x, y] == first for x in rows for y in cols):
-            result = (0, OutputLeaf(OutputFunction.const(first)))
-            memo[key] = result
-            return result
+        answer = {x: value[x, cols[0]] for x in rows}
+        if all(value[x, y] == answer[x] for x in rows for y in cols):
+            if len(set(answer.values())) == 1:
+                leaf = OutputFunction.const(answer[rows[0]])
+            else:
+                leaf = OutputFunction.from_map(n, n, lambda x: answer.get(x, "0" * n))
+            memo[key] = (0, OutputLeaf(leaf))
+            return memo[key]
         best = None
         for owner, side in ((ALICE, rows), (BOB, cols)):
             if len(side) < 2:

@@ -84,7 +84,7 @@ def test_enumerate_sets_kind(capsys):
 def test_dcc_reports_bits_and_witness(capsys):
     code, out = run_cli(capsys, "dcc", "--fn", "eq", "--n", "1")
     assert code == 0
-    assert "bits: 2" in out
+    assert "bits: 1" in out
     assert "witness: " in out
 
 

@@ -1,16 +1,23 @@
 """Description languages: canonical codes, round trips, enumeration."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab import (
     DecodeError,
     NodeFunction,
     OutputFunction,
     OutputLeaf,
+    PdlCode,
     ProtocolTree,
+    SdlCode,
     Speak,
     StuckLeaf,
     UsageError,
+    all_bitstrings,
     budget_cap,
     bits_from_hex,
     bits_to_hex,
@@ -26,7 +33,7 @@ from cclab import (
     sdl_decode,
     sdl_encode,
 )
-from cclab.protocol import ALICE, BOB
+from cclab.protocol import ALICE, BOB, run
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +118,120 @@ def test_structural_encoding_rejects_huge_tables():
         pdl_encode(big)
 
 
+# ---------------------------------------------------------------------------
+# grammar properties on random trees past the enumerable budget
+
+
+def _node_table(fn, m):
+    return NodeFunction.from_table("".join(str(fn.evaluate(u)) for u in all_bitstrings(m)))
+
+
+def _output_table(fn, m, w):
+    return OutputFunction.from_map(m, w, lambda u: fn.evaluate(u, w))
+
+
+@st.composite
+def _node_fns(draw, m):
+    """A node function and an equal one that may be disguised as a table."""
+    fn = draw(
+        st.one_of(
+            st.sampled_from([NodeFunction.const(0), NodeFunction.const(1)]),
+            st.integers(0, m - 1).map(NodeFunction.input_bit),
+            st.integers(0, m - 1).map(NodeFunction.negated_bit),
+            st.text("01", min_size=1 << m, max_size=1 << m).map(NodeFunction.from_table),
+        )
+    )
+    return fn, _node_table(fn, m) if draw(st.booleans()) else fn
+
+
+@st.composite
+def _output_fns(draw, m, w):
+    """An output function and an equal one that may be disguised as a table."""
+    choices = [
+        st.text("01", min_size=w, max_size=w).map(OutputFunction.const),
+        st.text("01", min_size=w << m, max_size=w << m).map(OutputFunction.from_table),
+    ]
+    if m == w:
+        choices.append(st.just(OutputFunction.copy_x()))
+        choices.append(st.text("01", min_size=m, max_size=m).map(OutputFunction.xor_mask))
+    fn = draw(st.one_of(choices))
+    return fn, _output_table(fn, m, w) if draw(st.booleans()) else fn
+
+
+@st.composite
+def _tree_pairs(draw):
+    """(plain, disguised): one protocol twice, tables standing in for some functions."""
+    na, nb = draw(st.integers(3, 4)), draw(st.integers(3, 4))
+    w = draw(st.sampled_from([na, 1, 2]))
+
+    def node(depth):
+        kind = draw(st.sampled_from(["speak", "speak", "out", "stuck"] if depth < 4 else ["out"]))
+        if kind == "stuck":
+            return StuckLeaf(), StuckLeaf()
+        if kind == "out":
+            plain, disguised = draw(_output_fns(na, w))
+            return OutputLeaf(plain), OutputLeaf(disguised)
+        owner = draw(st.sampled_from([ALICE, BOB]))
+        plain, disguised = draw(_node_fns(na if owner == ALICE else nb))
+        (p0, d0), (p1, d1) = node(depth + 1), node(depth + 1)
+        return Speak(owner, plain, p0, p1), Speak(owner, disguised, d0, d1)
+
+    plain, disguised = node(0)
+    return ProtocolTree(na, nb, w, plain), ProtocolTree(na, nb, w, disguised)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_tree_pairs())
+def test_random_trees_reencode_to_their_canonical_code(pair):
+    plain, disguised = pair
+    code = pdl_encode(disguised)
+    assert pdl_encode(plain) == code
+    back = decode_signature(code, plain.n_alice, plain.n_bob, plain.out_len)
+    assert pdl_encode(back) == code
+    for x in all_bitstrings(plain.n_alice):
+        for y in all_bitstrings(plain.n_bob):
+            assert run(back, x, y) == run(plain, x, y)
+
+
+_SIGNATURES = [(1, 1, 1), (2, 2, 2), (3, 3, 2), (2, 3, 1), (3, 2, 3)]
+
+
+@st.composite
+def _bit_strings(draw):
+    """Random strings, and enumerated codes with one bit flipped, cut or added."""
+    sig = draw(st.sampled_from(_SIGNATURES))
+    if draw(st.booleans()):
+        return sig, draw(st.text("01", max_size=80))
+    codes = [code.bits for code, _ in enumerate_signature(*sig, 12)]
+    bits = draw(st.sampled_from(codes))
+    i = draw(st.integers(0, len(bits) - 1))
+    edit = draw(st.sampled_from(["flip", "cut", "add"]))
+    if edit == "flip":
+        return sig, bits[:i] + "10"[int(bits[i])] + bits[i + 1:]
+    if edit == "cut":
+        return sig, bits[:i] + bits[i + 1:]
+    return sig, bits[:i] + draw(st.sampled_from("01")) + bits[i:]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_bit_strings())
+def test_random_bits_decode_to_a_tree_or_decode_error(case):
+    sig, bits = case
+    try:
+        tree = decode_signature(bits, *sig)
+    except DecodeError:
+        return
+    assert pdl_encode(tree).bits == bits or len(pdl_encode(tree)) < len(bits)
+
+
+def test_set_codes_are_not_protocol_codes():
+    code = sdl_encode(frozenset({"0"}), 1)
+    assert isinstance(code, SdlCode)
+    assert code != PdlCode(code.bits)
+    with pytest.raises(ValueError):
+        decode_signature(code, 1, 1, 1)
+
+
 def test_save_load_round_trip(tmp_path):
     tree = ProtocolTree(2, 2, 2, OutputLeaf(OutputFunction.copy_x()))
     path = tmp_path / "p.pdl"
@@ -133,6 +254,22 @@ def test_enumeration_counts_are_stable():
     assert sum(1 for _ in enumerate_signature(2, 2, 2, 10)) == 22
     assert sum(1 for _ in enumerate_signature(2, 2, 2, 20)) == 11290
     assert sum(1 for _ in enumerate_signature(3, 3, 3, 18)) == 1938
+
+
+# SHA-256 of the newline-terminated codes of each canonical stream
+_STREAM_HASHES = {
+    (1, 1, 1, 20): "4b9f8fd5c8421aa47527363573998533606efe37eb588a26e47d02b8fa75172b",
+    (2, 2, 2, 20): "326b4d62068ec38a45d22cdfc1d8fc042f2cefc64f2641503997d5715286886c",
+    (3, 3, 2, 20): "d16ce4add5769b0ab7b0b8b09b112932b46262a0f5b68f9a6183f50751e52125",
+}
+
+
+@pytest.mark.parametrize("signature", sorted(_STREAM_HASHES))
+def test_enumeration_streams_are_pinned(signature):
+    digest = hashlib.sha256()
+    for code, _tree in enumerate_signature(*signature):
+        digest.update(code.bits.encode() + b"\n")
+    assert digest.hexdigest() == _STREAM_HASHES[signature]
 
 
 def test_enumeration_is_sorted_and_decodable():

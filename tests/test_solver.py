@@ -1,5 +1,7 @@
 """Exact worst-case baseline solver."""
 
+from itertools import product
+
 import pytest
 
 from cclab import (
@@ -10,6 +12,7 @@ from cclab import (
     all_bitstrings,
     computes_everywhere,
     dcc_exact,
+    enumerate_signature,
     equality_fn,
     identity_fn,
     individual_cc,
@@ -36,9 +39,27 @@ def test_identity_needs_n_bits():
 
 
 def test_equality_small_values():
-    # Bob's bit, then Alice answers down her own branch
-    assert dcc_exact(equality_fn(1))[0] == 2
-    assert dcc_exact(equality_fn(2))[0] == 3
+    # Bob sends y, and Alice's leaf answers as a function of x
+    assert dcc_exact(equality_fn(1))[0] == 1
+    assert dcc_exact(equality_fn(2))[0] == 2
+
+
+def test_dcc_matches_enumeration_on_every_boolean_n1_table():
+    # a depth-1 optimum costs 17 PDL bits, so the budget-20 stream holds
+    # an optimal tree for every n = 1 table and this oracle is exact
+    pairs = [(x, y) for x in "01" for y in "01"]
+    runs = [
+        [run(tree, x, y) for x, y in pairs] for _, tree in enumerate_signature(1, 1, 1, 20)
+    ]
+    for bits in product("01", repeat=4):
+        f = FunctionSpec("t", 1, True, (bits[:2], bits[2:]))
+        want = [f.value(x, y) for x, y in pairs]
+        best = min(
+            max(outcome.cost for outcome in outcomes)
+            for outcomes in runs
+            if [outcome.output for outcome in outcomes] == want
+        )
+        assert dcc_exact(f)[0] == best, bits
 
 
 def test_optimal_tree_realizes_the_bound():
