@@ -113,8 +113,6 @@ from .rectangles import (
     equality_diagonal_bound,
     gf2_rank,
     ip_rectangle_audit,
-    is_monochromatic,
-    max_monochromatic_rectangle,
     rectangle_color,
     transcript_partition,
 )

@@ -439,10 +439,9 @@ def enumerate_signature(
     budget: int,
     require_total: bool = False,
     require_one_way: bool = False,
-    cap: int | None = None,
 ):
     """Canonical enumeration under an explicit protocol shape."""
-    limit = budget_cap() if cap is None else cap
+    limit = budget_cap()
     if budget > limit:
         raise UsageError(
             f"budget {budget} exceeds the enumeration cap {limit}; "

@@ -17,17 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .bits import all_bitstrings, bits_from_int, check_bits, log2ceil
-from .codes import (
-    PdlCode,
-    budget_cap,
-    enumerate_sets,
-    enumerate_signature,
-    pdl_complexity,
-    pdl_encode,
-    sdl_decode,
-    sdl_encode,
-)
-from .constructions import message_protocol, prefix_protocol
+from .codes import PdlCode, budget_cap, enumerate_sets, enumerate_signature, pdl_encode
+from .constructions import message_protocol
 from .errors import AuditFailure, UsageError
 from .functions import FunctionSpec, identity_fn
 from .protocol import (
@@ -117,57 +108,49 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
 
 @dataclass
 class OneWaySimulation:
-    """One-way sender distilled from a total two-way identity protocol."""
+    """One-way sender distilled from a total two-way identity protocol.
+
+    messages maps each column to the message Bob sends in tree; code is
+    the tree's canonical description.
+    """
 
     tree: ProtocolTree
     code: PdlCode
-    y: str
-    message: str
     messages: dict
-    source_code_length: int
-
-    @property
-    def code_length(self) -> int:
-        return len(self.code.bits)
 
 
-def one_way_from_two_way(tree: ProtocolTree, y: str) -> OneWaySimulation:
+def one_way_from_two_way(tree: ProtocolTree) -> OneWaySimulation:
     """Collapse a total identity protocol to its cheapest-per-column messages.
 
     For every column the sender transmits the (length, lex)-least
     transcript the original protocol produces on that column; since a
     total correct identity protocol pins each transcript to a single
     column, these messages are distinct and prefix-free, and the new
-    cost on (x, y) never exceeds the old one for any x.
+    cost on every pair never exceeds the old one.
     """
     if not tree.is_symmetric:
         raise UsageError("expected a symmetric identity protocol")
     n = tree.n
     f = identity_fn(n)
-    check_bits(y, n)
     _check_grid(tree)
     if not computes_everywhere(tree, f):
         raise UsageError("protocol is not total and correct for the identity")
-    messages = {}
-    for col in all_bitstrings(n):
-        best = min(
-            (run(tree, row, col).transcript for row in all_bitstrings(n)),
-            key=lambda t: (len(t), t),
-        )
-        messages[col] = best
+    strings = list(all_bitstrings(n))
+    transcripts = {(row, col): run(tree, row, col).transcript for row in strings for col in strings}
+    messages = {
+        col: min((transcripts[row, col] for row in strings), key=lambda t: (len(t), t))
+        for col in strings
+    }
     if len(set(messages.values())) != 1 << n:
         raise AuditFailure("two columns share a transcript in a correct protocol")
-    sim = message_protocol(messages, {col: col for col in messages}, n, n)
-    for row in all_bitstrings(n):
-        before = cc_on_input(tree, f, row, y)
-        after = cc_on_input(sim, f, row, y)
-        if after > before:
+    sim = message_protocol(messages, n)
+    for (row, col), transcript in transcripts.items():
+        after = cc_on_input(sim, f, row, col)
+        if after > len(transcript):
             raise AuditFailure(
-                f"one-way cost {after} exceeds two-way cost {before} on row {row}"
+                f"one-way cost {after} exceeds two-way cost {len(transcript)} on ({row},{col})"
             )
-    return OneWaySimulation(
-        sim, pdl_encode(sim), y, messages[y], messages, pdl_complexity(tree)
-    )
+    return OneWaySimulation(sim, pdl_encode(sim), messages)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +177,7 @@ def set_to_oneway(members, n: int) -> ProtocolTree:
             messages[col] = "1" + bits_from_int(rank[col], width)
         else:
             messages[col] = "0" + col
-    return message_protocol(messages, {col: col for col in messages}, n, n)
+    return message_protocol(messages, n)
 
 
 def oneway_to_set(tree: ProtocolTree, y: str) -> frozenset:
@@ -315,29 +298,6 @@ def structure_function_profile(y: str, alpha_max: int) -> ComplexityProfile:
 
 
 @dataclass
-class EquivalenceRow:
-    """Measured exchange between a set witness and a protocol witness at one budget."""
-
-    alpha: int
-    h_value: float
-    set_code_length: int | None
-    derived_protocol_length: int | None
-    derived_message_length: int | None
-    protocol_value: float
-    back_set_log: float | None
-    back_set_code_length: int | None
-
-
-@dataclass
-class PrefixRow:
-    """Hard-wired-prefix sender: budget spent vs bits still spoken."""
-
-    prefix_bits: int
-    code_length: int
-    cost: int
-
-
-@dataclass
 class AgreementRow:
     alpha: int
     x: str
@@ -355,20 +315,22 @@ class TccProfileReport:
 
     one_way is the x-free profile (message length of the best admissible
     sender); two_way maps each row to its own profile.  agreement lists
-    both values per (budget, row); equivalence and prefix_rows record
-    the measured constants in the set exchange and the hard-wired-prefix
-    upper bound.
+    both values per (budget, row); a two-way value above the one-way
+    value at the same budget fails the audit.
     """
 
     y: str
     one_way: ComplexityProfile
     two_way: dict
     agreement: list
-    equivalence: list
-    prefix_rows: list
 
 
 def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
+    """One- and two-way TCC identity profiles of column y, from one family scan.
+
+    The one-way members of the admissible two-way family are exactly the
+    one-way family, in the same canonical order.
+    """
     n = len(check_bits(y))
     if n > 3:
         raise UsageError("identity profiles support n <= 3")
@@ -379,19 +341,20 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
     for row in rows:
         check_bits(row, n)
 
-    def oneway_candidates():
-        for code, tree in enumerate_signature(
-            n, n, n, alpha_max, require_one_way=True
-        ):
-            if computes_everywhere(tree, f):
-                yield len(code.bits), len(bob_message(tree, y)), code
-
-    one_way = _fold_profile(f"oneway({y})", alpha_max, oneway_candidates())
-
-    admissible = []
-    for code, tree in enumerate_signature(n, n, n, alpha_max):
-        if computes_everywhere(tree, f):
-            admissible.append((code, tree))
+    admissible = [
+        (code, tree)
+        for code, tree in enumerate_signature(n, n, n, alpha_max)
+        if computes_everywhere(tree, f)
+    ]
+    one_way = _fold_profile(
+        f"oneway({y})",
+        alpha_max,
+        (
+            (len(code.bits), len(bob_message(tree, y)), code)
+            for code, tree in admissible
+            if is_one_way(tree)
+        ),
+    )
     two_way = {}
     for row in rows:
         two_way[row] = _fold_profile(
@@ -413,40 +376,7 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
             raise AuditFailure(
                 "two-way minimum exceeds one-way minimum at equal budget"
             )
-
-    sets = structure_function_profile(y, min(alpha_max, budget_cap()))
-    equivalence = []
-    for a in range(alpha_max + 1):
-        h_val, set_wit = sets.entries.get(a, (INF, None))
-        derived_len = derived_msg = None
-        if set_wit is not None:
-            members = sdl_decode(set_wit, n)
-            derived = set_to_oneway(members, n)
-            derived_len = pdl_complexity(derived)
-            derived_msg = len(bob_message(derived, y))
-        back_log = back_len = None
-        proto_val, proto_wit = one_way.entries[a]
-        if proto_wit is not None:
-            from .codes import decode_signature
-
-            back = oneway_to_set(decode_signature(proto_wit, n, n, n), y)
-            back_log = math.log2(len(back))
-            back_len = len(sdl_encode(back, n).bits)
-        equivalence.append(
-            EquivalenceRow(
-                a, h_val, None if set_wit is None else len(set_wit.bits),
-                derived_len, derived_msg, proto_val, back_log, back_len,
-            )
-        )
-
-    prefix_rows = []
-    for a in range(n + 1):
-        sender = prefix_protocol(y, a)
-        prefix_rows.append(
-            PrefixRow(a, pdl_complexity(sender), len(bob_message(sender, y)))
-        )
-
-    return TccProfileReport(y, one_way, two_way, agreement, equivalence, prefix_rows)
+    return TccProfileReport(y, one_way, two_way, agreement)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ talk a lot.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, fields
 from random import Random
 
@@ -40,7 +39,6 @@ from .protocol import (
     OutputLeaf,
     ProtocolTree,
     Speak,
-    StuckLeaf,
     _spell_input,
     _table_answer,
     bob_message,
@@ -77,49 +75,39 @@ def fit_node_function(targets: dict, m: int) -> NodeFunction:
     return NodeFunction.from_table("".join(cells))
 
 
-def message_protocol(
-    messages: dict,
-    outputs: dict,
-    n_bob: int,
-    out_len: int,
-    n_alice: int | None = None,
-    stuck_filler: bool = False,
-) -> ProtocolTree:
-    """One-way protocol in which Bob speaks messages[y] and Alice answers.
+def message_protocol(messages: dict, n: int) -> ProtocolTree:
+    """One-way identity protocol in which Bob speaks messages[y] and Alice outputs y.
 
     The message set must be prefix-free and injective; the trie of
     messages becomes the tree, with node functions fitted to the y's whose
     message passes through each node.  Branches no message reaches get a
-    constant-zero leaf, or a stuck leaf when stuck_filler is set (inputs
-    without a message then cost infinity instead of producing garbage).
+    constant-zero leaf.
     """
-    if n_alice is None:
-        n_alice = n_bob
     items = sorted(messages.items())
     for y, msg in items:
-        check_bits(y, n_bob)
+        check_bits(y, n)
         if msg:
             check_bits(msg)
     sorted_msgs = sorted(m for _, m in items)
     for a, b in zip(sorted_msgs, sorted_msgs[1:]):
         if b.startswith(a):
             raise UsageError(f"messages are not prefix-free: {a!r} prefixes {b!r}")
-    filler = StuckLeaf() if stuck_filler else OutputLeaf(OutputFunction.const("0" * out_len))
+    filler = OutputLeaf(OutputFunction.const("0" * n))
 
     def build(prefix: str, ys: list) -> object:
         exact = [y for y in ys if messages[y] == prefix]
         if exact:
-            return OutputLeaf(OutputFunction.const(outputs[exact[0]]))
+            return OutputLeaf(OutputFunction.const(exact[0]))
         if not ys:
             return filler
         targets = {y: int(messages[y][len(prefix)]) for y in ys}
-        fn = fit_node_function(targets, n_bob)
+        fn = fit_node_function(targets, n)
         zeros = [y for y in ys if targets[y] == 0]
         ones = [y for y in ys if targets[y] == 1]
         return Speak(BOB, fn, build(prefix + "0", zeros), build(prefix + "1", ones))
 
     root = build("", [y for y, _ in items]) if items else filler
-    return ProtocolTree(n_alice, n_bob, out_len, root)
+    return ProtocolTree.symmetric(n, root)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +131,7 @@ def prefix_protocol(y_target: str, a: int) -> ProtocolTree:
             messages[y] = "0" + y[a:]
         else:
             messages[y] = "1" + y
-    outputs = {y: y for y in messages}
-    return message_protocol(messages, outputs, n, n)
+    return message_protocol(messages, n)
 
 
 def equality_shortcut_protocol(n: int) -> ProtocolTree:
@@ -266,9 +253,7 @@ def separating_index_set(z_list) -> SeparatingIndexSet:
     return SeparatingIndexSet(tuple(sorted(indices)), k)
 
 
-def _exchange_tree(
-    z_list: list, slots: list, n_alice: int, n_bob: int, out_len: int
-) -> object:
+def _exchange_tree(z_list: list, slots: list, out_len: int) -> object:
     """Alice announces the slot positions, Bob answers his bits there.
 
     Slot indices go out as hard-wired constant bits, ceil(log2 k) per
@@ -311,15 +296,8 @@ def _exchange_tree(
 @dataclass
 class IndexExchangeReport:
     tree: ProtocolTree
-    x: str
-    z_list: tuple
-    separating: SeparatingIndexSet
-    slots: tuple
-    s: int
-    k: int
     cost: int
     closed_form_bound_bits: int
-    closed_form_bound: float
 
 
 def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
@@ -329,8 +307,8 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
     Alice sends 2^s slot positions (the greedy separating set, padded by
     repeating position 0), Bob replies with his bits there, and Alice
     names the matching member.  Cost is exactly 2^s * (ceil(log2 k) + 1)
-    on every valid pair; the report carries the looser closed-form bound
-    2^s * ceil(log2 (2k)) and its real-valued version side by side.
+    on every valid pair; the report carries it next to the looser
+    closed-form bound 2^s * ceil(log2 (2k)).
     """
     z_list = tuple(z_list)
     m = len(z_list)
@@ -343,7 +321,7 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
     k = sep.k
     slots = list(sep.indices) + [0] * ((1 << s) - len(sep.indices))
     n = m * k
-    tree = ProtocolTree.symmetric(n, _exchange_tree(list(z_list), slots, n, n, n))
+    tree = ProtocolTree.symmetric(n, _exchange_tree(list(z_list), slots, n))
     x = "".join(z_list)
     cost = None
     for j, z in enumerate(z_list):
@@ -352,18 +330,7 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
         if outcome.is_stuck or outcome.output != y:
             raise AuditFailure(f"index exchange failed to identify member {j}")
         cost = outcome.cost if cost is None else max(cost, outcome.cost)
-    return IndexExchangeReport(
-        tree,
-        x,
-        z_list,
-        sep,
-        tuple(slots),
-        s,
-        k,
-        cost,
-        (1 << s) * log2ceil(2 * k),
-        (1 << s) * math.log2(2 * k),
-    )
+    return IndexExchangeReport(tree, cost, (1 << s) * log2ceil(2 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +532,7 @@ def _fiber_message(tree: ProtocolTree, y_ext: str, l: int) -> str | None:
 
 
 def _build_hard_instance(
-    k: int, s: int, l: int, a: int, b: int, budget: int, companion_kind: str,
-    seed: int | None = None,
+    k: int, s: int, l: int, a: int, b: int, budget: int, seed: int | None = None
 ) -> HardInstance:
     _check_hard_parameters(k, s, l, a, b, budget)
     blocks = (1 << (a + b + s)) + 1
@@ -646,12 +612,14 @@ def _build_hard_instance(
                 served_rows.append((idx, ha, hb, hit))
     hard_index = next(j for j in range(blocks) if j not in served_js)
 
-    if companion_kind == "plain":
-        report = th7_protocol(chosen)
-        comp_tree, comp_cost = report.tree, report.cost
-        comp_bound = report.closed_form_bound_bits
-    else:
-        comp_tree, comp_cost, comp_bound = _routed_companion(chosen, k, n, a + b + s)
+    # with no help bits there is nothing to route on
+    companion_kind = "plain" if a == b == 0 else "help-routed"
+    report = th7_protocol(chosen)
+    comp_tree, comp_cost, comp_bound = report.tree, report.cost, report.closed_form_bound_bits
+    if companion_kind == "help-routed":
+        comp_tree = _routed_companion(comp_tree)
+        comp_cost += 1
+        comp_bound += 1
     comp_code = pdl_encode(comp_tree)
     return HardInstance(
         k=k,
@@ -679,35 +647,22 @@ def _build_hard_instance(
     )
 
 
-def _routed_companion(z_list, k: int, n: int, s_eff: int):
-    """Two-way companion with one Alice help bit routing to the exchange.
+def _routed_companion(exchange: ProtocolTree) -> ProtocolTree:
+    """The exchange behind one Alice help bit: 1 runs it, 0 answers zero.
 
-    Help bit 1 runs the index exchange for the hard family; help bit 0
-    falls to a constant default (a genuine literal default would need
-    2^n leaves at these input lengths, and the cost claim only concerns
-    the well-formed pairs, where the help bit is 1).
+    A genuine literal default would need 2^n leaves at these input
+    lengths, and the cost claim only concerns the well-formed pairs, where
+    the help bit is 1; routing costs one bit.
     """
-    sep = separating_index_set(z_list)
-    slots = list(sep.indices) + [0] * ((1 << s_eff) - len(sep.indices))
-    exchange = _exchange_tree(list(z_list), slots, n + 1, n, n)
+    n = exchange.n
     default = OutputLeaf(OutputFunction.const("0" * n))
-    root = Speak(ALICE, NodeFunction.input_bit(n), default, exchange)
-    tree = ProtocolTree(n + 1, n, n, root)
-    x = "".join(z_list)
-    cost = None
-    for z in z_list:
-        y = z + "0" * (n - k)
-        outcome = run(tree, x + "1", y)
-        if outcome.is_stuck or outcome.output != y:
-            raise AuditFailure("routed companion failed to identify a member")
-        cost = outcome.cost if cost is None else max(cost, outcome.cost)
-    bound = (1 << s_eff) * log2ceil(2 * k) + 1
-    return tree, cost, bound
+    root = Speak(ALICE, NodeFunction.input_bit(n), default, exchange.root)
+    return ProtocolTree(n + 1, n, n, root)
 
 
 def th7_hard_instance(k: int, s: int, l: int, budget: int, seed: int | None = None) -> HardInstance:
     """Hard pair for one-way protocols below a description budget."""
-    return _build_hard_instance(k, s, l, 0, 0, budget, "plain", seed)
+    return _build_hard_instance(k, s, l, 0, 0, budget, seed)
 
 
 def helpbit_hard_instance(
@@ -718,8 +673,7 @@ def helpbit_hard_instance(
     With a = b = 0 there is nothing to route on, so the result is the
     plain instance, companion included, field for field.
     """
-    kind = "plain" if a == 0 and b == 0 else "help-routed"
-    return _build_hard_instance(k, s, l, a, b, budget, kind, seed)
+    return _build_hard_instance(k, s, l, a, b, budget, seed)
 
 
 @dataclass
@@ -741,7 +695,6 @@ def replay_hard_instance(instance: HardInstance) -> ReplayReport:
         instance.a,
         instance.b,
         instance.budget,
-        instance.companion_kind,
         instance.seed,
     )
     diffs = [

@@ -308,11 +308,11 @@ class HelpSpec:
             raise UsageError("help bit counts must be nonnegative")
 
 
-def run(tree: ProtocolTree, x: str, y: str, depth_cap: int | None = None) -> RunOutcome:
+def run(tree: ProtocolTree, x: str, y: str) -> RunOutcome:
     """Walk the tree on (x, y) and report the transcript and answer."""
     check_bits(x, tree.n_alice)
     check_bits(y, tree.n_bob)
-    cap = default_depth_cap(tree.n_alice, tree.n_bob) if depth_cap is None else depth_cap
+    cap = default_depth_cap(tree.n_alice, tree.n_bob)
     node = tree.root
     bits: list[str] = []
     while True:

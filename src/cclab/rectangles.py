@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 from .bits import all_bitstrings, bits_to_int, embed_bit, xor_bits
 from .errors import AuditFailure, RectangleViolation, UsageError
-from .functions import FunctionSpec, FunctionTable, equality_fn, inner_product_fn
-from .protocol import _EXHAUSTIVE_LIMIT, ProtocolTree, _check_grid, computes_everywhere, run
+from .functions import FunctionSpec, equality_fn, inner_product_fn
+from .protocol import ProtocolTree, _check_grid, computes_everywhere, run
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,6 @@ class Rectangle:
     @property
     def size(self) -> int:
         return len(self.rows) * len(self.cols)
-
-    def contains(self, x: str, y: str) -> bool:
-        return x in self.rows and y in self.cols
 
 
 @dataclass
@@ -96,12 +93,6 @@ def rectangle_color(rect: Rectangle, f: FunctionSpec) -> int | None:
     if len(seen) == 1:
         return seen.pop()
     return None
-
-
-def is_monochromatic(rect: Rectangle, f: FunctionSpec) -> bool:
-    if rect.size == 0:
-        return True
-    return rectangle_color(rect, f) is not None
 
 
 def gf2_rank(vectors) -> int:
@@ -195,92 +186,9 @@ def ip_rectangle_audit(tree: ProtocolTree) -> IpAuditReport:
     return report
 
 
-@dataclass(frozen=True)
-class MonoRectResult:
-    size: int
-    rectangle: Rectangle
-    color: int
-    exact: bool
-
-
-def max_monochromatic_rectangle(table: FunctionTable) -> MonoRectResult:
-    """Largest monochromatic rectangle of a Boolean truth table.
-
-    Exact for n <= 4 by enumerating row subsets and intersecting column
-    masks (2^16 subsets at most); beyond that a greedy grower runs and the
-    result is only a certified lower bound, marked exact=False.
-    """
-    if not table.boolean:
-        raise UsageError("rectangle maximization needs a truth-valued table")
-    n = table.n
-    size = 1 << n
-    if size * size > _EXHAUSTIVE_LIMIT:
-        raise UsageError(f"table with {size * size} cells exceeds the cap {_EXHAUSTIVE_LIMIT}")
-    labels = list(all_bitstrings(n))
-    # column mask per row and color: bit j set iff f(row, labels[j]) == color
-    masks = {
-        c: [
-            sum(1 << j for j in range(size) if table.cells[i][j] == str(c))
-            for i in range(size)
-        ]
-        for c in (0, 1)
-    }
-    full = (1 << size) - 1
-
-    def unpack(row_bits: int, col_bits: int, color: int) -> MonoRectResult:
-        rows = frozenset(labels[i] for i in range(size) if row_bits >> i & 1)
-        cols = frozenset(labels[j] for j in range(size) if col_bits >> j & 1)
-        w = len(rows) * len(cols)
-        return MonoRectResult(w, Rectangle(rows, cols), color, n <= 4)
-
-    best = (0, 0, 0, 0)  # size, row subset, col mask, color
-    if n <= 4:
-        inter = [0] * (1 << size)
-        for color in (0, 1):
-            inter[0] = full
-            row_masks = masks[color]
-            for subset in range(1, 1 << size):
-                low = subset & -subset
-                m = inter[subset ^ low] & row_masks[low.bit_length() - 1]
-                inter[subset] = m
-                score = subset.bit_count() * m.bit_count()
-                if score > best[0]:
-                    best = (score, subset, m, color)
-        return unpack(best[1], best[2], best[3])
-
-    # greedy fallback: grow from each seed row, keeping the best product
-    for color in (0, 1):
-        row_masks = masks[color]
-        for seed in range(size):
-            if not row_masks[seed]:
-                continue
-            chosen = 1 << seed
-            cols = row_masks[seed]
-            score = cols.bit_count()
-            if score > best[0]:
-                best = (score, chosen, cols, color)
-            while True:
-                gain = None
-                for r in range(size):
-                    if chosen >> r & 1:
-                        continue
-                    cand = cols & row_masks[r]
-                    cand_score = (chosen.bit_count() + 1) * cand.bit_count()
-                    if cand_score > score and (gain is None or cand_score > gain[0]):
-                        gain = (cand_score, r, cand)
-                if gain is None:
-                    break
-                score, r, cols = gain
-                chosen |= 1 << r
-                if score > best[0]:
-                    best = (score, chosen, cols, color)
-    return unpack(best[1], best[2], best[3])
-
-
 @dataclass
 class DiagonalReport:
     n: int
-    lengths: dict
     max_length: int
     distinct: int
 
@@ -307,12 +215,9 @@ def equality_diagonal_bound(tree: ProtocolTree) -> DiagonalReport:
                 f"diagonal transcripts collide on {transcripts[t]!r} and {x!r}"
             )
         transcripts[t] = x
-    lengths: dict = {}
-    for t in transcripts:
-        lengths[len(t)] = lengths.get(len(t), 0) + 1
-    max_length = max(lengths)
+    max_length = max(map(len, transcripts))
     if max_length < n:
         raise AuditFailure(
             f"prefix-free counting violated: {1 << n} transcripts, max {max_length} < {n}"
         )
-    return DiagonalReport(n, dict(sorted(lengths.items())), max_length, len(transcripts))
+    return DiagonalReport(n, max_length, len(transcripts))

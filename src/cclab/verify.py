@@ -62,6 +62,13 @@ from .rectangles import (
 )
 from .reference import equality_protocols, identity_protocols, ip_protocols
 
+# suite sizes: codes sampled at n = 3 and the budgets the scans walk up to
+_RECTANGLE_SAMPLE = 1000
+_THEOREM1_BUDGET = 20
+_COUNTING_BUDGET = 10
+_PROFILES_BUDGET = 20
+_TOTALIZER_BUDGET = 20
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -117,7 +124,7 @@ class _Collector:
 # rectangles
 
 
-def verify_rectangles(sample: int = 1000) -> VerificationReport:
+def verify_rectangles() -> VerificationReport:
     out = _Collector("rectangles")
 
     audited = 0
@@ -149,7 +156,7 @@ def verify_rectangles(sample: int = 1000) -> VerificationReport:
     stream = enumerate_signature(3, 3, 3, 18)
     taken = 0
     failure = ""
-    for code, tree in islice(stream, sample):
+    for code, tree in islice(stream, _RECTANGLE_SAMPLE):
         try:
             transcript_partition(tree)
         except RectangleViolation as exc:
@@ -158,7 +165,7 @@ def verify_rectangles(sample: int = 1000) -> VerificationReport:
         taken += 1
     out.add(
         "n3-sample-rectangles",
-        failure == "" and taken == sample,
+        failure == "" and taken == _RECTANGLE_SAMPLE,
         slack=taken,
         witness=failure or f"first {taken} canonical codes at n=3, budget 18",
     )
@@ -184,23 +191,23 @@ def _simulation_scan(out, claim: str, protocols, n: int, gate: int | None):
     failure = ""
     for label, tree, source_len in protocols:
         count += 1
+        try:
+            sim = one_way_from_two_way(tree)
+        except CclabError as exc:
+            failure = f"{label}: {exc}"
+            break
         for y in all_bitstrings(n):
-            try:
-                sim = one_way_from_two_way(tree, y)
-            except CclabError as exc:
-                failure = f"{label} on y={y}: {exc}"
-                break
             for x in all_bitstrings(n):
-                if len(sim.message) > cc_on_input(tree, f, x, y):
+                if len(sim.messages[y]) > cc_on_input(tree, f, x, y):
                     failure = f"{label}: message beats no run on ({x},{y})"
                     break
-            growth = len(sim.code.bits) - source_len
-            if worst_growth is None or growth > worst_growth:
-                worst_growth = growth
             if failure:
                 break
         if failure:
             break
+        growth = len(sim.code.bits) - source_len
+        if worst_growth is None or growth > worst_growth:
+            worst_growth = growth
     ok = failure == "" and count > 0
     if gate is not None and worst_growth is not None:
         ok = ok and worst_growth <= gate
@@ -213,26 +220,26 @@ def _simulation_scan(out, claim: str, protocols, n: int, gate: int | None):
     )
 
 
-def verify_theorem1(alpha_max: int = 20) -> VerificationReport:
+def verify_theorem1() -> VerificationReport:
     out = _Collector("theorem1")
 
     family = [
         (code.bits, tree, len(code.bits))
-        for code, tree in _total_identity_protocols(1, alpha_max)
+        for code, tree in _total_identity_protocols(1, _THEOREM1_BUDGET)
     ]
     _simulation_scan(out, "n1-enumerated-simulation", family, 1, gate=8)
 
     for y in all_bitstrings(1):
-        profile = tcc_identity_profile(y, alpha_max)
+        profile = tcc_identity_profile(y, _THEOREM1_BUDGET)
         worst = 0
-        for a in range(alpha_max + 1):
+        for a in range(_THEOREM1_BUDGET + 1):
             two = min(p.value(a) for p in profile.two_way.values())
             if two == INF:
                 continue
             g = next(
                 (
                     g
-                    for g in range(alpha_max + 1 - a)
+                    for g in range(_THEOREM1_BUDGET + 1 - a)
                     if profile.one_way.value(a + g) <= two
                 ),
                 None,
@@ -248,7 +255,7 @@ def verify_theorem1(alpha_max: int = 20) -> VerificationReport:
             witness=f"one-way profile matches two-way within {worst} budget bits",
         )
 
-    n2_family = list(_total_identity_protocols(2, alpha_max))
+    n2_family = list(_total_identity_protocols(2, _THEOREM1_BUDGET))
     out.add(
         "n2-enumerated-family-empty",
         len(n2_family) == 0,
@@ -258,7 +265,7 @@ def verify_theorem1(alpha_max: int = 20) -> VerificationReport:
     )
 
     for y in all_bitstrings(2):
-        profile = tcc_identity_profile(y, alpha_max)
+        profile = tcc_identity_profile(y, _THEOREM1_BUDGET)
         mismatches = sum(1 for r in profile.agreement if not r.equal)
         out.add(
             f"n2-profile-agreement-y{y}",
@@ -363,10 +370,10 @@ def verify_eq_shortcut() -> VerificationReport:
 # counting
 
 
-def verify_counting(alpha_max: int = 10) -> VerificationReport:
+def verify_counting() -> VerificationReport:
     out = _Collector("counting")
     n = 2
-    for alpha in range(alpha_max + 1):
+    for alpha in range(_COUNTING_BUDGET + 1):
         worst_count = 0
         failure = ""
         hard_reports = []
@@ -394,7 +401,7 @@ def verify_counting(alpha_max: int = 10) -> VerificationReport:
         # independent scan: recompute the reported hard value straight from runs
         for report in hard_reports:
             best = INF
-            for code, tree in enumerate_signature(n, n, n, alpha, cap=alpha_max):
+            for code, tree in enumerate_signature(n, n, n, alpha):
                 if not is_total(tree):
                     continue
                 outcome = run(tree, report.x, report.y)
@@ -522,13 +529,13 @@ def _naive_set_profiles(n: int, alpha_max: int) -> dict:
     return best
 
 
-def verify_profiles(alpha_max: int = 20) -> VerificationReport:
+def verify_profiles() -> VerificationReport:
     out = _Collector("profiles")
 
-    oracles = _naive_set_profiles(2, alpha_max)
+    oracles = _naive_set_profiles(2, _PROFILES_BUDGET)
     for y in all_bitstrings(2):
-        sets = structure_function_profile(y, alpha_max)
-        identity = tcc_identity_profile(y, alpha_max)
+        sets = structure_function_profile(y, _PROFILES_BUDGET)
+        identity = tcc_identity_profile(y, _PROFILES_BUDGET)
         failure = ""
         try:
             sets.assert_nonincreasing()
@@ -541,7 +548,7 @@ def verify_profiles(alpha_max: int = 20) -> VerificationReport:
 
         oracle = oracles[y]
         mismatch = next(
-            (a for a in range(alpha_max + 1) if oracle[a] != sets.value(a)), None
+            (a for a in range(_PROFILES_BUDGET + 1) if oracle[a] != sets.value(a)), None
         )
         out.add(
             f"n2-naive-oracle-y{y}",
@@ -549,9 +556,9 @@ def verify_profiles(alpha_max: int = 20) -> VerificationReport:
             witness="" if mismatch is None else f"first mismatch at budget {mismatch}",
         )
 
-    oracles = _naive_set_profiles(4, alpha_max)
+    oracles = _naive_set_profiles(4, _PROFILES_BUDGET)
     for y in all_bitstrings(4):
-        sets = structure_function_profile(y, alpha_max)
+        sets = structure_function_profile(y, _PROFILES_BUDGET)
         failure = ""
         try:
             sets.assert_nonincreasing()
@@ -559,7 +566,7 @@ def verify_profiles(alpha_max: int = 20) -> VerificationReport:
             failure = str(exc)
         oracle = oracles[y]
         mismatch = next(
-            (a for a in range(alpha_max + 1) if oracle[a] != sets.value(a)), None
+            (a for a in range(_PROFILES_BUDGET + 1) if oracle[a] != sets.value(a)), None
         )
         out.add(
             f"n4-sets-y{y}",
@@ -651,7 +658,7 @@ def verify_th7(replay: str | None = None) -> VerificationReport:
 # help bits
 
 
-def verify_helpbits(replay: str | None = None, totalizer_budget: int = 20) -> VerificationReport:
+def verify_helpbits(replay: str | None = None) -> VerificationReport:
     if replay is not None:
         return _replayed("helpbits", replay)
     out = _Collector("helpbits")
@@ -665,7 +672,7 @@ def verify_helpbits(replay: str | None = None, totalizer_budget: int = 20) -> Ve
         checked = 0
         failure = ""
         pairs = [(x, y) for x in all_bitstrings(2) for y in all_bitstrings(2)]
-        for code, tree in enumerate_signature(2, 2, 2, totalizer_budget):
+        for code, tree in enumerate_signature(2, 2, 2, _TOTALIZER_BUDGET):
             base = {pair: cc_on_input(tree, f, *pair) for pair in pairs}
             for mode, spec in specs.items():
                 wrapped = help_bit_totalizer(tree, f, mode)

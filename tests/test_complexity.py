@@ -20,12 +20,26 @@ from cclab import (
     individual_cc,
     one_way_from_two_way,
     oneway_to_set,
-    pdl_decode,
+    pdl_encode,
     set_to_oneway,
     structure_function_profile,
     tcc_identity_profile,
 )
-from cclab.protocol import bob_message, cc_on_input, run
+from cclab.complexity import _admissible
+from cclab.protocol import (
+    ALICE,
+    BOB,
+    NodeFunction,
+    OutputFunction,
+    OutputLeaf,
+    ProtocolTree,
+    Speak,
+    StuckLeaf,
+    bob_message,
+    cc_on_input,
+    computes_everywhere,
+    run,
+)
 from cclab.reference import alice_flag_identity, identity_protocols
 
 
@@ -145,6 +159,35 @@ def test_one_way_restriction_never_helps():
             assert individual_cc(m_free, f, x, y)[0] <= individual_cc(m_ow, f, x, y)[0]
 
 
+# _admissible cases the brute-force oracle cannot reach: a partial tree the
+# CC family must refuse, and a help-bit tree past the oracle budgets
+
+
+def test_cc_refuses_a_partial_tree_that_pcc_admits():
+    f = identity_fn(1)
+    leaf = OutputLeaf(OutputFunction.const("0"))
+    tree = ProtocolTree(1, 1, 1, Speak(BOB, NodeFunction.input_bit(0), leaf, StuckLeaf()))
+    assert len(pdl_encode(tree).bits) == 12
+    assert _admissible(tree, Measure("PCC"), f)
+    assert not _admissible(tree, Measure("CC"), f)
+
+
+def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
+    f = identity_fn(1)
+    spell = Speak(
+        BOB,
+        NodeFunction.input_bit(0),
+        OutputLeaf(OutputFunction.const("0")),
+        OutputLeaf(OutputFunction.const("1")),
+    )
+    # Alice's help bit 0 strands every pair, help bit 1 lets Bob spell y
+    tree = ProtocolTree(2, 1, 1, Speak(ALICE, NodeFunction.input_bit(1), StuckLeaf(), spell))
+    help_spec = HelpSpec(1, 0)
+    assert len(pdl_encode(tree).bits) == 23
+    assert computes_everywhere(tree, f, help_spec)
+    assert not _admissible(tree, Measure("TCC", help=help_spec), f)
+
+
 # ---------------------------------------------------------------------------
 # one-way simulation
 
@@ -152,17 +195,15 @@ def test_one_way_restriction_never_helps():
 def test_simulation_of_constructed_protocols():
     f = identity_fn(2)
     for name, tree in identity_protocols(2).items():
+        sim = one_way_from_two_way(tree)
         for y in all_bitstrings(2):
-            sim = one_way_from_two_way(tree, y)
             for x in all_bitstrings(2):
-                assert len(sim.message) <= cc_on_input(tree, f, x, y), (name, x, y)
-            assert bob_message(sim.tree, y) == sim.message
+                assert len(sim.messages[y]) <= cc_on_input(tree, f, x, y), (name, x, y)
+            assert bob_message(sim.tree, y) == sim.messages[y]
 
 
 def test_simulation_messages_are_distinct_and_prefix_free():
-    tree = alice_flag_identity(2)
-    sims = {y: one_way_from_two_way(tree, y) for y in all_bitstrings(2)}
-    messages = [s.message for s in sims.values()]
+    messages = list(one_way_from_two_way(alice_flag_identity(2)).messages.values())
     assert len(set(messages)) == len(messages)
     for a in messages:
         for b in messages:
@@ -170,11 +211,9 @@ def test_simulation_messages_are_distinct_and_prefix_free():
 
 
 def test_simulation_rejects_partial_protocols():
-    from cclab import OutputFunction, OutputLeaf, ProtocolTree
-
     leaf = ProtocolTree(2, 2, 2, OutputLeaf(OutputFunction.copy_x()))
     with pytest.raises((AuditFailure, UsageError)):
-        one_way_from_two_way(leaf, "00")
+        one_way_from_two_way(leaf)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +282,46 @@ def test_structure_function_profile_caps():
 def test_identity_profile_n1_report():
     report = tcc_identity_profile("1", 20)
     assert all(r.equal for r in report.agreement)
-    # hard-wired prefix senders: 1 + (n - a) bits spoken until a = n
-    costs = {row.prefix_bits: row.cost for row in report.prefix_rows}
-    assert costs == {0: 2, 1: 1}
-    for row in report.equivalence:
-        if row.set_code_length is not None:
-            assert row.derived_message_length is not None
+
+
+def test_identity_profile_matches_brute_force(monkeypatch):
+    """Both profiles against per-budget minima taken from runs alone.
+
+    At n = 1 and budget 22 the everywhere-correct identity family is
+    nonempty one-way and two-way, so the one-scan profile has to pick the
+    one-way members out of the two-way family in the right order.
+    """
+    monkeypatch.setenv("CCLAB_BUDGET_CAP", "22")
+    alpha_max = 22
+    pairs = [(x, y) for x in "01" for y in "01"]
+    family = [
+        (code, tree)
+        for code, tree in enumerate_signature(1, 1, 1, alpha_max)
+        if all(run(tree, x, y).output == y for x, y in pairs)
+    ]
+    one_way_bits = {
+        code.bits for code, _ in enumerate_signature(1, 1, 1, alpha_max, require_one_way=True)
+    }
+    assert len(family) == 48
+    assert sum(code.bits not in one_way_bits for code, _ in family) == 12
+
+    def least(candidates, alpha):
+        # least value among the codes that fit, ties to the canonically first
+        fits = [(value, i, code) for i, (code, value) in enumerate(candidates)
+                if len(code.bits) <= alpha]
+        value, _, code = min(fits, default=(INF, 0, None))
+        return value, code
+
+    for y in "01":
+        report = tcc_identity_profile(y, alpha_max)
+        one_way = [(code, run(tree, "0", y).cost) for code, tree in family
+                   if code.bits in one_way_bits]
+        for alpha in range(alpha_max + 1):
+            assert report.one_way.entries[alpha] == least(one_way, alpha), (y, alpha)
+        for row in "01":
+            two_way = [(code, run(tree, row, y).cost) for code, tree in family]
+            for alpha in range(alpha_max + 1):
+                assert report.two_way[row].entries[alpha] == least(two_way, alpha), (y, row, alpha)
 
 
 def test_identity_profile_caps():

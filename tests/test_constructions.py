@@ -9,7 +9,6 @@ import pytest
 from cclab import (
     AuditFailure,
     HardInstance,
-    NodeFunction,
     UsageError,
     all_bitstrings,
     bob_message,
@@ -21,7 +20,6 @@ from cclab import (
     is_one_way,
     large_rectangle_shortcut,
     message_protocol,
-    pdl_complexity,
     prefix_protocol,
     replay_hard_instance,
     run,
@@ -61,7 +59,7 @@ def test_fit_dont_cares_are_free():
 
 def test_message_protocol_builds_trie():
     messages = {"00": "0", "01": "10", "10": "110", "11": "111"}
-    tree = message_protocol(messages, {y: y for y in messages}, 2, 2)
+    tree = message_protocol(messages, 2)
     assert is_one_way(tree)
     for y, msg in messages.items():
         assert bob_message(tree, y) == msg
@@ -72,7 +70,7 @@ def test_message_protocol_builds_trie():
 
 def test_message_protocol_rejects_prefix_collision():
     with pytest.raises(UsageError):
-        message_protocol({"0": "1", "1": "10"}, {"0": "0", "1": "1"}, 1, 1)
+        message_protocol({"0": "1", "1": "10"}, 1)
 
 
 def test_prefix_protocol_routing():
@@ -197,6 +195,12 @@ def test_helpbit_precondition_guard():
 
 def test_helpbit_without_help_matches_plain_engine():
     assert helpbit_hard_instance(10, 1, 2, 0, 0, 6) == th7_hard_instance(10, 1, 2, 6)
+
+
+def test_replay_derives_the_companion_kind():
+    # the kind follows from a = b = 0; a stored kind that disagrees is a discrepancy
+    edited = dataclasses.replace(th7_hard_instance(10, 1, 2, 6), companion_kind="help-routed")
+    assert replay_hard_instance(edited).discrepancies == ["companion_kind"]
 
 
 def test_hard_instance_json_round_trip():

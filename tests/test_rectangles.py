@@ -1,9 +1,8 @@
-"""Rectangle partitions, rank certificates, monochromatic search."""
+"""Rectangle partitions, rank certificates, the equality diagonal audit."""
 
 import pytest
 
 from cclab import (
-    AuditFailure,
     OutputFunction,
     OutputLeaf,
     ProtocolTree,
@@ -13,10 +12,7 @@ from cclab import (
     equality_fn,
     gf2_rank,
     identity_fn,
-    inner_product_fn,
     ip_rectangle_audit,
-    is_monochromatic,
-    max_monochromatic_rectangle,
     rectangle_color,
     transcript_partition,
 )
@@ -31,8 +27,6 @@ from cclab.reference import (
 def test_rectangle_helpers():
     rect = Rectangle(frozenset(("00", "01")), frozenset(("10",)))
     assert rect.size == 2
-    assert rect.contains("00", "10")
-    assert not rect.contains("10", "10")
 
 
 def test_partition_of_literal_send():
@@ -63,7 +57,6 @@ def test_rectangle_color_and_mono():
     f = equality_fn(2)
     off_diag = Rectangle(frozenset(("00", "01")), frozenset(("10", "11")))
     assert rectangle_color(off_diag, f) == 0
-    assert is_monochromatic(off_diag, f)
     mixed = Rectangle(frozenset(("00",)), frozenset(("00", "01")))
     assert rectangle_color(mixed, f) is None
     with pytest.raises(UsageError):
@@ -104,20 +97,3 @@ def test_equality_diagonal_distinct():
 def test_equality_audit_rejects_wrong_protocol():
     with pytest.raises(UsageError):
         equality_diagonal_bound(literal_send_protocol(identity_fn(2)))
-
-
-def test_max_monochromatic_rectangle_equality():
-    result = max_monochromatic_rectangle(equality_fn(2).table())
-    # the off-diagonal quadrant is the largest: 2x2 of value 0
-    assert result.size == 4
-    assert result.color == 0
-    assert result.exact
-    assert is_monochromatic(result.rectangle, equality_fn(2))
-
-
-def test_max_monochromatic_rectangle_ip():
-    result = max_monochromatic_rectangle(inner_product_fn(2).table())
-    # the zero row alone already covers all four columns
-    assert result.size == 4
-    assert result.color == 0
-    assert is_monochromatic(result.rectangle, inner_product_fn(2))
