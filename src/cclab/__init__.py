@@ -24,11 +24,9 @@ from .codes import (
     decode_signature,
     enumerate_sets,
     enumerate_signature,
-    load_pdl,
     pdl_complexity,
     pdl_decode,
     pdl_encode,
-    save_pdl,
     sdl_complexity,
     sdl_decode,
     sdl_encode,

@@ -68,7 +68,7 @@ def _cmd_profile(args) -> int:
     if args.kind == "sets":
         profile = structure_function_profile(args.y, args.alpha_max)
     else:
-        profile = tcc_identity_profile(args.y, args.alpha_max, x=args.x).one_way
+        profile = tcc_identity_profile(args.y, args.alpha_max).one_way
     as_json = args.out is not None and args.out.endswith(".json")
     text = profile.to_json() if as_json else profile.to_csv()
     _write_output(text, args.out)
@@ -157,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="sets",
         help="set-size profile, or the one-way identity profile",
     )
-    profile.add_argument("--x", default=None, help="restrict the identity audit to one row")
     profile.add_argument("--out", default=None, help=".csv or .json path; stdout if absent")
     profile.set_defaults(handler=_cmd_profile)
 

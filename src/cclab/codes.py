@@ -53,6 +53,7 @@ from .bits import (
     log2ceil,
 )
 from .errors import DecodeError, UsageError
+from .functions import _EXHAUSTIVE_LIMIT
 from .protocol import (
     ALICE,
     BOB,
@@ -63,7 +64,6 @@ from .protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
-    _EXHAUSTIVE_LIMIT,
     default_depth_cap,
     node_is_one_way,
     tree_has_stuck,
@@ -71,15 +71,12 @@ from .protocol import (
 
 __all__ = [
     "DEFAULT_BUDGET_CAP",
-    "PDL_VERSION",
     "PdlCode",
     "SdlCode",
     "pdl_encode",
     "pdl_decode",
     "pdl_complexity",
     "enumerate_signature",
-    "save_pdl",
-    "load_pdl",
     "sdl_encode",
     "sdl_decode",
     "sdl_complexity",
@@ -90,8 +87,6 @@ __all__ = [
 # uncontrolled call from wedging the process.  The CLI can raise it
 # explicitly via CCLAB_BUDGET_CAP.
 DEFAULT_BUDGET_CAP = 20
-
-PDL_VERSION = 1
 
 
 @dataclass(frozen=True, order=True)
@@ -310,43 +305,6 @@ def pdl_decode(code: PdlCode | str, n: int) -> ProtocolTree:
     if n < 1:
         raise UsageError("n must be positive")
     return decode_signature(code, n, n, n)
-
-
-# ---------------------------------------------------------------------------
-# protocol code files
-
-
-def save_pdl(tree: ProtocolTree, path: str | os.PathLike) -> None:
-    """Write a versioned binary code file for the tree."""
-    code = pdl_encode(tree)
-    bits = code.bits
-    payload = bytes(
-        int(bits[i:i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8)
-    ) if bits else b""
-    header = bytes([PDL_VERSION])
-    header += tree.n_alice.to_bytes(2, "big") + tree.n_bob.to_bytes(2, "big")
-    header += tree.out_len.to_bytes(2, "big") + len(bits).to_bytes(4, "big")
-    with open(path, "wb") as fh:
-        fh.write(header + payload)
-
-
-def load_pdl(path: str | os.PathLike) -> ProtocolTree:
-    """Read a code file back, rejecting unknown grammar versions."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 11:
-        raise DecodeError("code file too short")
-    if blob[0] != PDL_VERSION:
-        raise DecodeError(f"unsupported code file version {blob[0]}")
-    na = int.from_bytes(blob[1:3], "big")
-    nb = int.from_bytes(blob[3:5], "big")
-    out_len = int.from_bytes(blob[5:7], "big")
-    bitlen = int.from_bytes(blob[7:11], "big")
-    payload = blob[11:]
-    if len(payload) != (bitlen + 7) // 8:
-        raise DecodeError("code file payload length mismatch")
-    bits = "".join(format(b, "08b") for b in payload)[:bitlen]
-    return decode_signature(PdlCode(bits), na, nb, out_len)
 
 
 # ---------------------------------------------------------------------------

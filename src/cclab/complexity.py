@@ -20,7 +20,7 @@ from .bits import all_bitstrings, bits_from_int, check_bits, log2ceil
 from .codes import PdlCode, budget_cap, enumerate_sets, enumerate_signature, pdl_encode
 from .constructions import message_protocol
 from .errors import AuditFailure, UsageError
-from .functions import FunctionSpec, identity_fn
+from .functions import _EXHAUSTIVE_LIMIT, FunctionSpec, identity_fn
 from .protocol import (
     HelpSpec,
     ProtocolTree,
@@ -86,9 +86,11 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
         raise UsageError("exhaustive measures support n <= 3")
     if m.alpha > budget_cap():
         raise UsageError(f"budget {m.alpha} exceeds the enumeration cap")
+    a, b = m.help.alice_bits, m.help.bob_bits
+    if 1 << (2 * n + a + b) > _EXHAUSTIVE_LIMIT:
+        raise UsageError("help-extended input grid too large for an exhaustive measure")
     check_bits(x, n)
     check_bits(y, n)
-    a, b = m.help.alice_bits, m.help.bob_bits
     best: tuple = (INF, None)
     for code, tree in enumerate_signature(
         n + a, n + b, n, m.alpha, require_one_way=m.one_way

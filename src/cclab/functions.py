@@ -18,6 +18,7 @@ import os
 from dataclasses import dataclass, field
 
 from .bits import all_bitstrings, bits_to_int, check_bits, embed_bit, inner_product_bit
+from .errors import UsageError
 
 __all__ = [
     "FunctionSpec",
@@ -31,6 +32,11 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("identity", "eq", "ip")
+
+# Exhaustive checks walk the full input grid (or tabulate a function over
+# all its inputs); beyond this many cells they refuse rather than silently
+# taking forever.
+_EXHAUSTIVE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -128,6 +134,8 @@ class FunctionTable:
 
 
 def _grid(n: int, fn) -> tuple[tuple[str, ...], ...]:
+    if 4**n > _EXHAUSTIVE_LIMIT:
+        raise UsageError(f"n={n}: the 2^{2 * n}-cell input grid is too large to tabulate")
     xs = list(all_bitstrings(n))
     return tuple(tuple(fn(x, y) for y in xs) for x in xs)
 

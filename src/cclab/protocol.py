@@ -19,7 +19,7 @@ from typing import Union
 
 from .bits import all_bitstrings, bits_to_int, check_bits, embed_bit, xor_bits
 from .errors import UsageError
-from .functions import FunctionSpec
+from .functions import _EXHAUSTIVE_LIMIT, FunctionSpec
 
 __all__ = [
     "ALICE",
@@ -50,11 +50,6 @@ __all__ = [
 
 ALICE = "A"
 BOB = "B"
-
-# Exhaustive checks walk the full input grid (or tabulate a function over
-# all its inputs); beyond this many cells they refuse rather than silently
-# taking forever.
-_EXHAUSTIVE_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -308,23 +303,33 @@ class HelpSpec:
             raise UsageError("help bit counts must be nonnegative")
 
 
+def _walk(tree: ProtocolTree, x: str, y: str) -> tuple[str, Node]:
+    """Bits spoken on (x, y) and the node where the walk ends, unchecked.
+
+    The walk ends at a leaf, or at the speak node it reaches once the depth
+    cap is spent; only an output leaf means the run answers.
+    """
+    cap = default_depth_cap(tree.n_alice, tree.n_bob)
+    node = tree.root
+    bits = ""
+    while isinstance(node, Speak) and len(bits) < cap:
+        if node.fn.evaluate(x if node.owner == ALICE else y):
+            bits += "1"
+            node = node.child1
+        else:
+            bits += "0"
+            node = node.child0
+    return bits, node
+
+
 def run(tree: ProtocolTree, x: str, y: str) -> RunOutcome:
     """Walk the tree on (x, y) and report the transcript and answer."""
     check_bits(x, tree.n_alice)
     check_bits(y, tree.n_bob)
-    cap = default_depth_cap(tree.n_alice, tree.n_bob)
-    node = tree.root
-    bits: list[str] = []
-    while True:
-        if isinstance(node, OutputLeaf):
-            return RunOutcome("".join(bits), node.fn.evaluate(x, tree.out_len))
-        if isinstance(node, StuckLeaf):
-            return RunOutcome("".join(bits), None)
-        if len(bits) >= cap:
-            return RunOutcome("".join(bits), None)
-        b = node.fn.evaluate(x if node.owner == ALICE else y)
-        bits.append(str(b))
-        node = node.child1 if b else node.child0
+    bits, node = _walk(tree, x, y)
+    if isinstance(node, OutputLeaf):
+        return RunOutcome(bits, node.fn.evaluate(x, tree.out_len))
+    return RunOutcome(bits, None)
 
 
 def bob_message(tree: ProtocolTree, y: str) -> str | None:
@@ -335,17 +340,9 @@ def bob_message(tree: ProtocolTree, y: str) -> str | None:
     if not is_one_way(tree):
         raise UsageError("bob_message requires a one-way protocol")
     check_bits(y, tree.n_bob)
-    cap = default_depth_cap(tree.n_alice, tree.n_bob)
-    node = tree.root
-    bits: list[str] = []
-    while True:
-        if isinstance(node, OutputLeaf):
-            return "".join(bits)
-        if isinstance(node, StuckLeaf) or len(bits) >= cap:
-            return None
-        b = node.fn.evaluate(y)
-        bits.append(str(b))
-        node = node.child1 if b else node.child0
+    # Alice never speaks in a one-way tree, so her input is never read
+    bits, node = _walk(tree, "", y)
+    return bits if isinstance(node, OutputLeaf) else None
 
 
 def cc_on_input(tree: ProtocolTree, f: FunctionSpec, x: str, y: str) -> int | float:
@@ -374,7 +371,7 @@ def is_total(tree: ProtocolTree) -> bool:
         return True
     _check_grid(tree)
     return all(
-        not run(tree, x, y).is_stuck
+        isinstance(_walk(tree, x, y)[1], OutputLeaf)
         for x in all_bitstrings(tree.n_alice)
         for y in all_bitstrings(tree.n_bob)
     )
@@ -393,7 +390,6 @@ def computes_everywhere(
     Without help bits this means every pair terminates with the right
     answer, so such a tree is also total.
     """
-    _check_grid(tree)
     return all(
         cc_with_help(tree, f, x, y, help_spec) != math.inf
         for x in all_bitstrings(f.n)
@@ -416,32 +412,20 @@ def cc_with_help(
         raise UsageError("protocol shape does not match the function and help bits")
     if tree.out_len != f.n:
         raise UsageError("output width must match the base input length")
+    _check_grid(tree)
     want = f.value(x, y)
     best: int | float = math.inf
     for ha in all_bitstrings(help_spec.alice_bits):
+        xa = x + ha
         for hb in all_bitstrings(help_spec.bob_bits):
-            outcome = run(tree, x + ha, y + hb)
-            if not outcome.is_stuck and outcome.output == want and outcome.cost < best:
-                best = outcome.cost
+            bits, node = _walk(tree, xa, y + hb)
+            if (
+                len(bits) < best
+                and isinstance(node, OutputLeaf)
+                and node.fn.evaluate(xa, f.n) == want
+            ):
+                best = len(bits)
     return best
-
-
-def _lift_node_fn(fn: NodeFunction, n_base: int, extra: int) -> NodeFunction:
-    """Reinterpret a base-input function over a help-extended input."""
-    if extra == 0 or fn.kind != "table":
-        return fn
-    parts = []
-    for v in range(1 << (n_base + extra)):
-        u = format(v, f"0{n_base + extra}b")
-        parts.append(fn.table[bits_to_int(u[:n_base])])
-    return NodeFunction.from_table("".join(parts))
-
-
-def _lift_output_fn(fn: OutputFunction, n_base: int, extra: int) -> OutputFunction:
-    if extra == 0:
-        return fn
-    base_eval = lambda u: fn.evaluate(u, n_base)
-    return OutputFunction.from_map(n_base + extra, n_base, lambda u: base_eval(u[:n_base]))
 
 
 def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
@@ -460,12 +444,41 @@ def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
     )
 
 
-def _table_answer(f: FunctionSpec, extra_alice: int = 0):
+def _table_answer(f: FunctionSpec):
     """Leaf for Bob spelling out y: Alice answers f(x, y) from a table."""
     n = f.n
-    return lambda y: OutputLeaf(
-        OutputFunction.from_map(n + extra_alice, n, lambda u: f.value(u[:n], y))
-    )
+    return lambda y: OutputLeaf(OutputFunction.from_map(n, n, lambda u: f.value(u, y)))
+
+
+def _repeat_cells(cells, extra: int) -> str:
+    return "".join(cell * (1 << extra) for cell in cells)
+
+
+def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
+    """The same protocol over inputs extended by trailing help bits it ignores.
+
+    Help bits trail the base input, so in a table over the longer input the
+    cell of u + h is the cell of u: a table is lifted by repeating each base
+    cell 2^extra times.  Constants, bit reads and constant answers read the
+    same on the longer input and pass through unchanged; every other answer
+    reads Alice's whole input, so it is tabulated at base width and lifted
+    as a table.
+    """
+    if isinstance(node, Speak):
+        extra = extra_alice if node.owner == ALICE else extra_bob
+        fn = node.fn
+        if extra and fn.kind == "table":
+            fn = NodeFunction("table", table=_repeat_cells(fn.table, extra))
+        return Speak(
+            node.owner,
+            fn,
+            _lift(node.child0, n, extra_alice, extra_bob),
+            _lift(node.child1, n, extra_alice, extra_bob),
+        )
+    if isinstance(node, OutputLeaf) and extra_alice and node.fn.kind != "const":
+        cells = [node.fn.evaluate(u, n) for u in all_bitstrings(n)]
+        return OutputLeaf(OutputFunction("table", _repeat_cells(cells, extra_alice)))
+    return node
 
 
 def _totalize(node: Node, filler: Node) -> Node:
@@ -501,28 +514,14 @@ def help_bit_totalizer(
     n = f.n
     extra_alice = 1 if mode in ("both", "alice-only") else 0
     extra_bob = 1 if mode in ("both", "bob-only") else 0
-
-    def lift(node: Node) -> Node:
-        if isinstance(node, Speak):
-            extra = extra_alice if node.owner == ALICE else extra_bob
-            return Speak(
-                node.owner,
-                _lift_node_fn(node.fn, n, extra),
-                lift(node.child0),
-                lift(node.child1),
-            )
-        if isinstance(node, OutputLeaf):
-            return OutputLeaf(_lift_output_fn(node.fn, n, extra_alice))
-        return node
-
     filler = OutputLeaf(OutputFunction.const("0" * n))
-    replay = _totalize(lift(tree.root), filler)
-    default = _spell_input(BOB, n, _table_answer(f, extra_alice))
-    if extra_bob:
-        root = Speak(BOB, NodeFunction.input_bit(n), default, replay)
-    else:
-        root = Speak(ALICE, NodeFunction.input_bit(n), default, replay)
-    return ProtocolTree(n + extra_alice, n + extra_bob, n, root)
+    root = Speak(
+        BOB if extra_bob else ALICE,
+        NodeFunction.input_bit(n),
+        _spell_input(BOB, n, _table_answer(f)),
+        _totalize(tree.root, filler),
+    )
+    return ProtocolTree(n + extra_alice, n + extra_bob, n, _lift(root, n, extra_alice, extra_bob))
 
 
 def value_as_help_protocol(f: FunctionSpec) -> ProtocolTree:

@@ -165,6 +165,21 @@ def test_hardness_parameters_bounded_before_work(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dcc", "--fn", "eq", "--n", "12"),
+        ("cc", "--fn", "identity", "--x", "0" * 12, "--y", "0" * 12, "--alpha", "6"),
+        ("cc", "--fn", "identity", "--x", "0", "--y", "0", "--alpha", "20", "--help-alice", "400"),
+    ],
+)
+def test_oversized_grids_refused_before_work(capsys, argv):
+    start = time.perf_counter()
+    code, _out = run_cli(capsys, *argv)
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_bad_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cc", "--fn", "identity", "--x", "01"])

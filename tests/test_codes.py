@@ -24,11 +24,9 @@ from cclab import (
     decode_signature,
     enumerate_sets,
     enumerate_signature,
-    load_pdl,
     pdl_complexity,
     pdl_decode,
     pdl_encode,
-    save_pdl,
     sdl_complexity,
     sdl_decode,
     sdl_encode,
@@ -230,14 +228,6 @@ def test_set_codes_are_not_protocol_codes():
     assert code != PdlCode(code.bits)
     with pytest.raises(ValueError):
         decode_signature(code, 1, 1, 1)
-
-
-def test_save_load_round_trip(tmp_path):
-    tree = ProtocolTree(2, 2, 2, OutputLeaf(OutputFunction.copy_x()))
-    path = tmp_path / "p.pdl"
-    save_pdl(tree, path)
-    back = load_pdl(path)
-    assert pdl_encode(back).bits == "1001"
 
 
 def test_pdl_complexity_is_code_length():

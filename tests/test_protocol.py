@@ -1,5 +1,7 @@
 """Protocol trees: execution, predicates, help bits."""
 
+import hashlib
+
 import pytest
 
 from cclab import (
@@ -28,7 +30,9 @@ from cclab import (
     tree_has_stuck,
     value_as_help_protocol,
 )
-from cclab.protocol import ALICE, BOB
+from cclab.bits import all_bitstrings
+from cclab.codes import _encodings, _node_rule, _output_rule, pdl_encode
+from cclab.protocol import ALICE, BOB, _lift
 from cclab.reference import literal_send_protocol
 
 
@@ -133,6 +137,16 @@ def test_bob_message_requires_one_way():
     assert bob_message(literal_identity(2), "10") == "10"
 
 
+def test_bob_message_matches_run():
+    # Alice's input is never read in a one-way tree, so any x gives Bob's message
+    trees = [tree for _code, tree in enumerate_signature(2, 2, 2, 18, require_one_way=True)]
+    assert trees
+    for tree in trees:
+        for y in all_bitstrings(2):
+            outcome = run(tree, "00", y)
+            assert bob_message(tree, y) == (None if outcome.is_stuck else outcome.transcript)
+
+
 def test_totality_is_semantic():
     # a stuck leaf on an unreachable branch does not break totality
     tree = ProtocolTree(
@@ -213,6 +227,12 @@ def test_cc_with_help_shape_check():
         cc_with_help(literal_identity(2), identity_fn(2), "00", "00", HelpSpec(1, 0))
 
 
+def test_cc_with_help_refuses_an_oversized_help_grid():
+    tree = ProtocolTree(21, 1, 1, OutputLeaf(OutputFunction.const("0")))
+    with pytest.raises(UsageError):
+        cc_with_help(tree, identity_fn(1), "0", "0", HelpSpec(20, 0))
+
+
 def test_help_spec_validation():
     with pytest.raises(UsageError):
         HelpSpec(-1, 0)
@@ -239,6 +259,38 @@ def test_totalizer_bounds_on_sample(mode):
             assert helped <= 3
             if base != INF:
                 assert helped <= base + 1
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_lift_ignores_trailing_help_bits(extra):
+    # every node and output function the width-2 grammar can spell
+    leaf = OutputLeaf(OutputFunction.const("00"))
+    pairs = [(u, h) for u in all_bitstrings(2) for h in all_bitstrings(extra)]
+    for _code, fn in _encodings(_node_rule(2).forms, 7):
+        for owner in (ALICE, BOB):
+            lifted = _lift(Speak(owner, fn, leaf, leaf), 2, extra, extra)
+            ProtocolTree(2 + extra, 2 + extra, 2, lifted)
+            assert all(lifted.fn.evaluate(u + h) == fn.evaluate(u) for u, h in pairs)
+    for _code, fn in _encodings(_output_rule(2, 2).forms, 10):
+        lifted = _lift(OutputLeaf(fn), 2, extra, 0)
+        ProtocolTree(2 + extra, 2, 2, lifted)
+        assert all(lifted.fn.evaluate(u + h, 2) == fn.evaluate(u, 2) for u, h in pairs)
+
+
+# SHA-256 of the newline-terminated codes of help_bit_totalizer(tree, f, mode)
+# over every tree of (2, 2, 2) up to 14 bits, for identity then equality and
+# the modes in order, as built by the earlier per-function lift
+_TOTALIZER_HASH = "523ec26d8359e6be789896b2b68f4c9725c6aab334d3bba8a9ddf7457bd9023c"
+
+
+def test_totalizer_encodings_are_pinned():
+    trees = [tree for _code, tree in enumerate_signature(2, 2, 2, 14)]
+    digest = hashlib.sha256()
+    for f in (identity_fn(2), equality_fn(2)):
+        for mode in ("both", "alice-only", "bob-only"):
+            for tree in trees:
+                digest.update(pdl_encode(help_bit_totalizer(tree, f, mode)).bits.encode() + b"\n")
+    assert digest.hexdigest() == _TOTALIZER_HASH
 
 
 def test_totalizer_mode_validation():
