@@ -74,7 +74,6 @@ from .errors import (
 )
 from .functions import (
     FunctionSpec,
-    FunctionTable,
     equality_fn,
     identity_fn,
     inner_product_fn,

@@ -26,7 +26,7 @@ __all__ = [
 
 def check_bits(s: str, length: int | None = None) -> str:
     """Validate that s is a bit string (optionally of a fixed length)."""
-    if not isinstance(s, str) or any(c not in "01" for c in s):
+    if not isinstance(s, str) or s.strip("01"):
         raise ValueError(f"not a bit string: {s!r}")
     if length is not None and len(s) != length:
         raise ValueError(f"expected {length} bits, got {len(s)}: {s!r}")

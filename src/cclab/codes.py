@@ -53,7 +53,7 @@ from .bits import (
     log2ceil,
 )
 from .errors import DecodeError, UsageError
-from .functions import _EXHAUSTIVE_LIMIT
+from .functions import _check_grid_bits
 from .protocol import (
     ALICE,
     BOB,
@@ -163,11 +163,6 @@ class _Rule:
         return form.build(r.take(form.width))
 
 
-def _check_table_width(m: int) -> None:
-    if 1 << m > _EXHAUSTIVE_LIMIT:
-        raise UsageError(f"table over {m} input bits is too large to encode")
-
-
 @lru_cache(maxsize=64)
 def _node_rule(m: int) -> _Rule:
     """The fn rule for a party with an m-bit input."""
@@ -182,7 +177,7 @@ def _node_rule(m: int) -> _Rule:
     def shorten(fn: NodeFunction) -> NodeFunction:
         if fn.kind != "table":
             return fn
-        _check_table_width(m)
+        _check_grid_bits(m, "table")
         return _short_node_functions(m).get(fn.table, fn)
 
     no_payload = lambda fn: ""  # noqa: E731
@@ -218,7 +213,7 @@ def _output_rule(m: int, w: int) -> _Rule:
             return OutputFunction.copy_x()
         if fn.kind != "table":
             return fn
-        _check_table_width(m)
+        _check_grid_bits(m, "table")
         inputs = list(all_bitstrings(m))
         outputs = [fn.evaluate(u, w) for u in inputs]
         # each other form is pinned down by its answer on the all-zero input

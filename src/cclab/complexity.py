@@ -20,7 +20,7 @@ from .bits import all_bitstrings, bits_from_int, check_bits, log2ceil
 from .codes import PdlCode, budget_cap, enumerate_sets, enumerate_signature, pdl_encode
 from .constructions import message_protocol
 from .errors import AuditFailure, UsageError
-from .functions import _EXHAUSTIVE_LIMIT, FunctionSpec, identity_fn
+from .functions import FunctionSpec, _check_grid_bits, identity_fn
 from .protocol import (
     HelpSpec,
     ProtocolTree,
@@ -87,8 +87,7 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     if m.alpha > budget_cap():
         raise UsageError(f"budget {m.alpha} exceeds the enumeration cap")
     a, b = m.help.alice_bits, m.help.bob_bits
-    if 1 << (2 * n + a + b) > _EXHAUSTIVE_LIMIT:
-        raise UsageError("help-extended input grid too large for an exhaustive measure")
+    _check_grid_bits(2 * n + a + b, "help-extended input grid")
     check_bits(x, n)
     check_bits(y, n)
     best: tuple = (INF, None)

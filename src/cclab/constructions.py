@@ -346,16 +346,40 @@ _MAX_HARD_K = 16
 _MAX_HARD_SLOTS_LOG = 4
 
 
-# Expected JSON shape per certificate field: "int", "int?" (integer or
-# null), "str", "obj", "strs" / "ints" (lists of those) or "rows" (the
-# served table: [protocol index, Alice help, Bob help, member or null]).
-_INSTANCE_FIELDS = dict(
-    k="int", s="int", l="int", a="int", b="int", budget="int", n="int",
-    protocols="strs", fiber_label="strs", fiber_size="int", fiber_floor="int",
-    z_blocks="strs", x="str", y_family="strs", served="rows", hard_index="int",
-    companion="obj", seed="int?",
+_HEX = (bits_to_hex, bits_from_hex)
+_INF = (lambda c: "inf" if c is None else c, lambda c: None if c == "inf" else c)
+_ROW = (list, tuple)
+
+# The certificate format, one row per HardInstance field: its key in the
+# JSON object ("companion.*" nests), its JSON shape and the (to JSON, from
+# JSON) conversion of its value, or of each element of a list.  Shapes are
+# "int", "int?" (integer or null), "str", "strs" and "ints" (lists, held as
+# tuples) and "rows" (the served table: [protocol index, Alice help, Bob
+# help, member or null], held as a tuple of tuples).
+_FIELDS = (
+    ("k", "k", "int", None),
+    ("s", "s", "int", None),
+    ("l", "l", "int", None),
+    ("a", "a", "int", None),
+    ("b", "b", "int", None),
+    ("budget", "budget", "int", None),
+    ("n", "n", "int", None),
+    ("protocols", "protocols", "strs", None),
+    ("fiber_label", "fiber_label", "strs", _INF),
+    ("fiber_size", "fiber_size", "int", None),
+    ("fiber_floor", "fiber_floor", "int", None),
+    ("z_blocks", "z_blocks", "strs", None),
+    ("x", "x", "str", _HEX),
+    ("y_family", "y_family", "strs", _HEX),
+    ("served", "served", "rows", _ROW),
+    ("hard_index", "hard_index", "int", None),
+    ("companion_kind", "companion.kind", "str", None),
+    ("companion_hex", "companion.code", "str", None),
+    ("companion_signature", "companion.signature", "ints", None),
+    ("companion_cost", "companion.cost", "int", None),
+    ("companion_bound_bits", "companion.bound_bits", "int", None),
+    ("seed", "seed", "int?", None),
 )
-_COMPANION_FIELDS = dict(kind="str", code="str", signature="ints", cost="int", bound_bits="int")
 _ROW_SHAPE = ("int", "str", "str", "int?")
 
 
@@ -366,8 +390,6 @@ def _has_shape(v, shape: str) -> bool:
         return isinstance(v, int) and not isinstance(v, bool)
     if shape == "str":
         return isinstance(v, str)
-    if shape == "obj":
-        return isinstance(v, dict)
     if not isinstance(v, list):
         return False
     if shape == "rows":
@@ -378,10 +400,15 @@ def _has_shape(v, shape: str) -> bool:
     return all(_has_shape(e, shape[:-1]) for e in v)
 
 
-def _check_fields(data: dict, fields: dict, where: str) -> None:
-    for name, shape in fields.items():
-        if name not in data or not _has_shape(data[name], shape):
-            raise UsageError(f"{where} field {name!r} is missing or not of shape {shape}")
+def _convert(v, shape: str, codec, way: int):
+    """Write a field's value as JSON (way 0) or read it back (way 1).
+
+    The conversion applies to a scalar or to each element of a list.
+    """
+    if shape in ("int", "int?", "str"):
+        return v if codec is None else codec[way](v)
+    items = v if codec is None else map(codec[way], v)
+    return tuple(items) if way else list(items)
 
 
 def _check_hard_parameters(k: int, s: int, l: int, a: int, b: int, budget: int) -> None:
@@ -443,33 +470,11 @@ class HardInstance:
         return self.y_family[self.hard_index]
 
     def to_json(self) -> str:
-        data = {
-            "schema": HARD_INSTANCE_SCHEMA,
-            "k": self.k,
-            "s": self.s,
-            "l": self.l,
-            "a": self.a,
-            "b": self.b,
-            "budget": self.budget,
-            "n": self.n,
-            "protocols": list(self.protocols),
-            "fiber_label": ["inf" if c is None else c for c in self.fiber_label],
-            "fiber_size": self.fiber_size,
-            "fiber_floor": self.fiber_floor,
-            "z_blocks": list(self.z_blocks),
-            "x": bits_to_hex(self.x),
-            "y_family": [bits_to_hex(y) for y in self.y_family],
-            "served": [list(row) for row in self.served],
-            "hard_index": self.hard_index,
-            "companion": {
-                "kind": self.companion_kind,
-                "code": self.companion_hex,
-                "signature": list(self.companion_signature),
-                "cost": self.companion_cost,
-                "bound_bits": self.companion_bound_bits,
-            },
-            "seed": self.seed,
-        }
+        data: dict = {"schema": HARD_INSTANCE_SCHEMA}
+        for name, key, shape, codec in _FIELDS:
+            head, _, tail = key.rpartition(".")
+            where = data.setdefault(head, {}) if head else data
+            where[tail] = _convert(getattr(self, name), shape, codec, 0)
         return json.dumps(data, indent=2, sort_keys=True)
 
     @classmethod
@@ -483,44 +488,23 @@ class HardInstance:
             raise UsageError("instance must be a JSON object")
         if data.get("schema") != HARD_INSTANCE_SCHEMA:
             raise UsageError(f"unknown instance schema {data.get('schema')!r}")
-        _check_fields(data, _INSTANCE_FIELDS, "instance")
-        comp = data["companion"]
-        _check_fields(comp, _COMPANION_FIELDS, "companion")
-        k, s, a, b = data["k"], data["s"], data["a"], data["b"]
-        _check_hard_parameters(k, s, data["l"], a, b, data["budget"])
-        if data["n"] != ((1 << (a + b + s)) + 1) * k:
-            raise UsageError(f"n = {data['n']} does not equal (2^(a+b+s)+1)*k")
-        if not 0 <= data["hard_index"] < len(data["y_family"]):
+        values = {}
+        for name, key, shape, codec in _FIELDS:
+            head, _, tail = key.rpartition(".")
+            where = data.get(head) if head else data
+            if not (isinstance(where, dict) and tail in where and _has_shape(where[tail], shape)):
+                raise UsageError(f"instance field {key!r} is missing or not of shape {shape}")
+            try:
+                values[name] = _convert(where[tail], shape, codec, 1)
+            except ValueError as exc:
+                raise UsageError(f"instance field {key!r} is malformed: {exc}")
+        inst = cls(**values)
+        _check_hard_parameters(inst.k, inst.s, inst.l, inst.a, inst.b, inst.budget)
+        if inst.n != inst.blocks * inst.k:
+            raise UsageError(f"n = {inst.n} does not equal (2^(a+b+s)+1)*k")
+        if not 0 <= inst.hard_index < len(inst.y_family):
             raise UsageError("hard_index does not name a family member")
-        try:
-            x = bits_from_hex(data["x"])
-            y_family = tuple(bits_from_hex(y) for y in data["y_family"])
-        except ValueError as exc:
-            raise UsageError(f"malformed hex field: {exc}")
-        return cls(
-            k=k,
-            s=s,
-            l=data["l"],
-            a=a,
-            b=b,
-            budget=data["budget"],
-            n=data["n"],
-            protocols=tuple(data["protocols"]),
-            fiber_label=tuple(None if c == "inf" else c for c in data["fiber_label"]),
-            fiber_size=data["fiber_size"],
-            fiber_floor=data["fiber_floor"],
-            z_blocks=tuple(data["z_blocks"]),
-            x=x,
-            y_family=y_family,
-            served=tuple(tuple(row) for row in data["served"]),
-            hard_index=data["hard_index"],
-            companion_kind=comp["kind"],
-            companion_hex=comp["code"],
-            companion_signature=tuple(comp["signature"]),
-            companion_cost=comp["cost"],
-            companion_bound_bits=comp["bound_bits"],
-            seed=data["seed"],
-        )
+        return inst
 
 
 def _fiber_message(tree: ProtocolTree, y_ext: str, l: int) -> str | None:

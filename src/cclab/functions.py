@@ -22,7 +22,6 @@ from .errors import UsageError
 
 __all__ = [
     "FunctionSpec",
-    "FunctionTable",
     "identity_fn",
     "equality_fn",
     "inner_product_fn",
@@ -37,6 +36,12 @@ BUILTIN_NAMES = ("identity", "eq", "ip")
 # all its inputs); beyond this many cells they refuse rather than silently
 # taking forever.
 _EXHAUSTIVE_LIMIT = 1 << 16
+
+
+def _check_grid_bits(bits: int, what: str = "input grid") -> None:
+    """Refuse a grid of 2^bits cells past the limit without building 2^bits."""
+    if bits > _EXHAUSTIVE_LIMIT.bit_length() - 1:
+        raise UsageError(f"the 2^{bits}-cell {what} exceeds the limit of {_EXHAUSTIVE_LIMIT} cells")
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,7 @@ class FunctionSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be positive")
+        _check_grid_bits(2 * self.n)
         size = 1 << self.n
         if len(self.cells) != size or any(len(row) != size for row in self.cells):
             raise ValueError("cells must form a 2^n by 2^n grid")
@@ -75,67 +81,31 @@ class FunctionSpec:
             raise ValueError(f"{self.name} is not truth-valued")
         return int(self.cells[bits_to_int(x)][bits_to_int(y)])
 
-    def table(self) -> FunctionTable:
-        return FunctionTable(self.n, self.boolean, self.cells)
-
-
-@dataclass(frozen=True)
-class FunctionTable:
-    """Raw truth-table form of a FunctionSpec, with file round-tripping."""
-
-    n: int
-    boolean: bool
-    cells: tuple[tuple[str, ...], ...] = field(repr=False)
-
-    def spec(self, name: str = "table") -> FunctionSpec:
-        return FunctionSpec(name, self.n, self.boolean, self.cells)
-
     def to_text(self) -> str:
-        lines = [f"n={self.n}"]
-        for row in self.cells:
-            lines.append("".join(row) if self.boolean else ";".join(row))
-        return "\n".join(lines) + "\n"
+        """The table-file form of the cells, which from_text reads back."""
+        sep = "" if self.boolean else ";"
+        return "\n".join([f"n={self.n}"] + [sep.join(row) for row in self.cells]) + "\n"
 
     @classmethod
-    def from_text(cls, text: str) -> "FunctionTable":
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("n="):
+    def from_text(cls, text: str, name: str) -> "FunctionSpec":
+        """Split a table file into its header and rows; __post_init__ checks them.
+
+        A table is truth-valued when its first row holds no ";".
+        """
+        header, *rows = [ln.strip() for ln in text.splitlines() if ln.strip()] or [""]
+        if not header.startswith("n="):
             raise ValueError("table file must start with n=<int>")
         try:
-            n = int(lines[0][2:])
+            n = int(header[2:])
         except ValueError as exc:
             raise ValueError("table file must start with n=<int>") from exc
-        if n < 1:
-            raise ValueError("n must be positive")
-        size = 1 << n
-        rows = lines[1:]
-        if len(rows) != size:
-            raise ValueError(f"expected {size} rows, got {len(rows)}")
-        boolean = ";" not in rows[0] and len(rows[0]) == size
-        cells = []
-        for row in rows:
-            entries = tuple(row) if boolean else tuple(row.split(";"))
-            if len(entries) != size:
-                raise ValueError(f"row has {len(entries)} entries, expected {size}")
-            width = 1 if boolean else n
-            for v in entries:
-                check_bits(v, width)
-            cells.append(entries)
-        return cls(n, boolean, tuple(cells))
-
-    def save(self, path: str | os.PathLike) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "FunctionTable":
-        with open(path, "r", encoding="ascii") as fh:
-            return cls.from_text(fh.read())
+        boolean = not rows or ";" not in rows[0]
+        cells = tuple(tuple(row) if boolean else tuple(row.split(";")) for row in rows)
+        return cls(name, n, boolean, cells)
 
 
 def _grid(n: int, fn) -> tuple[tuple[str, ...], ...]:
-    if 4**n > _EXHAUSTIVE_LIMIT:
-        raise UsageError(f"n={n}: the 2^{2 * n}-cell input grid is too large to tabulate")
+    _check_grid_bits(2 * n)
     xs = list(all_bitstrings(n))
     return tuple(tuple(fn(x, y) for y in xs) for x in xs)
 
@@ -156,8 +126,8 @@ def inner_product_fn(n: int) -> FunctionSpec:
 
 
 def table_fn(path: str | os.PathLike, name: str | None = None) -> FunctionSpec:
-    table = FunctionTable.load(path)
-    return table.spec(name if name is not None else f"table:{path}")
+    with open(path, "r", encoding="ascii") as fh:
+        return FunctionSpec.from_text(fh.read(), name if name is not None else f"table:{path}")
 
 
 def parse_function(spec: str, n: int) -> FunctionSpec:

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from .bits import all_bitstrings, bits_to_int, check_bits, embed_bit, xor_bits
 from .errors import UsageError
-from .functions import _EXHAUSTIVE_LIMIT, FunctionSpec
+from .functions import FunctionSpec, _check_grid_bits
 
 __all__ = [
     "ALICE",
@@ -270,10 +271,6 @@ class ProtocolTree:
     def is_symmetric(self) -> bool:
         return self.n_alice == self.n_bob == self.out_len
 
-    @property
-    def grid_size(self) -> int:
-        return 1 << (self.n_alice + self.n_bob)
-
 
 @dataclass(frozen=True)
 class RunOutcome:
@@ -304,15 +301,14 @@ class HelpSpec:
 
 
 def _walk(tree: ProtocolTree, x: str, y: str) -> tuple[str, Node]:
-    """Bits spoken on (x, y) and the node where the walk ends, unchecked.
+    """Bits spoken on (x, y) and the leaf where the walk ends, unchecked.
 
-    The walk ends at a leaf, or at the speak node it reaches once the depth
-    cap is spent; only an output leaf means the run answers.
+    ProtocolTree refuses trees deeper than the depth cap, so every walk
+    ends at a leaf within it; only an output leaf means the run answers.
     """
-    cap = default_depth_cap(tree.n_alice, tree.n_bob)
     node = tree.root
     bits = ""
-    while isinstance(node, Speak) and len(bits) < cap:
+    while isinstance(node, Speak):
         if node.fn.evaluate(x if node.owner == ALICE else y):
             bits += "1"
             node = node.child1
@@ -356,16 +352,15 @@ def is_one_way(tree: ProtocolTree) -> bool:
 
 
 def _check_grid(tree: ProtocolTree) -> None:
-    if tree.grid_size > _EXHAUSTIVE_LIMIT:
-        raise UsageError("input grid too large for an exhaustive check")
+    _check_grid_bits(tree.n_alice + tree.n_bob)
 
 
 def is_total(tree: ProtocolTree) -> bool:
     """True iff no input pair gets stuck.
 
-    Trees without stuck leaves are total by construction (the depth cap is
-    enforced structurally), which also settles trees whose input grid is
-    too large to walk exhaustively.
+    Every walk ends at a leaf, so trees without stuck leaves are total by
+    construction, which also settles trees whose input grid is too large
+    to walk exhaustively.
     """
     if not tree_has_stuck(tree.root):
         return True
@@ -481,6 +476,12 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
     return node
 
 
+@lru_cache(maxsize=32)
+def _lifted_default(f: FunctionSpec, extra_alice: int, extra_bob: int) -> Node:
+    """The totalizer's literal-send default, built and lifted once per f and mode."""
+    return _lift(_spell_input(BOB, f.n, _table_answer(f)), f.n, extra_alice, extra_bob)
+
+
 def _totalize(node: Node, filler: Node) -> Node:
     if isinstance(node, StuckLeaf):
         return filler
@@ -518,10 +519,10 @@ def help_bit_totalizer(
     root = Speak(
         BOB if extra_bob else ALICE,
         NodeFunction.input_bit(n),
-        _spell_input(BOB, n, _table_answer(f)),
-        _totalize(tree.root, filler),
+        _lifted_default(f, extra_alice, extra_bob),
+        _lift(_totalize(tree.root, filler), n, extra_alice, extra_bob),
     )
-    return ProtocolTree(n + extra_alice, n + extra_bob, n, _lift(root, n, extra_alice, extra_bob))
+    return ProtocolTree(n + extra_alice, n + extra_bob, n, root)
 
 
 def value_as_help_protocol(f: FunctionSpec) -> ProtocolTree:

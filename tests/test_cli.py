@@ -2,10 +2,13 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from cclab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +121,23 @@ def test_hardness_replay_round_trip(tmp_path, capsys, engine, argv):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "golden,argv",
+    [
+        ("hardness-th7", ["th7", "--k", "10", "--s", "1", "--l", "2", "--budget", "6"]),
+        (
+            "hardness-helpbit",
+            ["helpbit", "--k", "11", "--s", "1", "--l", "2", "--a", "1", "--b", "1",
+             "--budget", "6", "--seed", "3"],
+        ),
+    ],
+)
+def test_hardness_output_matches_golden(capsys, golden, argv):
+    code, out = run_cli(capsys, "hardness", *argv)
+    assert code == 0
+    assert out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+
+
 def test_hardness_output_is_deterministic(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:
@@ -195,3 +215,22 @@ def test_unknown_suite_exits_two(capsys):
 def test_bad_table_path_exits_two(capsys):
     code, _out = run_cli(capsys, "dcc", "--fn", "table:/nonexistent.txt", "--n", "2")
     assert code == 2
+
+
+def _refused_quickly_naming_the_limit(capsys, *argv):
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    assert elapsed < 0.5
+    assert "65536" in capsys.readouterr().err
+
+
+def test_huge_n_refused_before_any_power_of_two(capsys):
+    _refused_quickly_naming_the_limit(capsys, "dcc", "--fn", "eq", "--n", "100000000")
+
+
+def test_huge_table_header_refused_before_any_power_of_two(tmp_path, capsys):
+    path = tmp_path / "huge.txt"
+    path.write_text("n=100000\n0\n")
+    _refused_quickly_naming_the_limit(capsys, "dcc", "--fn", f"table:{path}", "--n", "2")

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab import (
     AuditFailure,
@@ -277,6 +279,26 @@ def test_structure_function_profile_caps():
         structure_function_profile("00000", 10)
     with pytest.raises(UsageError):
         structure_function_profile("00", 99)
+
+
+def _never_rises(profile, alpha_max):
+    values = [profile.value(alpha) for alpha in range(alpha_max + 1)]
+    return all(later <= earlier for earlier, later in zip(values, values[1:]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(1, 4).flatmap(lambda n: st.text("01", min_size=n, max_size=n)))
+def test_set_profile_never_rises_with_the_budget(y):
+    # one set table per n at the top budget, so every budget below is covered
+    assert _never_rises(structure_function_profile(y, 20), 20)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.sampled_from("01"), st.integers(0, 20))
+def test_identity_profiles_never_rise_with_the_budget(y, alpha_max):
+    report = tcc_identity_profile(y, alpha_max)
+    assert _never_rises(report.one_way, alpha_max)
+    assert all(_never_rises(p, alpha_max) for p in report.two_way.values())
 
 
 def test_identity_profile_n1_report():

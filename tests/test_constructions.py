@@ -238,6 +238,49 @@ def test_hard_instance_from_json_rejects_malformed_fields(edit):
         HardInstance.from_json(json.dumps(data))
 
 
+# one value of each JSON type; a key whose value is swapped for one of
+# another type must be refused
+_JSON_VALUES = (True, 7, 1.5, "7", [], {}, None)
+
+
+def _malformed_copies(data):
+    """(label, edited copy) for every key deleted or retyped, top level and companion."""
+    for prefix, obj in [("", data), ("companion.", data["companion"])]:
+        for key, value in obj.items():
+            # the seed is the one key that may hold an integer or null
+            kinds = {int, type(None)} if key == "seed" else {type(value)}
+            edits = [("delete", None)] + [
+                (f"as {bad!r}", bad) for bad in _JSON_VALUES if type(bad) not in kinds
+            ]
+            if isinstance(value, list) and value:
+                edits += [
+                    (f"element as {bad!r}", [bad] + value[1:])
+                    for bad in _JSON_VALUES
+                    if type(bad) is not type(value[0])
+                ]
+            for label, bad in edits:
+                copy = json.loads(json.dumps(data))
+                target = copy["companion"] if prefix else copy
+                if label == "delete":
+                    del target[key]
+                else:
+                    target[key] = bad
+                yield f"{prefix}{key} {label}", copy
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_hard_instance_from_json_refuses_every_missing_or_retyped_key(seed):
+    data = json.loads(helpbit_hard_instance(11, 1, 2, 1, 1, 6, seed=seed).to_json())
+    accepted = []
+    for label, copy in _malformed_copies(data):
+        try:
+            HardInstance.from_json(json.dumps(copy))
+        except UsageError:
+            continue
+        accepted.append(label)
+    assert accepted == []
+
+
 def test_hard_instance_parameters_bounded():
     for args in ((17, 1, 2, 6), (0, 1, 2, 6), (10, -1, 2, 6), (10, 1, 0, 6), (10, 1, 2, 99)):
         with pytest.raises(UsageError):

@@ -1,15 +1,18 @@
-"""Built-in functions and truth-table I/O."""
+"""Built-in functions, truth-table I/O and bit-string checks."""
+
+import random
 
 import pytest
 
 from cclab import (
     FunctionSpec,
-    FunctionTable,
     equality_fn,
     identity_fn,
     inner_product_fn,
     parse_function,
+    table_fn,
 )
+from cclab.bits import check_bits
 
 
 def test_identity_values():
@@ -56,35 +59,52 @@ def test_spec_rejects_wrong_width_cells():
 def test_table_round_trip_boolean(tmp_path):
     f = equality_fn(2)
     path = tmp_path / "eq.txt"
-    f.table().save(path)
-    back = FunctionTable.load(path)
-    assert back.cells == f.table().cells
+    path.write_text(f.to_text())
+    back = table_fn(path)
+    assert back.cells == f.cells
     assert back.boolean
 
 
 def test_table_round_trip_string_valued(tmp_path):
     f = identity_fn(2)
     path = tmp_path / "id.txt"
-    f.table().save(path)
-    back = FunctionTable.load(path)
-    assert back.spec("id").value("10", "01") == "01"
+    path.write_text(f.to_text())
+    back = table_fn(path, "id")
+    assert back.value("10", "01") == "01"
     assert not back.boolean
 
 
+def _random_table(rng, n, boolean):
+    width = 1 if boolean else n
+    size = 1 << n
+    cells = tuple(
+        tuple("".join(rng.choice("01") for _ in range(width)) for _ in range(size))
+        for _ in range(size)
+    )
+    return FunctionSpec("random", n, boolean, cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_table_text_round_trips_through_function_spec(n):
+    rng = random.Random(n)
+    specs = [identity_fn(n), equality_fn(n), inner_product_fn(n)]
+    specs += [_random_table(rng, n, boolean) for boolean in (True, False) for _ in range(3)]
+    for f in specs:
+        assert FunctionSpec.from_text(f.to_text(), f.name) == f
+
+
 def test_table_text_format():
-    text = equality_fn(1).table().to_text()
-    assert text == "n=1\n10\n01\n"
+    assert equality_fn(1).to_text() == "n=1\n10\n01\n"
+    assert identity_fn(1).to_text() == "n=1\n0;1\n0;1\n"
 
 
 def test_table_parse_errors():
-    with pytest.raises(ValueError):
-        FunctionTable.from_text("m=1\n10\n01\n")
-    with pytest.raises(ValueError):
-        FunctionTable.from_text("n=1\n10\n")
-    with pytest.raises(ValueError):
-        FunctionTable.from_text("n=1\n10\n02\n")
-    with pytest.raises(ValueError):
-        FunctionTable.from_text("n=1\n0;1\n0\n")
+    bad = ["m=1\n10\n01\n", "n=1\n10\n", "n=1\n10\n02\n", "n=1\n0;1\n0\n", "", "n=x\n"]
+    # a header past the grid limit is refused before 2^n is computed
+    bad.append("n=100000\n0\n")
+    for text in bad:
+        with pytest.raises(ValueError):
+            FunctionSpec.from_text(text, "t")
 
 
 def test_parse_function_builtins_and_table(tmp_path):
@@ -92,7 +112,7 @@ def test_parse_function_builtins_and_table(tmp_path):
     assert parse_function("eq", 3).n == 3
     assert parse_function("ip", 2).boolean
     path = tmp_path / "t.txt"
-    equality_fn(2).table().save(path)
+    path.write_text(equality_fn(2).to_text())
     assert parse_function(f"table:{path}", 2).bit("00", "00") == 1
     with pytest.raises(ValueError):
         parse_function(f"table:{path}", 3)
@@ -103,3 +123,26 @@ def test_parse_function_builtins_and_table(tmp_path):
 def test_bit_requires_boolean():
     with pytest.raises(ValueError):
         identity_fn(1).bit("0", "0")
+
+
+@pytest.mark.parametrize(
+    "s,ok",
+    [
+        ("", True),
+        ("01", True),
+        ("0110" * 7 + "10", True),
+        ("012", False),
+        (" 01", False),
+        ("01\n", False),
+        ("\u0660\u0661", False),  # Arabic-Indic zero and one
+        ("0" * 14 + "2" + "1" * 15, False),
+        (None, False),
+        (b"01", False),
+    ],
+)
+def test_check_bits_accepts_exactly_the_bit_strings(s, ok):
+    if ok:
+        assert check_bits(s) is s
+    else:
+        with pytest.raises(ValueError):
+            check_bits(s)

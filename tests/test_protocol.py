@@ -19,6 +19,7 @@ from cclab import (
     cc_with_help,
     computes_everywhere,
     computes_on,
+    default_depth_cap,
     enumerate_signature,
     equality_fn,
     help_bit_totalizer,
@@ -113,6 +114,25 @@ def test_alice_and_bob_bits_interleave():
     outcome = run(tree, "1", "0")
     assert outcome.transcript == "01"
     assert outcome.cost == 2
+
+
+def test_depth_cap_bounds_trees_so_every_walk_ends_at_a_leaf():
+    cap = default_depth_cap(1, 1)
+
+    def chain(depth):
+        node = OutputLeaf(OutputFunction.const("1"))
+        for i in range(depth):
+            node = Speak(ALICE if i % 2 else BOB, NodeFunction.const(1), StuckLeaf(), node)
+        return node
+
+    # the deepest leaf sits exactly at the cap and still answers
+    tree = ProtocolTree(1, 1, 1, chain(cap))
+    outcome = run(tree, "0", "1")
+    assert (outcome.transcript, outcome.output) == ("1" * cap, "1")
+    assert is_total(tree)
+    # one level deeper the tree itself is refused, so no walk can pass the cap
+    with pytest.raises(UsageError, match="depth cap"):
+        ProtocolTree(1, 1, 1, chain(cap + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Rectangle partitions, rank certificates, the equality diagonal audit."""
 
 import pytest
+from hypothesis import given, settings
+from test_codes import _tree_pairs
 
 from cclab import (
     OutputFunction,
@@ -14,8 +16,10 @@ from cclab import (
     identity_fn,
     ip_rectangle_audit,
     rectangle_color,
+    run,
     transcript_partition,
 )
+from cclab.bits import all_bitstrings
 from cclab.reference import (
     alice_sends_x_ip,
     equality_protocols,
@@ -97,3 +101,21 @@ def test_equality_diagonal_distinct():
 def test_equality_audit_rejects_wrong_protocol():
     with pytest.raises(UsageError):
         equality_diagonal_bound(literal_send_protocol(identity_fn(2)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(_tree_pairs().map(lambda pair: pair[0]))
+def test_random_trees_split_their_pairs_into_product_sets(tree):
+    # tree pairs from the grammar property, at n = 3-4 per party
+    runs = {
+        (x, y): run(tree, x, y)
+        for x in all_bitstrings(tree.n_alice)
+        for y in all_bitstrings(tree.n_bob)
+    }
+    partition = transcript_partition(tree)
+    assert partition.covered == {pair for pair, outcome in runs.items() if not outcome.is_stuck}
+    for transcript, rect in partition.classes.items():
+        for x in rect.rows:
+            for y in rect.cols:
+                assert runs[x, y].transcript == transcript and not runs[x, y].is_stuck
+    assert sum(rect.size for rect in partition.classes.values()) == len(partition.covered)
