@@ -15,6 +15,7 @@ from .codes import enumerate_sets, enumerate_signature, pdl_encode
 from .complexity import (
     INF,
     Measure,
+    check_exhaustive_n,
     individual_cc,
     structure_function_profile,
     tcc_identity_profile,
@@ -48,6 +49,7 @@ def _format_value(v) -> str:
 
 def _cmd_cc(args) -> int:
     n = len(args.x)
+    check_exhaustive_n(n)  # before a table file is read
     f = parse_function(args.fn, n)
     measure = Measure(
         family=args.mode.upper(),

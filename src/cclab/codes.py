@@ -385,6 +385,18 @@ def budget_cap() -> int:
     return value
 
 
+def _check_budget(budget: int) -> None:
+    """Refuse a negative budget, or one past the enumeration cap."""
+    if budget < 0:
+        raise UsageError(f"budget must be nonnegative, got {budget}")
+    limit = budget_cap()
+    if budget > limit:
+        raise UsageError(
+            f"budget {budget} exceeds the enumeration cap {limit}; "
+            "set CCLAB_BUDGET_CAP to raise it deliberately"
+        )
+
+
 def enumerate_signature(
     na: int,
     nb: int,
@@ -394,12 +406,7 @@ def enumerate_signature(
     require_one_way: bool = False,
 ):
     """Canonical enumeration under an explicit protocol shape."""
-    limit = budget_cap()
-    if budget > limit:
-        raise UsageError(
-            f"budget {budget} exceeds the enumeration cap {limit}; "
-            "set CCLAB_BUDGET_CAP to raise it deliberately"
-        )
+    _check_budget(budget)
     for bits, node in _enumeration_table(na, nb, out_len, budget):
         if require_total and tree_has_stuck(node):
             continue
@@ -498,4 +505,5 @@ def enumerate_sets(n: int, budget: int):
     """
     if n < 1 or n > 4:
         raise UsageError("set enumeration supports 1 <= n <= 4")
+    _check_budget(budget)
     yield from _set_table(n, budget)

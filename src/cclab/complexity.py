@@ -16,21 +16,33 @@ import json
 import math
 from dataclasses import dataclass
 
-from .bits import all_bitstrings, bits_from_int, check_bits, log2ceil
-from .codes import PdlCode, budget_cap, enumerate_sets, enumerate_signature, pdl_encode
+from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, log2ceil
+from .codes import (
+    PdlCode,
+    _check_budget,
+    _enumeration_table,
+    enumerate_sets,
+    pdl_encode,
+)
 from .constructions import message_protocol
 from .errors import AuditFailure, UsageError
 from .functions import FunctionSpec, _check_grid_bits, identity_fn
 from .protocol import (
     HelpSpec,
+    Node,
+    OutputLeaf,
     ProtocolTree,
+    _answers,
+    _answers_every_pair,
     _check_grid,
+    _leaf_masks,
+    _no_stuck,
+    _pair_cells,
     bob_message,
     cc_on_input,
-    cc_with_help,
     computes_everywhere,
     is_one_way,
-    is_total,
+    node_is_one_way,
     run,
 )
 
@@ -62,16 +74,27 @@ class Measure:
             raise UsageError("budget must be nonnegative")
 
 
-def _admissible(tree: ProtocolTree, m: Measure, f: FunctionSpec) -> bool:
-    """Whether the tree belongs to the measure's protocol family."""
+# the largest input length the exhaustive family scans below accept
+_EXHAUSTIVE_MAX_N = 3
+
+
+def check_exhaustive_n(n: int, what: str = "exhaustive measures") -> None:
+    """Refuse an input length past _EXHAUSTIVE_MAX_N before any work."""
+    if n > _EXHAUSTIVE_MAX_N:
+        raise UsageError(f"{what} support n <= {_EXHAUSTIVE_MAX_N}, got n = {n}")
+
+
+def _admissible(root: Node, m: Measure, f: FunctionSpec) -> bool:
+    """Whether the tree with this root belongs to the measure's protocol family."""
     if m.family == "PCC":
         return True
-    if m.family == "CC":
-        return is_total(tree)
     # correct on every pair means no pair is stranded; with help bits only
     # one help string per pair has to answer, so the others still need the
     # totality test
-    return computes_everywhere(tree, f, m.help) and (m.help == HelpSpec() or is_total(tree))
+    leaves = _leaf_masks(root, f.n + m.help.alice_bits, f.n + m.help.bob_bits)
+    if not _no_stuck(leaves):
+        return False
+    return m.family == "CC" or _answers_every_pair(leaves, f, m.help)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
@@ -80,27 +103,31 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     Returns (bits, witness code); the minimum of an empty family is
     infinity with no witness.  Ties go to the canonically first code, so
     the scan stops at the first admissible witness that costs nothing.
+    A tree's cost is the least depth of a leaf that answers f on one of
+    the cells of (x, y) and its help strings.
     """
     n = f.n
-    if n > 3:
-        raise UsageError("exhaustive measures support n <= 3")
-    if m.alpha > budget_cap():
-        raise UsageError(f"budget {m.alpha} exceeds the enumeration cap")
+    check_exhaustive_n(n)
+    _check_budget(m.alpha)
     a, b = m.help.alice_bits, m.help.bob_bits
     _check_grid_bits(2 * n + a + b, "help-extended input grid")
-    check_bits(x, n)
-    check_bits(y, n)
-    best: tuple = (INF, None)
-    for code, tree in enumerate_signature(
-        n + a, n + b, n, m.alpha, require_one_way=m.one_way
-    ):
-        cost = cc_with_help(tree, f, x, y, m.help)
-        if cost >= best[0] or not _admissible(tree, m, f):
+    pair = _pair_cells(n, a, b)[bits_to_int(check_bits(x, n)) << n | bits_to_int(check_bits(y, n))]
+    answers = _answers(f, a, b)
+    best, best_bits = INF, None
+    for bits, node in _enumeration_table(n + a, n + b, n, m.alpha):
+        if m.one_way and not node_is_one_way(node):
             continue
-        best = (cost, code)
+        cost = INF
+        for cells, depth, leaf in _leaf_masks(node, n + a, n + b, pair):
+            if depth < cost and type(leaf) is OutputLeaf:
+                if cells & answers(leaf.fn.kind, leaf.fn.value):
+                    cost = depth
+        if cost >= best or not _admissible(node, m, f):
+            continue
+        best, best_bits = cost, bits
         if cost == 0:
             break
-    return best
+    return best, None if best_bits is None else PdlCode(best_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +297,11 @@ class ComplexityProfile:
         )
 
 
+def _depth_at(leaves, cell: int) -> int:
+    """Depth of the leaf that the cell reaches."""
+    return next(depth for cells, depth, _ in leaves if cells >> cell & 1)
+
+
 def _fold_profile(label: str, alpha_max: int, candidates) -> ComplexityProfile:
     """Prefix-minimum over code length; candidates iterate in canonical order."""
     entries = {a: (INF, None) for a in range(alpha_max + 1)}
@@ -287,8 +319,7 @@ def structure_function_profile(y: str, alpha_max: int) -> ComplexityProfile:
     n = len(check_bits(y))
     if n > 4:
         raise UsageError("set profiles support n <= 4")
-    if alpha_max > budget_cap():
-        raise UsageError(f"budget {alpha_max} exceeds the enumeration cap")
+    _check_budget(alpha_max)
 
     def candidates():
         for code, members in enumerate_sets(n, alpha_max):
@@ -333,38 +364,36 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
     one-way family, in the same canonical order.
     """
     n = len(check_bits(y))
-    if n > 3:
-        raise UsageError("identity profiles support n <= 3")
-    if alpha_max > budget_cap():
-        raise UsageError(f"budget {alpha_max} exceeds the enumeration cap")
+    check_exhaustive_n(n, "identity profiles")
+    _check_budget(alpha_max)
     f = identity_fn(n)
     rows = [x] if x is not None else list(all_bitstrings(n))
     for row in rows:
         check_bits(row, n)
 
-    admissible = [
-        (code, tree)
-        for code, tree in enumerate_signature(n, n, n, alpha_max)
-        if computes_everywhere(tree, f)
-    ]
+    admissible = []
+    for bits, node in _enumeration_table(n, n, n, alpha_max):
+        leaves = _leaf_masks(node, n, n)
+        if _answers_every_pair(leaves, f, HelpSpec()):
+            admissible.append((PdlCode(bits), node_is_one_way(node), leaves))
+    column = bits_to_int(y)
+    # an admissible tree answers every cell, so a cell's value is its leaf's depth
     one_way = _fold_profile(
         f"oneway({y})",
         alpha_max,
         (
-            (len(code.bits), len(bob_message(tree, y)), code)
-            for code, tree in admissible
-            if is_one_way(tree)
+            (len(code.bits), _depth_at(leaves, column), code)
+            for code, bob_only, leaves in admissible
+            if bob_only
         ),
     )
     two_way = {}
     for row in rows:
+        cell = bits_to_int(row) << n | column
         two_way[row] = _fold_profile(
             f"twoway({row},{y})",
             alpha_max,
-            (
-                (len(code.bits), cc_on_input(tree, f, row, y), code)
-                for code, tree in admissible
-            ),
+            ((len(code.bits), _depth_at(leaves, cell), code) for code, _, leaves in admissible),
         )
 
     agreement = [
@@ -413,8 +442,7 @@ def find_hard_y(n: int, alpha: int, x: str) -> HardYReport:
     or above the threshold, falling back to the first maximizer if the
     counting guarantee has no bite in the enumerated family.
     """
-    if n > 3:
-        raise UsageError("exhaustive search supports n <= 3")
+    check_exhaustive_n(n, "exhaustive searches")
     check_bits(x, n)
     m = Measure(family="CC", alpha=alpha)
     f = identity_fn(n)

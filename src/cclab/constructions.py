@@ -24,7 +24,7 @@ from .bits import (
 )
 from .codes import (
     PdlCode,
-    budget_cap,
+    _check_budget,
     decode_signature,
     enumerate_signature,
     pdl_encode,
@@ -420,9 +420,7 @@ def _check_hard_parameters(k: int, s: int, l: int, a: int, b: int, budget: int) 
         raise UsageError(f"l must be at least 1, got {l}")
     if a + b + s > min(k, _MAX_HARD_SLOTS_LOG):
         raise UsageError(f"a+b+s = {a + b + s} exceeds min(k, {_MAX_HARD_SLOTS_LOG})")
-    cap = budget_cap()
-    if not 0 <= budget <= cap:
-        raise UsageError(f"budget must be between 0 and the enumeration cap {cap}, got {budget}")
+    _check_budget(budget)
 
 
 @dataclass

@@ -9,6 +9,15 @@ computation that never answers.
 
 Inputs may have different lengths per party (used for help-extended runs);
 the plain case is symmetric with output width equal to the input length.
+
+Two engines read a tree.  A single pair is walked from the root (`run`,
+`bob_message`, `cc_with_help`).  A question about the whole input grid is a
+fold over one pass of integer cell masks instead: cell xa << nb | yb
+stands for Alice's input xa and Bob's input yb, each speak node splits the
+cells that reach it by where its function reads 1, and every leaf ends up
+with the rectangle of cells that reach it and its depth, the transcript
+length of each of those runs (`is_total`, `computes_everywhere`, and the
+family scans in `complexity`).
 """
 
 from __future__ import annotations
@@ -355,6 +364,114 @@ def _check_grid(tree: ProtocolTree) -> None:
     _check_grid_bits(tree.n_alice + tree.n_bob)
 
 
+def _check_help_shape(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> None:
+    if tree.n_alice != f.n + help_spec.alice_bits or tree.n_bob != f.n + help_spec.bob_bits:
+        raise UsageError("protocol shape does not match the function and help bits")
+    if tree.out_len != f.n:
+        raise UsageError("output width must match the base input length")
+
+
+@lru_cache(maxsize=4096)
+def _reads_one(owner: str, kind: str, index: int, table: str, na: int, nb: int) -> int:
+    """Cells of the (na, nb) grid where a node function of the owner's input reads 1.
+
+    Keyed by the function's fields, which hash faster than the function.
+    """
+    fn = NodeFunction(kind, index, table)
+    if owner == ALICE:
+        row = (1 << (1 << nb)) - 1
+        return sum(row << (xa << nb) for xa, u in enumerate(all_bitstrings(na)) if fn.evaluate(u))
+    column = sum(1 << yb for yb, u in enumerate(all_bitstrings(nb)) if fn.evaluate(u))
+    return column * sum(1 << (xa << nb) for xa in range(1 << na))
+
+
+def _leaf_masks(
+    node: Node, na: int, nb: int, cells: int | None = None
+) -> list[tuple[int, int, Node]]:
+    """(cells, depth, leaf) for every leaf that the given cells reach.
+
+    Cell xa << nb | yb is the run on Alice's input xa and Bob's input yb,
+    read as integers, so help bits trail the base input as in `_lift`;
+    the cells default to the whole (na, nb) grid.
+    """
+    leaves = []
+    todo = [(node, (1 << (1 << (na + nb))) - 1 if cells is None else cells, 0)]
+    while todo:
+        node, cells, depth = todo.pop()
+        while type(node) is Speak:
+            fn = node.fn
+            ones = cells & _reads_one(node.owner, fn.kind, fn.index, fn.table, na, nb)
+            depth += 1
+            if not ones:
+                node = node.child0
+            elif ones == cells:
+                node = node.child1
+            else:
+                todo.append((node.child0, cells ^ ones, depth))
+                node, cells = node.child1, ones
+        leaves.append((cells, depth, node))
+    return leaves
+
+
+@lru_cache(maxsize=64)
+def _pair_cells(n: int, alice_bits: int, bob_bits: int) -> tuple[int, ...]:
+    """Per base pair, index x << n | y, its cells in the help-extended grid."""
+    nb = n + bob_bits
+    block = (1 << (1 << bob_bits)) - 1
+    cells = []
+    for x in range(1 << n):
+        rows = sum(1 << ((x << alice_bits | ha) << nb) for ha in range(1 << alice_bits))
+        cells.extend(rows * (block << (y << bob_bits)) for y in range(1 << n))
+    return tuple(cells)
+
+
+@lru_cache(maxsize=64)
+def _answers(f: FunctionSpec, alice_bits: int, bob_bits: int):
+    """The help-extended cells where an output function announces f on the base pair.
+
+    The returned lookup takes the output function's kind and value.
+    """
+    n = f.n
+    nb = n + bob_bits
+    block = (1 << (1 << bob_bits)) - 1
+    # rows[x][v]: the cells of one extended row of x whose base column y has f(x, y) == v
+    rows = []
+    for x in all_bitstrings(n):
+        row: dict[str, int] = {}
+        for j, y in enumerate(all_bitstrings(n)):
+            v = f.value(x, y)
+            row[v] = row.get(v, 0) | block << (j << bob_bits)
+        rows.append(row)
+    inputs = list(all_bitstrings(n + alice_bits))
+
+    @lru_cache(maxsize=1024)
+    def cells(kind: str, value: str) -> int:
+        fn = OutputFunction(kind, value)
+        return sum(
+            rows[xa >> alice_bits].get(fn.evaluate(u, n), 0) << (xa << nb)
+            for xa, u in enumerate(inputs)
+        )
+
+    return cells
+
+
+def _no_stuck(leaves) -> bool:
+    return all(type(leaf) is not StuckLeaf for _, _, leaf in leaves)
+
+
+def _answers_every_pair(leaves, f: FunctionSpec, help_spec: HelpSpec) -> bool:
+    """True iff every base pair has a help-extended cell whose leaf answers f."""
+    a, b = help_spec.alice_bits, help_spec.bob_bits
+    answers = _answers(f, a, b)
+    correct = 0
+    for cells, _, leaf in leaves:
+        if type(leaf) is OutputLeaf:
+            correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
+    if not (a or b):  # each pair is one cell
+        return correct == (1 << (1 << 2 * f.n)) - 1
+    return all(pair & correct for pair in _pair_cells(f.n, a, b))
+
+
 def is_total(tree: ProtocolTree) -> bool:
     """True iff no input pair gets stuck.
 
@@ -365,11 +482,7 @@ def is_total(tree: ProtocolTree) -> bool:
     if not tree_has_stuck(tree.root):
         return True
     _check_grid(tree)
-    return all(
-        isinstance(_walk(tree, x, y)[1], OutputLeaf)
-        for x in all_bitstrings(tree.n_alice)
-        for y in all_bitstrings(tree.n_bob)
-    )
+    return _no_stuck(_leaf_masks(tree.root, tree.n_alice, tree.n_bob))
 
 
 def computes_on(tree: ProtocolTree, f: FunctionSpec, x: str, y: str) -> bool:
@@ -385,11 +498,9 @@ def computes_everywhere(
     Without help bits this means every pair terminates with the right
     answer, so such a tree is also total.
     """
-    return all(
-        cc_with_help(tree, f, x, y, help_spec) != math.inf
-        for x in all_bitstrings(f.n)
-        for y in all_bitstrings(f.n)
-    )
+    _check_help_shape(tree, f, help_spec)
+    _check_grid(tree)
+    return _answers_every_pair(_leaf_masks(tree.root, tree.n_alice, tree.n_bob), f, help_spec)
 
 
 def cc_with_help(
@@ -403,10 +514,7 @@ def cc_with_help(
     number of bits spoken on (x, y) when the answer is right, else
     infinity.
     """
-    if tree.n_alice != f.n + help_spec.alice_bits or tree.n_bob != f.n + help_spec.bob_bits:
-        raise UsageError("protocol shape does not match the function and help bits")
-    if tree.out_len != f.n:
-        raise UsageError("output width must match the base input length")
+    _check_help_shape(tree, f, help_spec)
     _check_grid(tree)
     want = f.value(x, y)
     best: int | float = math.inf

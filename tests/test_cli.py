@@ -200,6 +200,32 @@ def test_oversized_grids_refused_before_work(capsys, argv):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("profile", "--y", "01", "--alpha-max", "-1"),
+        ("profile", "--y", "01", "--alpha-max", "-1", "--kind", "identity"),
+        ("enumerate", "--n", "2", "--alpha", "-3"),
+        ("enumerate", "--n", "2", "--alpha", "-3", "--kind", "sets"),
+        ("cc", "--fn", "identity", "--x", "0", "--y", "0", "--alpha", "-1"),
+    ],
+)
+def test_negative_budgets_exit_two(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
+def test_cc_input_length_limit_comes_before_the_table_file(capsys):
+    code = main(
+        ["cc", "--fn", "table:/nonexistent", "--x", "0000", "--y", "0000", "--alpha", "5"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "n <= 3" in err
+    assert "nonexistent" not in err
+
+
 def test_bad_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["cc", "--fn", "identity", "--x", "01"])

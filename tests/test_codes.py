@@ -31,7 +31,8 @@ from cclab import (
     sdl_decode,
     sdl_encode,
 )
-from cclab.protocol import ALICE, BOB, run
+from cclab.codes import _HARD_BUDGET_LIMIT, _enumeration_table
+from cclab.protocol import ALICE, BOB, default_depth_cap, run
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +293,39 @@ def _walk(node):
 def test_budget_over_cap_refused():
     with pytest.raises(UsageError):
         list(enumerate_signature(2, 2, 2, budget_cap() + 1))
+
+
+def test_negative_budget_refused():
+    with pytest.raises(UsageError, match="nonnegative"):
+        list(enumerate_signature(2, 2, 2, -3))
+    with pytest.raises(UsageError, match="nonnegative"):
+        list(enumerate_sets(2, -1))
+
+
+def _depth(node):
+    if isinstance(node, Speak):
+        return 1 + max(_depth(node.child0), _depth(node.child1))
+    return 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scanned_tables_hold_valid_shallow_trees(n):
+    # the family scans in complexity read these tables without building a
+    # ProtocolTree, so every entry must already be one, within the depth cap;
+    # lower budgets are prefixes of the same canonical stream
+    for a in (0, 1):
+        for b in (0, 1):
+            for bits, node in _enumeration_table(n + a, n + b, n, 20):
+                tree = ProtocolTree(n + a, n + b, n, node)
+                # each speak node on a path costs at least 2 + 3 bits and its
+                # other child at least 2, and the path ends in a 2-bit leaf
+                assert len(bits) >= 7 * _depth(tree.root) + 2
+
+
+def test_depth_bound_stays_below_every_depth_cap():
+    deepest = (_HARD_BUDGET_LIMIT - 2) // 7
+    assert deepest == 3
+    assert deepest < default_depth_cap(1, 1) == 4
 
 
 def test_budget_cap_env_override(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 
 from cclab import (
     INF,
+    FunctionSpec,
     HelpSpec,
     NodeFunction,
     OutputFunction,
@@ -27,6 +28,7 @@ from cclab import (
     inner_product_fn,
     is_one_way,
     is_total,
+    large_rectangle_shortcut,
     run,
     tree_has_stuck,
     value_as_help_protocol,
@@ -34,6 +36,7 @@ from cclab import (
 from cclab.bits import all_bitstrings
 from cclab.codes import _encodings, _node_rule, _output_rule, pdl_encode
 from cclab.protocol import ALICE, BOB, _lift
+from cclab.rectangles import Rectangle
 from cclab.reference import literal_send_protocol
 
 
@@ -191,6 +194,73 @@ def test_computes_on_and_everywhere():
     assert computes_on(leaf, f, "10", "10")
     assert not computes_on(leaf, f, "10", "01")
     assert not computes_everywhere(leaf, f)
+
+
+# the grid folds against a plain run over every help-extended pair
+
+
+def _swept(tree, fns, help_bits):
+    """is_total, then computes_everywhere per function, from plain runs."""
+    a, b = help_bits
+    n = tree.out_len
+    outcomes = {
+        (x, y): [run(tree, x + ha, y + hb) for ha in all_bitstrings(a) for hb in all_bitstrings(b)]
+        for x in all_bitstrings(n)
+        for y in all_bitstrings(n)
+    }
+    total = not any(o.is_stuck for runs in outcomes.values() for o in runs)
+    everywhere = [
+        all(any(o.output == f.value(x, y) for o in runs) for (x, y), runs in outcomes.items())
+        for f in fns
+    ]
+    return total, everywhere
+
+
+@pytest.mark.parametrize(
+    "help_bits,budget", [((0, 0), 18), ((1, 0), 16), ((0, 1), 16), ((1, 1), 16)]
+)
+def test_grid_folds_match_a_plain_run_sweep(help_bits, budget):
+    # no everywhere-correct protocol for identity, eq or ip fits these
+    # budgets, so a constant function makes computes_everywhere say yes too
+    zero = FunctionSpec("zero", 2, False, (("00",) * 4,) * 4)
+    fns = [identity_fn(2), equality_fn(2), inner_product_fn(2), zero]
+    spec = HelpSpec(*help_bits)
+    totals, everywheres = set(), set()
+    for _code, tree in enumerate_signature(2 + help_bits[0], 2 + help_bits[1], 2, budget):
+        total, everywhere = _swept(tree, fns, help_bits)
+        assert is_total(tree) == total
+        assert [computes_everywhere(tree, f, spec) for f in fns] == everywhere
+        totals.add(total)
+        everywheres.update(everywhere)
+    assert totals == everywheres == {False, True}
+
+
+def test_grid_folds_match_a_plain_run_sweep_at_n5():
+    n = 5
+    strings = list(all_bitstrings(n))
+    f = equality_fn(n)
+    low, high = ([s for s in strings if s[0] == c] for c in "01")
+    trees = [
+        large_rectangle_shortcut(f, rects)
+        for rects in (
+            [Rectangle(frozenset(low), frozenset(high))],
+            [Rectangle(frozenset(low), frozenset(high)), Rectangle(frozenset(high), frozenset(low))],
+            [Rectangle(frozenset(["10110"]), frozenset(["10110"]))],
+        )
+    ]
+    stranding = ProtocolTree.symmetric(
+        n, Speak(BOB, NodeFunction.input_bit(4), trees[0].root, StuckLeaf())
+    )
+    fns = [f, inner_product_fn(n)]
+    swept = []
+    for tree in trees + [stranding]:
+        total, everywhere = _swept(tree, fns, (0, 0))
+        assert is_total(tree) == total
+        assert [computes_everywhere(tree, g) for g in fns] == everywhere
+        swept.append((total, everywhere))
+    # both verdicts of both folds occur
+    assert swept[0] == (True, [True, False])
+    assert swept[-1] == (False, [False, False])
 
 
 def test_transcripts_are_prefix_free():
