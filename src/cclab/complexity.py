@@ -35,9 +35,9 @@ from .protocol import (
     _answers,
     _answers_every_pair,
     _check_grid,
+    _help_cells,
     _leaf_masks,
     _no_stuck,
-    _pair_cells,
     bob_message,
     cc_on_input,
     computes_everywhere,
@@ -111,7 +111,7 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     _check_budget(m.alpha)
     a, b = m.help.alice_bits, m.help.bob_bits
     _check_grid_bits(2 * n + a + b, "help-extended input grid")
-    pair = _pair_cells(n, a, b)[bits_to_int(check_bits(x, n)) << n | bits_to_int(check_bits(y, n))]
+    pair = _help_cells(n, a, b, x, y)
     answers = _answers(f, a, b)
     best, best_bits = INF, None
     for bits, node in _enumeration_table(n + a, n + b, n, m.alpha):

@@ -10,14 +10,15 @@ computation that never answers.
 Inputs may have different lengths per party (used for help-extended runs);
 the plain case is symmetric with output width equal to the input length.
 
-Two engines read a tree.  A single pair is walked from the root (`run`,
-`bob_message`, `cc_with_help`).  A question about the whole input grid is a
-fold over one pass of integer cell masks instead: cell xa << nb | yb
-stands for Alice's input xa and Bob's input yb, each speak node splits the
-cells that reach it by where its function reads 1, and every leaf ends up
-with the rectangle of cells that reach it and its depth, the transcript
-length of each of those runs (`is_total`, `computes_everywhere`, and the
-family scans in `complexity`).
+Two engines read a tree.  A single pair is walked from the root by `run`
+and `bob_message`.  Every other question is a fold over one pass of
+integer cell masks instead: cell xa << nb | yb stands for Alice's input xa
+and Bob's input yb, each speak node splits the cells that reach it by
+where its function reads 1, and every leaf ends up with the rectangle of
+cells that reach it and its depth, the transcript length of each of those
+runs (`is_total`, `computes_everywhere`, the family scans in `complexity`,
+and `cc_with_help`, which folds a tree once and then answers each pair by
+a mask test).
 """
 
 from __future__ import annotations
@@ -414,15 +415,28 @@ def _leaf_masks(
 
 
 @lru_cache(maxsize=64)
-def _pair_cells(n: int, alice_bits: int, bob_bits: int) -> tuple[int, ...]:
-    """Per base pair, index x << n | y, its cells in the help-extended grid."""
+def _help_block(alice_bits: int, bob_bits: int, nb: int) -> int:
+    """The help-extended cells of base pair (0, 0) in a grid of nb-bit columns."""
+    rows = sum(1 << (ha << nb) for ha in range(1 << alice_bits))
+    return rows * ((1 << (1 << bob_bits)) - 1)
+
+
+def _help_cells(n: int, alice_bits: int, bob_bits: int, x: str, y: str) -> int:
+    """The help-extended cells of base pair (x, y), which are checked here.
+
+    Help bits trail the base input, so these are the cells of (0, 0)
+    shifted to the pair's corner; no table over every pair is built.
+    """
     nb = n + bob_bits
-    block = (1 << (1 << bob_bits)) - 1
-    cells = []
-    for x in range(1 << n):
-        rows = sum(1 << ((x << alice_bits | ha) << nb) for ha in range(1 << alice_bits))
-        cells.extend(rows * (block << (y << bob_bits)) for y in range(1 << n))
-    return tuple(cells)
+    corner = int(check_bits(x, n), 2) << alice_bits + nb | int(check_bits(y, n), 2) << bob_bits
+    return _help_block(alice_bits, bob_bits, nb) << corner
+
+
+@lru_cache(maxsize=64)
+def _base_cells(n: int, alice_bits: int, bob_bits: int) -> int:
+    """The cell of every base pair with both help strings all zero."""
+    rows = sum(1 << (x << alice_bits + n + bob_bits) for x in range(1 << n))
+    return rows * sum(1 << (y << bob_bits) for y in range(1 << n))
 
 
 @lru_cache(maxsize=64)
@@ -436,11 +450,12 @@ def _answers(f: FunctionSpec, alice_bits: int, bob_bits: int):
     block = (1 << (1 << bob_bits)) - 1
     # rows[x][v]: the cells of one extended row of x whose base column y has f(x, y) == v
     rows = []
-    for x in all_bitstrings(n):
+    for cells_row in f.cells:
         row: dict[str, int] = {}
-        for j, y in enumerate(all_bitstrings(n)):
-            v = f.value(x, y)
+        for j, v in enumerate(cells_row):
             row[v] = row.get(v, 0) | block << (j << bob_bits)
+        if f.boolean:
+            row = {embed_bit(int(v), n): cells for v, cells in row.items()}
         rows.append(row)
     inputs = list(all_bitstrings(n + alice_bits))
 
@@ -469,7 +484,14 @@ def _answers_every_pair(leaves, f: FunctionSpec, help_spec: HelpSpec) -> bool:
             correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
     if not (a or b):  # each pair is one cell
         return correct == (1 << (1 << 2 * f.n)) - 1
-    return all(pair & correct for pair in _pair_cells(f.n, a, b))
+    # slide each help string's cells onto the pairs' all-zero help cells
+    nb = f.n + b
+    reached = 0
+    for ha in range(1 << a):
+        for hb in range(1 << b):
+            reached |= correct >> (ha << nb | hb)
+    base = _base_cells(f.n, a, b)
+    return reached & base == base
 
 
 def is_total(tree: ProtocolTree) -> bool:
@@ -503,6 +525,38 @@ def computes_everywhere(
     return _answers_every_pair(_leaf_masks(tree.root, tree.n_alice, tree.n_bob), f, help_spec)
 
 
+# The fold for the last (tree, f, help counts) that cc_with_help saw:
+# callers ask about every pair of one tree before moving on.  It caches a
+# pure result, so it changes no answer.  Trees are frozen and the slot
+# holds them, so an identity hit cannot be a recycled id.
+_last_fold: list = [None, None, (), ()]
+
+
+def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tuple:
+    """(depth, cells) for every depth whose output leaves answer f on some cell.
+
+    Ascending by depth, nonempty cells only.  One grid fold per (tree, f,
+    help counts), held in a one-slot memo; the checks that read only that
+    key run on a miss.
+    """
+    a, b = help_spec.alice_bits, help_spec.bob_bits
+    last_tree, last_f, last_help, correct_at = _last_fold
+    if tree is last_tree and (f is last_f or f == last_f) and (a, b) == last_help:
+        return correct_at
+    _check_help_shape(tree, f, help_spec)
+    _check_grid(tree)
+    answers = _answers(f, a, b)
+    by_depth: dict[int, int] = {}
+    for cells, depth, leaf in _leaf_masks(tree.root, tree.n_alice, tree.n_bob):
+        if type(leaf) is OutputLeaf:
+            hit = cells & answers(leaf.fn.kind, leaf.fn.value)
+            if hit:
+                by_depth[depth] = by_depth.get(depth, 0) | hit
+    correct_at = tuple(sorted(by_depth.items()))
+    _last_fold[:] = tree, f, (a, b), correct_at
+    return correct_at
+
+
 def cc_with_help(
     tree: ProtocolTree, f: FunctionSpec, x: str, y: str, help_spec: HelpSpec = HelpSpec()
 ) -> int | float:
@@ -512,23 +566,15 @@ def cc_with_help(
     n + bob_bits) with output width n; the answer is compared against
     f on the base pair.  With no help bits (the default) this is the
     number of bits spoken on (x, y) when the answer is right, else
-    infinity.
+    infinity.  It is the least depth whose correct cells meet the pair's
+    help cells.
     """
-    _check_help_shape(tree, f, help_spec)
-    _check_grid(tree)
-    want = f.value(x, y)
-    best: int | float = math.inf
-    for ha in all_bitstrings(help_spec.alice_bits):
-        xa = x + ha
-        for hb in all_bitstrings(help_spec.bob_bits):
-            bits, node = _walk(tree, xa, y + hb)
-            if (
-                len(bits) < best
-                and isinstance(node, OutputLeaf)
-                and node.fn.evaluate(xa, f.n) == want
-            ):
-                best = len(bits)
-    return best
+    correct_at = _correct_at(tree, f, help_spec)
+    pair = _help_cells(f.n, help_spec.alice_bits, help_spec.bob_bits, x, y)
+    for depth, cells in correct_at:
+        if cells & pair:
+            return depth
+    return math.inf
 
 
 def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
@@ -565,7 +611,8 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
     cell 2^extra times.  Constants, bit reads and constant answers read the
     same on the longer input and pass through unchanged; every other answer
     reads Alice's whole input, so it is tabulated at base width and lifted
-    as a table.
+    as a table.  A stuck leaf becomes the constant answer 0...0, so the
+    lifted tree is total.
     """
     if isinstance(node, Speak):
         extra = extra_alice if node.owner == ALICE else extra_bob
@@ -578,6 +625,8 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
             _lift(node.child0, n, extra_alice, extra_bob),
             _lift(node.child1, n, extra_alice, extra_bob),
         )
+    if isinstance(node, StuckLeaf):
+        return OutputLeaf(OutputFunction("const", "0" * n))
     if isinstance(node, OutputLeaf) and extra_alice and node.fn.kind != "const":
         cells = [node.fn.evaluate(u, n) for u in all_bitstrings(n)]
         return OutputLeaf(OutputFunction("table", _repeat_cells(cells, extra_alice)))
@@ -588,16 +637,6 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
 def _lifted_default(f: FunctionSpec, extra_alice: int, extra_bob: int) -> Node:
     """The totalizer's literal-send default, built and lifted once per f and mode."""
     return _lift(_spell_input(BOB, f.n, _table_answer(f)), f.n, extra_alice, extra_bob)
-
-
-def _totalize(node: Node, filler: Node) -> Node:
-    if isinstance(node, StuckLeaf):
-        return filler
-    if isinstance(node, Speak):
-        return Speak(
-            node.owner, node.fn, _totalize(node.child0, filler), _totalize(node.child1, filler)
-        )
-    return node
 
 
 def help_bit_totalizer(
@@ -623,12 +662,11 @@ def help_bit_totalizer(
     n = f.n
     extra_alice = 1 if mode in ("both", "alice-only") else 0
     extra_bob = 1 if mode in ("both", "bob-only") else 0
-    filler = OutputLeaf(OutputFunction.const("0" * n))
     root = Speak(
         BOB if extra_bob else ALICE,
         NodeFunction.input_bit(n),
         _lifted_default(f, extra_alice, extra_bob),
-        _lift(_totalize(tree.root, filler), n, extra_alice, extra_bob),
+        _lift(tree.root, n, extra_alice, extra_bob),
     )
     return ProtocolTree(n + extra_alice, n + extra_bob, n, root)
 

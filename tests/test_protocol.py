@@ -1,6 +1,9 @@
 """Protocol trees: execution, predicates, help bits."""
 
 import hashlib
+import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -321,6 +324,111 @@ def test_cc_with_help_refuses_an_oversized_help_grid():
     tree = ProtocolTree(21, 1, 1, OutputLeaf(OutputFunction.const("0")))
     with pytest.raises(UsageError):
         cc_with_help(tree, identity_fn(1), "0", "0", HelpSpec(20, 0))
+
+
+# cc_with_help against a plain walk over every help string
+
+
+def _walked_cost(tree, want, x, y, help_spec):
+    """Least depth of a run on (x, y) that announces want, over every help string."""
+    best = INF
+    for ha in _HELP_STRINGS[help_spec.alice_bits]:
+        xa = x + ha
+        for hb in _HELP_STRINGS[help_spec.bob_bits]:
+            yb = y + hb
+            node, depth = tree.root, 0
+            while isinstance(node, Speak):
+                bit = node.fn.evaluate(xa if node.owner == ALICE else yb)
+                node = node.child1 if bit else node.child0
+                depth += 1
+            if isinstance(node, OutputLeaf) and node.fn.evaluate(xa, len(x)) == want:
+                best = min(best, depth)
+    return best
+
+
+_HELP_STRINGS = {0: [""], 1: ["0", "1"]}
+_MODE_SPECS = {"both": HelpSpec(1, 1), "alice-only": HelpSpec(1, 0), "bob-only": HelpSpec(0, 1)}
+
+
+def test_cc_with_help_matches_a_plain_walk_in_shuffled_order():
+    # every tree of (2,2,2,18) and its three totalizer wraps, for identity,
+    # eq and ip; each (tree, f, help) case is asked in two runs of 8 pairs
+    # and the runs of all cases are shuffled, so the memo misses and hits
+    # across trees, functions and help counts
+    pairs = [(x, y) for x in all_bitstrings(2) for y in all_bitstrings(2)]
+    fns = [identity_fn(2), equality_fn(2), inner_product_fn(2)]
+    rng = random.Random(9)
+    runs = []
+    for _code, tree in enumerate_signature(2, 2, 2, 18):
+        for f in fns:
+            cases = [(tree, HelpSpec())]
+            cases += [(help_bit_totalizer(tree, f, m), s) for m, s in _MODE_SPECS.items()]
+            for case in cases:
+                order = rng.sample(pairs, len(pairs))
+                runs += [(*case, f, order[:8]), (*case, f, order[8:])]
+    rng.shuffle(runs)
+    costs, wrong = set(), []
+    for tree, spec, f, run_pairs in runs:
+        for x, y in run_pairs:
+            want = _walked_cost(tree, f.value(x, y), x, y, spec)
+            if cc_with_help(tree, f, x, y, spec) != want:
+                wrong.append((tree, f.name, spec, x, y))
+            costs.add(want)
+    assert wrong == []
+    assert costs == {0, 1, 2, 3, INF}
+
+
+def test_cc_with_help_after_a_hit_on_another_function_or_an_equal_tree():
+    copy_x = OutputLeaf(OutputFunction.copy_x())
+    tree = ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.input_bit(0), StuckLeaf(), copy_x))
+    ident, eq = identity_fn(2), equality_fn(2)
+    # the same tree, then another f with the same n
+    assert cc_with_help(tree, ident, "10", "10") == 1
+    assert cc_with_help(tree, eq, "10", "10") == INF
+    assert cc_with_help(tree, eq, "00", "10") == 1
+    assert cc_with_help(tree, ident, "10", "10") == 1
+    # an equal tree that is a distinct object, and an equal f
+    twin = ProtocolTree(2, 2, 2, tree.root)
+    assert twin == tree and twin is not tree
+    assert cc_with_help(twin, identity_fn(2), "11", "11") == 1
+    assert cc_with_help(twin, identity_fn(2), "11", "01") == INF
+    other = ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.input_bit(0), copy_x, StuckLeaf()))
+    assert cc_with_help(other, ident, "11", "11") == INF
+    assert cc_with_help(other, ident, "01", "01") == 1
+
+
+def test_cc_with_help_checks_every_call_after_a_hit():
+    tree = literal_identity(2)
+    f = identity_fn(2)
+    assert cc_with_help(tree, f, "01", "10") == 2
+    for x, y in (("0", "10"), ("01", "102"), ("01", None), ("011", "10")):
+        with pytest.raises(ValueError):
+            cc_with_help(tree, f, x, y)
+    # a shape mismatch on the same tree is refused, not read from the memo
+    with pytest.raises(UsageError):
+        cc_with_help(tree, f, "01", "10", HelpSpec(1, 0))
+    with pytest.raises(UsageError):
+        cc_with_help(tree, identity_fn(3), "010", "100")
+    assert cc_with_help(tree, f, "01", "10") == 2
+
+
+def test_cc_with_help_first_call_at_n7_is_one_fold_without_pair_tables():
+    f = identity_fn(7)
+    wrapped = help_bit_totalizer(literal_identity(7), f, "both")
+    spec = HelpSpec(1, 1)
+    start = time.perf_counter()
+    assert cc_with_help(wrapped, f, "0110101", "1011001", spec) == 8
+    assert time.perf_counter() - start < 2
+    # a table of every pair's help cells would hold 2^14 masks of 8 KB each
+    bob_only = help_bit_totalizer(literal_identity(7), f, "bob-only")
+    tracemalloc.start()
+    try:
+        assert cc_with_help(bob_only, f, "1111111", "0000000", HelpSpec(0, 1)) == 8
+        assert computes_everywhere(wrapped, f, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_help_spec_validation():
