@@ -39,9 +39,9 @@ from .protocol import (
     OutputLeaf,
     ProtocolTree,
     Speak,
+    _bob_message_classes,
     _spell_input,
     _table_answer,
-    bob_message,
     run,
 )
 from .rectangles import rectangle_color
@@ -339,9 +339,10 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
 HARD_INSTANCE_SCHEMA = "cclab-hard-instance/1"
 
 # Replay rebuilds an instance from stored parameters, so they are bounded
-# before any work starts: the fiber scan walks all 2^k blocks, and the
-# companion's exchange tree has one leaf per answer to its 2^(a+b+s) slot
-# queries, 2^(2^(a+b+s)) leaves in all (65,536 at a+b+s = 4).
+# before any work starts: each fiber mask holds one bit per k-bit block,
+# 2^k bits in all, and the companion's exchange tree has one leaf per
+# answer to its 2^(a+b+s) slot queries, 2^(2^(a+b+s)) leaves in all
+# (65,536 at a+b+s = 4).
 _MAX_HARD_K = 16
 _MAX_HARD_SLOTS_LOG = 4
 
@@ -429,11 +430,14 @@ class HardInstance:
 
     The fiber label of a k-bit block z records, for every enumerated
     one-way protocol and every Bob help string, Bob's message on the
-    padded input when shorter than l (an infinity marker otherwise).  A
-    fiber with more members than served triples yields a family whose
-    concatenation is x; the certificate stores, per (protocol, help)
-    triple, which family member it serves, and the hard index is the
-    first member no triple serves.
+    padded input when shorter than l (an infinity marker otherwise).  The
+    fibers come from splitting all 2^k blocks into message classes once
+    per (protocol, help string), not from running each block; the largest
+    fiber wins, ties going to the greatest label, with the infinity
+    marker above every message.  A fiber with more members than served
+    triples yields a family whose concatenation is x; the certificate
+    stores, per (protocol, help) triple, which family member it serves,
+    and the hard index is the first member no triple serves.
     """
 
     k: int
@@ -505,14 +509,6 @@ class HardInstance:
         return inst
 
 
-def _fiber_message(tree: ProtocolTree, y_ext: str, l: int) -> str | None:
-    # one-way walk; None is the infinity marker (stuck or too long)
-    msg = bob_message(tree, y_ext)
-    if msg is None or len(msg) >= l:
-        return None
-    return msg
-
-
 def _build_hard_instance(
     k: int, s: int, l: int, a: int, b: int, budget: int, seed: int | None = None
 ) -> HardInstance:
@@ -538,20 +534,25 @@ def _build_hard_instance(
             f"fiber floor 2^{exponent} cannot exceed 2^{a + b + s}: "
             f"budget {budget} admits too many protocols for k={k}, l={l}"
         )
-    help_bob = list(all_bitstrings(b))
-    fibers: dict = {}
-    for z in all_bitstrings(k):
-        y = z + "0" * (n - k)
-        label = tuple(
-            _fiber_message(tree, y + hb, l)
-            for _, tree in protos
-            for hb in help_bob
-        )
-        fibers.setdefault(label, []).append(z)
-    label, members = max(
+    # fibers as {label: mask}, bit z of the mask standing for block z,
+    # refined by Bob's message classes one (protocol, help string) at a time
+    suffixes = ["0" * (n - k) + hb for hb in all_bitstrings(b)]
+    fibers = {(): (1 << (1 << k)) - 1}
+    for _, tree in protos:
+        for suffix in suffixes:
+            classes = _bob_message_classes(tree, k, suffix, l)
+            fibers = {
+                label + (message,): both
+                for label, fiber in fibers.items()
+                for message, cls in classes.items()
+                if (both := fiber & cls)
+            }
+    label, fiber = max(
         fibers.items(),
-        key=lambda kv: (len(kv[1]), tuple("~" if c is None else c for c in kv[0])),
+        key=lambda kv: (kv[1].bit_count(), tuple("~" if c is None else c for c in kv[0])),
     )
+    # ascending block values, in the order all_bitstrings(k) spells them
+    members = [z for z, bit in enumerate(reversed(format(fiber, "b"))) if bit == "1"]
     floor = 1 << exponent
     if len(members) < floor:
         raise AuditFailure(
@@ -563,10 +564,8 @@ def _build_hard_instance(
             f"pigeonhole failed: best fiber has {len(members)} members, "
             f"needs more than {blocks - 1}"
         )
-    if seed is None:
-        chosen = members[:blocks]
-    else:
-        chosen = sorted(Random(seed).sample(members, blocks))
+    picked = members[:blocks] if seed is None else sorted(Random(seed).sample(members, blocks))
+    chosen = [bits_from_int(z, k) for z in picked]
     x = "".join(chosen)
     y_family = tuple(z + "0" * (n - k) for z in chosen)
 

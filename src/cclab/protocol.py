@@ -12,13 +12,18 @@ the plain case is symmetric with output width equal to the input length.
 
 Two engines read a tree.  A single pair is walked from the root by `run`
 and `bob_message`.  Every other question is a fold over one pass of
-integer cell masks instead: cell xa << nb | yb stands for Alice's input xa
-and Bob's input yb, each speak node splits the cells that reach it by
-where its function reads 1, and every leaf ends up with the rectangle of
-cells that reach it and its depth, the transcript length of each of those
-runs (`is_total`, `computes_everywhere`, the family scans in `complexity`,
-and `cc_with_help`, which folds a tree once and then answers each pair by
-a mask test).
+integer masks instead, in which each speak node splits the masked inputs
+that reach it by where its function reads 1:
+
+- over the grid, cell xa << nb | yb stands for Alice's input xa and Bob's
+  input yb, and every leaf ends up with the rectangle of cells that reach
+  it and its depth, the transcript length of each of those runs
+  (`is_total`, `computes_everywhere`, the family scans in `complexity`,
+  and `cc_with_help`, which folds a tree once and then answers each pair
+  by a mask test);
+- for the hard-instance fibers, bit z stands for Bob's input made of the
+  k-bit block z and a fixed suffix, and the blocks are split into classes
+  by Bob's one-way message (`_bob_message_classes`).
 """
 
 from __future__ import annotations
@@ -349,6 +354,48 @@ def bob_message(tree: ProtocolTree, y: str) -> str | None:
     # Alice never speaks in a one-way tree, so her input is never read
     bits, node = _walk(tree, "", y)
     return bits if isinstance(node, OutputLeaf) else None
+
+
+@lru_cache(maxsize=4096)
+def _block_reads_one(kind: str, index: int, table: str, k: int, suffix: str) -> int:
+    """Blocks z of k bits where a node function of Bob's input z + suffix reads 1.
+
+    Keyed by the function's fields, like `_reads_one`.
+    """
+    fn = NodeFunction(kind, index, table)
+    return sum(1 << z for z, u in enumerate(all_bitstrings(k)) if fn.evaluate(u + suffix))
+
+
+def _bob_message_classes(tree: ProtocolTree, k: int, suffix: str, l: int) -> dict:
+    """`bob_message` on z + suffix for every k-bit block z, shorter than l bits.
+
+    Returns {message: blocks}, where bit z of blocks is set for each block
+    value z whose run sends that message.  The message is None, the
+    infinity marker, where the run ends at a stuck leaf or speaks l bits.
+    Each speak node splits the blocks that reach it, so no block is walked
+    on its own.
+    """
+    if not is_one_way(tree):
+        raise UsageError("bob_message requires a one-way protocol")
+    if k + len(check_bits(suffix)) != tree.n_bob:
+        raise UsageError(f"a {k}-bit block and the suffix do not make Bob's {tree.n_bob} bits")
+    classes: dict = {}
+    todo = [(tree.root, (1 << (1 << k)) - 1, "")]
+    while todo:
+        node, blocks, bits = todo.pop()
+        while type(node) is Speak and len(bits) < l:
+            fn = node.fn
+            ones = blocks & _block_reads_one(fn.kind, fn.index, fn.table, k, suffix)
+            if not ones:
+                node, bits = node.child0, bits + "0"
+            elif ones == blocks:
+                node, bits = node.child1, bits + "1"
+            else:
+                todo.append((node.child0, blocks ^ ones, bits + "0"))
+                node, blocks, bits = node.child1, ones, bits + "1"
+        message = bits if type(node) is OutputLeaf and len(bits) < l else None
+        classes[message] = classes.get(message, 0) | blocks
+    return classes
 
 
 def cc_on_input(tree: ProtocolTree, f: FunctionSpec, x: str, y: str) -> int | float:

@@ -1,6 +1,8 @@
 """Protocol builders and the hard-instance engine."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
 import random
 
@@ -9,10 +11,18 @@ import pytest
 from cclab import (
     AuditFailure,
     HardInstance,
+    NodeFunction,
+    OutputFunction,
+    OutputLeaf,
+    PdlCode,
+    ProtocolTree,
+    Speak,
+    StuckLeaf,
     UsageError,
     all_bitstrings,
     bob_message,
     computes_everywhere,
+    decode_signature,
     equality_fn,
     equality_shortcut_protocol,
     fit_node_function,
@@ -20,6 +30,7 @@ from cclab import (
     is_one_way,
     large_rectangle_shortcut,
     message_protocol,
+    pdl_encode,
     prefix_protocol,
     replay_hard_instance,
     run,
@@ -28,6 +39,8 @@ from cclab import (
     th7_protocol,
     verify_certificate,
 )
+from cclab import constructions
+from cclab.protocol import BOB
 from cclab.rectangles import Rectangle
 from cclab.reference import off_diagonal_quadrant
 
@@ -186,6 +199,78 @@ def test_helpbit_hard_instance_pinned_shape():
     assert inst.companion_kind == "help-routed"
     assert inst.companion_cost == inst.companion_bound_bits == 41
     assert verify_certificate(inst)
+
+
+# SHA-256 of every certificate and refusal over a small parameter sweep,
+# taken while the fiber scan still ran each block on its own
+_CERTIFICATES_HASH = "3b61883559cb473075403f690cec4db6653d85eefd94a6de1c526a28a3c15422"
+
+
+def test_certificates_are_pinned():
+    digest = hashlib.sha256()
+    speaking = 0
+    for k, s, l, a, b, budget, seed in itertools.product(
+        range(1, 9), (0, 1, 2), (1, 2), (0, 1), (0, 1), (0, 2, 4, 6, 9, 12, 16), (None, 3)
+    ):
+        try:
+            inst = helpbit_hard_instance(k, s, l, a, b, budget, seed)
+        except (UsageError, AuditFailure) as exc:
+            digest.update(str(exc).encode() + b"\n")
+            continue
+        digest.update(inst.to_json().encode() + b"\n")
+        speaking += any(
+            isinstance(decode_signature(PdlCode.from_hex(h), inst.n + a, inst.n + b, inst.n).root, Speak)
+            for h in inst.protocols
+        )
+    # budgets up to 16 at s = 2 and k >= 7 admit protocols in which Bob speaks
+    assert speaking
+    assert digest.hexdigest() == _CERTIFICATES_HASH
+
+
+def _fiber_by_walk(trees, k, n, b, l):
+    """The widest fiber, from one bob_message walk per block and Bob help string."""
+    fibers = {}
+    for z in all_bitstrings(k):
+        label = []
+        for tree in trees:
+            for hb in all_bitstrings(b):
+                message = bob_message(tree, z + "0" * (n - k) + hb)
+                label.append(None if message is None or len(message) >= l else message)
+        fibers.setdefault(tuple(label), []).append(z)
+    return max(fibers.items(), key=lambda kv: (len(kv[1]), tuple("~" if c is None else c for c in kv[0])))
+
+
+def _bob(fn, child0, child1):
+    return Speak(BOB, fn, child0, child1)
+
+
+@pytest.mark.parametrize("b,l", [(0, 2), (1, 3)])
+def test_fibers_that_split_match_a_walk_per_block(monkeypatch, b, l):
+    # the enumerated pools that the serving bound admits hold only leaves
+    # and constant speak nodes, which split nothing, so these hand-built
+    # pools of Bob speak nodes on the block (and on the help bit) stand in;
+    # every split below halves the blocks, so the widest fibers tie and
+    # the label decides
+    k, n = 8, 24
+    zero, copy = OutputLeaf(OutputFunction.const("0" * n)), OutputLeaf(OutputFunction.copy_x())
+    bit, notbit = NodeFunction.input_bit, NodeFunction.negated_bit
+    if b == 0:
+        roots = [
+            _bob(bit(0), StuckLeaf(), zero),
+            _bob(bit(1), copy, _bob(bit(2), zero, copy)),
+        ]
+    else:
+        roots = [_bob(bit(n), _bob(bit(0), StuckLeaf(), zero), _bob(notbit(3), copy, StuckLeaf()))]
+    trees = [ProtocolTree(n, n + b, n, root) for root in roots]
+    monkeypatch.setattr(
+        constructions, "enumerate_signature", lambda *args, **kw: [(pdl_encode(t), t) for t in trees]
+    )
+    label, members = _fiber_by_walk(trees, k, n, b, l)
+    assert len(members) == 1 << k - 2
+    for seed in (None, 3, 8):
+        inst = helpbit_hard_instance(k, 1 - b, l, 0, b, 0, seed)
+        chosen = members[:3] if seed is None else sorted(random.Random(seed).sample(members, 3))
+        assert (inst.fiber_label, inst.fiber_size, inst.z_blocks) == (label, len(members), tuple(chosen))
 
 
 def test_helpbit_precondition_guard():

@@ -38,7 +38,7 @@ from cclab import (
 )
 from cclab.bits import all_bitstrings
 from cclab.codes import _encodings, _node_rule, _output_rule, pdl_encode
-from cclab.protocol import ALICE, BOB, _lift
+from cclab.protocol import ALICE, BOB, _bob_message_classes, _lift
 from cclab.rectangles import Rectangle
 from cclab.reference import literal_send_protocol
 
@@ -171,6 +171,43 @@ def test_bob_message_matches_run():
         for y in all_bitstrings(2):
             outcome = run(tree, "00", y)
             assert bob_message(tree, y) == (None if outcome.is_stuck else outcome.transcript)
+
+
+def _classes_by_walk(tree, k, suffix):
+    """{message or None: blocks} for l = 1..4, from one bob_message walk per block."""
+    messages = [bob_message(tree, z + suffix) for z in all_bitstrings(k)]
+    by_l = {}
+    for l in range(1, 5):
+        classes = by_l[l] = {}
+        for z, message in enumerate(messages):
+            if message is not None and len(message) >= l:
+                message = None
+            classes[message] = classes.get(message, 0) | 1 << z
+    return by_l
+
+
+@pytest.mark.parametrize("signature,budget", [((2, 2, 2), 18), ((1, 3, 1), 18), ((2, 4, 2), 16)])
+def test_bob_message_classes_match_a_walk_per_block(signature, budget):
+    # k = nb reads the whole of Bob's input; k < nb adds every suffix,
+    # the zero padding and help strings of hard instances among them
+    nb = signature[1]
+    trees = [tree for _code, tree in enumerate_signature(*signature, budget, require_one_way=True)]
+    assert any(isinstance(t.root, Speak) and tree_has_stuck(t.root) for t in trees)
+    for tree in trees:
+        for k in range(1, nb + 1):
+            for suffix in all_bitstrings(nb - k):
+                for l, classes in _classes_by_walk(tree, k, suffix).items():
+                    assert _bob_message_classes(tree, k, suffix, l) == classes
+
+
+def test_bob_message_classes_require_one_way_and_bob_width():
+    alice = ProtocolTree(
+        1, 1, 1, Speak(ALICE, NodeFunction.const(0), OutputLeaf(OutputFunction.const("0")), StuckLeaf())
+    )
+    with pytest.raises(UsageError):
+        _bob_message_classes(alice, 1, "", 1)
+    with pytest.raises(UsageError):
+        _bob_message_classes(literal_identity(2), 1, "", 1)
 
 
 def test_totality_is_semantic():
