@@ -105,6 +105,9 @@ class FunctionSpec:
 
 
 def _grid(n: int, fn) -> tuple[tuple[str, ...], ...]:
+    # refused here, as FunctionSpec would, before any string of n bits is made
+    if n < 1:
+        raise ValueError("n must be positive")
     _check_grid_bits(2 * n)
     xs = list(all_bitstrings(n))
     return tuple(tuple(fn(x, y) for y in xs) for x in xs)

@@ -24,6 +24,18 @@ that reach it by where its function reads 1:
 - for the hard-instance fibers, bit z stands for Bob's input made of the
   k-bit block z and a fixed suffix, and the blocks are split into classes
   by Bob's one-way message (`_bob_message_classes`).
+
+`cc_with_help` looks each pair's cells up in a memo instead of parsing the
+strings again, and `_pairs_within` slides every depth of the fold over the
+help shifts at once, so a law over all pairs (the `helpbits` suite's
+totalizer bound) is checked on masks in one pass per tree.
+
+Every tree is validated on construction, but a subtree already proven at
+the same widths (`_prove`) is not walked again where its height keeps it
+within the depth cap.  `help_bit_totalizer` proves its default once per
+function and mode, and the lift of the wrapped protocol once per protocol
+and mode, shared by every function asked about that protocol; only the
+last protocol's lifts are kept.
 """
 
 from __future__ import annotations
@@ -238,13 +250,75 @@ def default_depth_cap(n_alice: int, n_bob: int) -> int:
     return 4 * max(n_alice, n_bob, 1)
 
 
+# Subtrees already validated, per widths: (n_alice, n_bob, out_len) ->
+# {id(node): (node, height)}.  Holding the node means a recycled id cannot
+# give a false hit.  Only `_prove` fills it, and it stays small: the
+# totalizer's defaults and the last tree's lifts (`_shared_lift`), oldest
+# dropped past the limit.  Trees of widths with no proofs look nothing up.
+_proven: dict = {}
+_PROVEN_LIMIT = 64
+
+
+def _validate(node: Node, depth: int, cap: int, widths: tuple, proven) -> None:
+    """Check the subtree reached at depth against the widths and the depth cap.
+
+    A subtree in proven, the proofs at exactly these widths, is skipped
+    when its height keeps it within the cap.  Everything else, every
+    failure included, is walked in full, so the error raised is the one a
+    full walk meets first.
+    """
+    if proven is not None:
+        hit = proven.get(id(node))
+        if hit is not None and hit[0] is node and depth + hit[1] <= cap:
+            return
+    if depth > cap:
+        raise UsageError(f"tree exceeds depth cap {cap}")
+    if isinstance(node, Speak):
+        if node.owner not in (ALICE, BOB):
+            raise UsageError(f"unknown owner {node.owner!r}")
+        node.fn.validate(widths[0] if node.owner == ALICE else widths[1])
+        _validate(node.child0, depth + 1, cap, widths, proven)
+        _validate(node.child1, depth + 1, cap, widths, proven)
+    elif isinstance(node, OutputLeaf):
+        node.fn.validate(widths[0], widths[2])
+    elif not isinstance(node, StuckLeaf):
+        raise UsageError(f"unknown node {node!r}")
+
+
+def _height(node: Node) -> int:
+    if isinstance(node, Speak):
+        return 1 + max(_height(node.child0), _height(node.child1))
+    return 0
+
+
+def _prove(node: Node, n_alice: int, n_bob: int, out_len: int) -> None:
+    """Validate node once as a tree of these widths and remember its height.
+
+    A node that fails is not remembered: the tree that holds it then walks
+    it in full and raises there.
+    """
+    widths = (n_alice, n_bob, out_len)
+    proven = _proven.setdefault(widths, {})
+    hit = proven.get(id(node))
+    if hit is not None and hit[0] is node:
+        return
+    try:
+        _validate(node, 0, default_depth_cap(n_alice, n_bob), widths, proven)
+    except UsageError:
+        return
+    if len(proven) >= _PROVEN_LIMIT:
+        del proven[next(iter(proven))]
+    proven[id(node)] = node, _height(node)
+
+
 @dataclass(frozen=True)
 class ProtocolTree:
     """A protocol with declared input lengths and output width.
 
     The tree is validated on construction: node functions must match the
     owner's input length, output functions the output width, and every
-    root-to-leaf path must stay within the depth cap.
+    root-to-leaf path must stay within the depth cap.  Subtrees proven at
+    the same widths are not walked again (`_validate`).
     """
 
     n_alice: int
@@ -256,21 +330,8 @@ class ProtocolTree:
         if min(self.n_alice, self.n_bob, self.out_len) < 1:
             raise UsageError("input lengths and output width must be positive")
         cap = default_depth_cap(self.n_alice, self.n_bob)
-        self._validate(self.root, 0, cap)
-
-    def _validate(self, node: Node, depth: int, cap: int) -> None:
-        if depth > cap:
-            raise UsageError(f"tree exceeds depth cap {cap}")
-        if isinstance(node, Speak):
-            if node.owner not in (ALICE, BOB):
-                raise UsageError(f"unknown owner {node.owner!r}")
-            node.fn.validate(self.n_alice if node.owner == ALICE else self.n_bob)
-            self._validate(node.child0, depth + 1, cap)
-            self._validate(node.child1, depth + 1, cap)
-        elif isinstance(node, OutputLeaf):
-            node.fn.validate(self.n_alice, self.out_len)
-        elif not isinstance(node, StuckLeaf):
-            raise UsageError(f"unknown node {node!r}")
+        widths = (self.n_alice, self.n_bob, self.out_len)
+        _validate(self.root, 0, cap, widths, _proven.get(widths))
 
     @classmethod
     def symmetric(cls, n: int, root: Node) -> "ProtocolTree":
@@ -468,11 +529,14 @@ def _help_block(alice_bits: int, bob_bits: int, nb: int) -> int:
     return rows * ((1 << (1 << bob_bits)) - 1)
 
 
+@lru_cache(maxsize=256)
 def _help_cells(n: int, alice_bits: int, bob_bits: int, x: str, y: str) -> int:
     """The help-extended cells of base pair (x, y), which are checked here.
 
     Help bits trail the base input, so these are the cells of (0, 0)
     shifted to the pair's corner; no table over every pair is built.
+    Callers ask about the same few pairs over and over, so the answers are
+    memoized; a refused pair raises and leaves nothing behind.
     """
     nb = n + bob_bits
     corner = int(check_bits(x, n), 2) << alice_bits + nb | int(check_bits(y, n), 2) << bob_bits
@@ -531,14 +595,38 @@ def _answers_every_pair(leaves, f: FunctionSpec, help_spec: HelpSpec) -> bool:
             correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
     if not (a or b):  # each pair is one cell
         return correct == (1 << (1 << 2 * f.n)) - 1
-    # slide each help string's cells onto the pairs' all-zero help cells
-    nb = f.n + b
+    return _slid_onto_pairs(correct, f.n, a, b) == _base_cells(f.n, a, b)
+
+
+def _slid_onto_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
+    """The base cells of the pairs that have a cell in cells under some help string.
+
+    Each help string's cells are slid onto the pairs' all-zero help cells.
+    """
+    nb = n + bob_bits
     reached = 0
-    for ha in range(1 << a):
-        for hb in range(1 << b):
-            reached |= correct >> (ha << nb | hb)
-    base = _base_cells(f.n, a, b)
-    return reached & base == base
+    for ha in range(1 << alice_bits):
+        for hb in range(1 << bob_bits):
+            reached |= cells >> (ha << nb | hb)
+    return reached & _base_cells(n, alice_bits, bob_bits)
+
+
+@lru_cache(maxsize=4096)
+def _plain_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
+    """The pairs whose base cell is in cells, as bit x << n | y of the plain grid.
+
+    A change of coordinates, keyed by the mask: the few masks a family of
+    trees produces are each translated once.
+    """
+    if not (alice_bits or bob_bits):
+        return cells
+    row = alice_bits + n + bob_bits
+    return sum(
+        1 << (x << n | y)
+        for x in range(1 << n)
+        for y in range(1 << n)
+        if cells >> (x << row | y << bob_bits) & 1
+    )
 
 
 def is_total(tree: ProtocolTree) -> bool:
@@ -624,6 +712,24 @@ def cc_with_help(
     return math.inf
 
 
+def _pairs_within(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec, most: int) -> list:
+    """within[t] for t = 0 .. most: the base pairs whose `cc_with_help` is at most t.
+
+    Pair (x, y) is bit x << n | y, whatever the help counts.  Read from the
+    one fold of `_correct_at`: each depth's correct cells are slid over the
+    help shifts onto the base cells, so no pair is asked on its own.
+    """
+    a, b = help_spec.alice_bits, help_spec.bob_bits
+    within = [0] * (most + 1)
+    reached = 0
+    for depth, cells in _correct_at(tree, f, help_spec):
+        if depth > most:
+            break
+        reached |= _slid_onto_pairs(cells, f.n, a, b)
+        within[depth:] = [_plain_pairs(reached, f.n, a, b)] * (most + 1 - depth)
+    return within
+
+
 def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
     """The owner sends its input bit by bit from position len(prefix) on.
 
@@ -686,6 +792,30 @@ def _lifted_default(f: FunctionSpec, extra_alice: int, extra_bob: int) -> Node:
     return _lift(_spell_input(BOB, f.n, _table_answer(f)), f.n, extra_alice, extra_bob)
 
 
+# The lift of the last tree wrapped in each mode, keyed by the help counts:
+# the lift does not read f, so every function asked about one tree shares
+# it.  Each slot holds its tree's root, so an identity hit is safe.
+_last_lift: dict = {}
+
+
+def _shared_lift(root: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
+    """`_lift` of root, built and proven once per tree and mode.
+
+    A new tree replaces the slot's lift and forgets its proof, so the
+    memo of proven subtrees holds one tree's lifts at a time.
+    """
+    last = _last_lift.get((extra_alice, extra_bob))
+    if last is not None and last[0] is root and last[1] == n:
+        return last[2]
+    if last is not None:
+        _, m, old = last
+        _proven.get((m + extra_alice, m + extra_bob, m), {}).pop(id(old), None)
+    lifted = _lift(root, n, extra_alice, extra_bob)
+    _prove(lifted, n + extra_alice, n + extra_bob, n)
+    _last_lift[extra_alice, extra_bob] = root, n, lifted
+    return lifted
+
+
 def help_bit_totalizer(
     tree: ProtocolTree, f: FunctionSpec, mode: str = "both"
 ) -> ProtocolTree:
@@ -701,6 +831,12 @@ def help_bit_totalizer(
     or "bob-only".  The routing bit always belongs to a helped party; with
     "alice-only" Alice both holds and resends it, so the wrapper is never
     one-way even if the wrapped protocol was.
+
+    Each wrap is validated without walking its two branches again: the
+    default is proven once per f and mode, and the lift of the protocol,
+    which does not depend on f, is built and proven once per mode for the
+    last protocol wrapped, so the functions asked about one protocol share
+    it.  Only the routing node is checked per wrap.
     """
     if not tree.is_symmetric or tree.n_alice != f.n:
         raise UsageError("protocol shape does not match the function")
@@ -709,11 +845,13 @@ def help_bit_totalizer(
     n = f.n
     extra_alice = 1 if mode in ("both", "alice-only") else 0
     extra_bob = 1 if mode in ("both", "bob-only") else 0
+    default = _lifted_default(f, extra_alice, extra_bob)
+    _prove(default, n + extra_alice, n + extra_bob, n)
     root = Speak(
         BOB if extra_bob else ALICE,
         NodeFunction.input_bit(n),
-        _lifted_default(f, extra_alice, extra_bob),
-        _lift(tree.root, n, extra_alice, extra_bob),
+        default,
+        _shared_lift(tree.root, n, extra_alice, extra_bob),
     )
     return ProtocolTree(n + extra_alice, n + extra_bob, n, root)
 

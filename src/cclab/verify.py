@@ -46,6 +46,7 @@ from .protocol import (
     OutputFunction,
     OutputLeaf,
     ProtocolTree,
+    _pairs_within,
     bob_message,
     cc_on_input,
     cc_with_help,
@@ -658,44 +659,71 @@ def verify_th7(replay: str | None = None) -> VerificationReport:
 # help bits
 
 
+_TOTALIZER_MODES = {
+    "both": HelpSpec(1, 1),
+    "alice-only": HelpSpec(1, 0),
+    "bob-only": HelpSpec(0, 1),
+}
+
+
+def _totalizer_law_holds(tree: ProtocolTree, f) -> bool:
+    """Every mode's wrap costs at most min(cost + 1, n + 1) on every pair.
+
+    Read from per-depth pair masks: every pair must have helped cost at
+    most n + 1, and for t = 1 .. n the pairs of base cost at most t - 1
+    helped cost at most t.
+    """
+    n = f.n
+    every = (1 << (1 << 2 * n)) - 1
+    base = _pairs_within(tree, f, HelpSpec(), n - 1)
+    for mode, spec in _TOTALIZER_MODES.items():
+        helped = _pairs_within(help_bit_totalizer(tree, f, mode), f, spec, n + 1)
+        if helped[n + 1] != every:
+            return False
+        for t in range(1, n + 1):
+            if base[t - 1] & ~helped[t]:
+                return False
+    return True
+
+
+def _totalizer_violation(code, tree: ProtocolTree, f) -> str:
+    """The first (mode, pair) that breaks the totalizer law, asked pair by pair."""
+    n = f.n
+    pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
+    base = {pair: cc_on_input(tree, f, *pair) for pair in pairs}
+    for mode, spec in _TOTALIZER_MODES.items():
+        wrapped = help_bit_totalizer(tree, f, mode)
+        for pair, cost in base.items():
+            bound = n + 1 if cost == INF else min(cost + 1, n + 1)
+            got = cc_with_help(wrapped, f, *pair, spec)
+            if got > bound:
+                return f"{code.bits} mode {mode}: helped cost {got} > {bound} on {pair}"
+    return f"{code.bits}: the pair masks break the law but no single pair does"
+
+
 def verify_helpbits(replay: str | None = None) -> VerificationReport:
     if replay is not None:
         return _replayed("helpbits", replay)
     out = _Collector("helpbits")
 
-    specs = {
-        "both": HelpSpec(1, 1),
-        "alice-only": HelpSpec(1, 0),
-        "bob-only": HelpSpec(0, 1),
-    }
-    for f in (identity_fn(2), equality_fn(2)):
-        checked = 0
-        failure = ""
-        pairs = [(x, y) for x in all_bitstrings(2) for y in all_bitstrings(2)]
-        for code, tree in enumerate_signature(2, 2, 2, _TOTALIZER_BUDGET):
-            base = {pair: cc_on_input(tree, f, *pair) for pair in pairs}
-            for mode, spec in specs.items():
-                wrapped = help_bit_totalizer(tree, f, mode)
-                for pair, cost in base.items():
-                    bound = 3 if cost == INF else min(cost + 1, 3)
-                    got = cc_with_help(wrapped, f, *pair, spec)
-                    if got > bound:
-                        failure = (
-                            f"{code.bits} mode {mode}: helped cost {got} > "
-                            f"{bound} on {pair}"
-                        )
-                        break
-                if failure:
-                    break
-            checked += 1
-            if failure:
-                break
+    # every tree is wrapped for both functions in turn, so they share its lifts
+    fns = (identity_fn(2), equality_fn(2))
+    checked = [0] * len(fns)
+    failure = [""] * len(fns)
+    for code, tree in enumerate_signature(2, 2, 2, _TOTALIZER_BUDGET):
+        live = [i for i, text in enumerate(failure) if not text]
+        if not live:
+            break
+        for i in live:
+            if not _totalizer_law_holds(tree, fns[i]):
+                failure[i] = _totalizer_violation(code, tree, fns[i])
+            checked[i] += 1
+    for f, count, text in zip(fns, checked, failure):
         out.add(
             f"totalizer-exhaustive-{f.name}",
-            failure == "",
-            slack=checked,
-            witness=failure
-            or f"{checked} protocols x 3 modes stay within min(cost+1, n+1)",
+            text == "",
+            slack=count,
+            witness=text or f"{count} protocols x 3 modes stay within min(cost+1, n+1)",
         )
 
     # a zero-extra-bits totalizer cannot exist in this tree model: any

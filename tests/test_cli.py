@@ -216,6 +216,16 @@ def test_negative_budgets_exit_two(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("fn", ["identity", "eq", "ip"])
+def test_negative_n_is_refused_like_zero(capsys, fn):
+    for n in ("0", "-1"):
+        code = main(["dcc", "--fn", fn, "--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.strip() == "error: n must be positive"
+
+
 def test_cc_input_length_limit_comes_before_the_table_file(capsys):
     code = main(
         ["cc", "--fn", "table:/nonexistent", "--x", "0000", "--y", "0000", "--alpha", "5"]

@@ -50,6 +50,13 @@ def test_spec_validates_grid_shape():
         FunctionSpec("bad", 1, True, (("0", "2"), ("0", "1")))
 
 
+@pytest.mark.parametrize("make", [identity_fn, equality_fn, inner_product_fn])
+def test_builtins_refuse_nonpositive_n_before_tabulating(make):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            make(n)
+
+
 def test_spec_rejects_wrong_width_cells():
     # string-valued cells must be exactly n bits wide
     with pytest.raises(ValueError):

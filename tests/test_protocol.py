@@ -38,6 +38,7 @@ from cclab import (
 )
 from cclab.bits import all_bitstrings
 from cclab.codes import _encodings, _node_rule, _output_rule, pdl_encode
+from cclab import protocol
 from cclab.protocol import ALICE, BOB, _bob_message_classes, _lift
 from cclab.rectangles import Rectangle
 from cclab.reference import literal_send_protocol
@@ -531,6 +532,113 @@ def test_totalizer_encodings_are_pinned():
 def test_totalizer_mode_validation():
     with pytest.raises(UsageError):
         help_bit_totalizer(literal_identity(2), identity_fn(2), "neither")
+
+
+# ---------------------------------------------------------------------------
+# validate-once wraps and the pair-cell memo
+
+
+def test_validate_once_wraps_equal_wraps_built_and_walked_in_full(monkeypatch):
+    monkeypatch.setattr(protocol, "_proven", {})
+    monkeypatch.setattr(protocol, "_last_lift", {})
+    fns = (identity_fn(2), equality_fn(2))
+    for _code, tree in enumerate_signature(2, 2, 2, 14):
+        for f in fns:
+            for mode in _MODE_SPECS:
+                wrapped = help_bit_totalizer(tree, f, mode)
+                with monkeypatch.context() as cleared:
+                    cleared.setattr(protocol, "_proven", {})
+                    cleared.setattr(protocol, "_last_lift", {})
+                    assert help_bit_totalizer(tree, f, mode) == wrapped
+                    protocol._proven.clear()
+                    ProtocolTree(wrapped.n_alice, wrapped.n_bob, wrapped.out_len, wrapped.root)
+
+
+def test_a_wrap_walks_only_its_routing_node_once_its_branches_are_proven(monkeypatch):
+    monkeypatch.setattr(protocol, "_proven", {})
+    monkeypatch.setattr(protocol, "_last_lift", {})
+    tree = literal_identity(2)
+    help_bit_totalizer(tree, identity_fn(2), "both")
+    calls = []
+    walk = protocol._validate
+    monkeypatch.setattr(
+        protocol, "_validate", lambda *args: calls.append(args[1]) or walk(*args)
+    )
+    # equality shares the lift of the same tree; its default is proven once
+    help_bit_totalizer(tree, equality_fn(2), "both")
+    calls.clear()
+    help_bit_totalizer(tree, equality_fn(2), "both")
+    assert calls == [0, 1, 1]
+
+
+def test_a_proof_is_used_only_at_its_own_widths_and_within_the_cap(monkeypatch):
+    monkeypatch.setattr(protocol, "_proven", {})
+    leaf = OutputLeaf(OutputFunction.const("00"))
+    wide = Speak(ALICE, NodeFunction.from_table("01" * 4), leaf, leaf)  # Alice reads 3 bits
+    protocol._prove(wide, 3, 3, 2)
+    assert protocol._proven[3, 3, 2][id(wide)] == (wide, 1)
+    ProtocolTree(3, 3, 2, Speak(BOB, NodeFunction.const(0), wide, leaf))
+    with pytest.raises(UsageError, match="table has 8 entries, expected 4"):
+        ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.const(0), wide, leaf))
+    # a node that fails is not remembered, so it fails again where it hangs
+    protocol._prove(wide, 2, 2, 2)
+    assert id(wide) not in protocol._proven.get((2, 2, 2), {})
+    # a proven chain fits at a depth that keeps it within the cap, not below it
+    cap = default_depth_cap(1, 1)
+    chain = OutputLeaf(OutputFunction.const("1"))
+    for _ in range(cap - 1):
+        chain = Speak(BOB, NodeFunction.const(1), StuckLeaf(), chain)
+    protocol._prove(chain, 1, 1, 1)
+    assert protocol._proven[1, 1, 1][id(chain)] == (chain, cap - 1)
+    ProtocolTree(1, 1, 1, Speak(ALICE, NodeFunction.const(1), StuckLeaf(), chain))
+    deeper = Speak(ALICE, NodeFunction.const(1), StuckLeaf(), chain)
+    with pytest.raises(UsageError, match=f"depth cap {cap}"):
+        ProtocolTree(1, 1, 1, Speak(ALICE, NodeFunction.const(1), StuckLeaf(), deeper))
+
+
+def test_the_proof_memo_holds_the_defaults_and_one_trees_lifts(monkeypatch):
+    monkeypatch.setattr(protocol, "_proven", {})
+    monkeypatch.setattr(protocol, "_last_lift", {})
+    fns = (identity_fn(2), equality_fn(2))
+    count = 0
+    for _code, tree in enumerate_signature(2, 2, 2, 20):
+        for f in fns:
+            for mode in _MODE_SPECS:
+                help_bit_totalizer(tree, f, mode)
+        count += 1
+    assert count == 11290
+    lifts = [entry[2] for entry in protocol._last_lift.values()]
+    defaults = [
+        protocol._lifted_default(f, spec.alice_bits, spec.bob_bits)
+        for f in fns
+        for spec in _MODE_SPECS.values()
+    ]
+    proven = [node for proofs in protocol._proven.values() for node, _height in proofs.values()]
+    assert sorted(map(id, proven)) == sorted(map(id, lifts + defaults))
+
+
+def test_pair_cells_are_checked_on_every_miss_and_refusals_leave_nothing(monkeypatch):
+    one, two = identity_fn(1), identity_fn(2)
+    small, large = literal_identity(1), literal_identity(2)
+    wrapped = help_bit_totalizer(large, two, "both")
+    # cache the strings at n = 1 and n = 2, with and without help bits
+    assert cc_with_help(small, one, "0", "1") == 1
+    assert cc_on_input(large, two, "01", "10") == 2
+    assert cc_with_help(wrapped, two, "01", "10", HelpSpec(1, 1)) == 3
+    size = protocol._help_cells.cache_info().currsize
+    refused = [("0", "1"), ("01", "1"), ("0a", "10"), ("01", "2"), ("01", None), ("011", "10")]
+    for x, y in refused:
+        for ask in (
+            lambda: cc_with_help(large, two, x, y),
+            lambda: cc_on_input(large, two, x, y),
+            lambda: cc_with_help(wrapped, two, x, y, HelpSpec(1, 1)),
+        ):
+            with pytest.raises(ValueError):
+                ask()
+    for x, y in (("01", "10"), ("0", "10"), ("01", "1"), ("2", "0")):
+        with pytest.raises(ValueError):
+            cc_with_help(small, one, x, y)
+    assert protocol._help_cells.cache_info().currsize == size
 
 
 def test_value_as_help_protocol():
