@@ -3,11 +3,18 @@
 A measure fixes a protocol family (total-and-correct-everywhere, total
 partially correct, or partial), an interaction shape, help bits and a
 code-length budget; its value on an input pair is the cheapest correct
-conversation any admissible enumerated protocol has there.  On top of
-the measures sit the one-way simulation of arbitrary total identity
-protocols, the exchange between describable sets and one-way senders,
-structure profiles over the budget axis, and the exhaustive search for
-columns on which every cheap protocol must talk.
+conversation any admissible enumerated protocol has there.
+
+Which trees the total-and-correct-everywhere family holds depends on f,
+the help counts and the budget but never on the pair, so that family is
+decided once per key and kept with each member's per-depth correct cells
+(`_tcc_family`); TCC values and identity profiles are read from it, and
+their checks still run on every call.  The pointwise families CC and PCC
+scan the enumeration folded over the pair's cells and stop at their first
+free witness.  On top of the measures sit the one-way simulation of
+arbitrary total identity protocols, the exchange between describable sets
+and one-way senders, structure profiles over the budget axis, and the
+exhaustive search for columns on which every cheap protocol must talk.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, log2ceil
 from .codes import (
@@ -35,6 +43,7 @@ from .protocol import (
     _answers,
     _answers_every_pair,
     _check_grid,
+    _correct_by_depth,
     _help_cells,
     _leaf_masks,
     _no_stuck,
@@ -84,17 +93,53 @@ def check_exhaustive_n(n: int, what: str = "exhaustive measures") -> None:
         raise UsageError(f"{what} support n <= {_EXHAUSTIVE_MAX_N}, got n = {n}")
 
 
-def _admissible(root: Node, m: Measure, f: FunctionSpec) -> bool:
-    """Whether the tree with this root belongs to the measure's protocol family."""
+def _admissible(root: Node, m: Measure, f: FunctionSpec, leaves=None) -> bool:
+    """Whether the tree with this root belongs to the measure's protocol family.
+
+    leaves, when given, is the tree's `_leaf_masks` fold over the whole
+    help-extended grid, so a caller that needs the fold anyway folds once.
+    """
     if m.family == "PCC":
         return True
     # correct on every pair means no pair is stranded; with help bits only
     # one help string per pair has to answer, so the others still need the
     # totality test
-    leaves = _leaf_masks(root, f.n + m.help.alice_bits, f.n + m.help.bob_bits)
+    if leaves is None:
+        leaves = _leaf_masks(root, f.n + m.help.alice_bits, f.n + m.help.bob_bits)
     if not _no_stuck(leaves):
         return False
     return m.family == "CC" or _answers_every_pair(leaves, f, m.help)
+
+
+@lru_cache(maxsize=64)
+def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
+    """(bits, one_way, correct_at) for every TCC-admissible tree, in canonical order.
+
+    The trees are those of `_enumeration_table(n + alice_bits, n + bob_bits,
+    n, alpha)`; correct_at is the tree's ascending (depth, cells) of correct
+    cells, as `protocol._correct_at` builds them, from the same one fold
+    that decides admissibility.  Both interaction shapes share an entry:
+    one_way marks the trees in which only Bob speaks.  Nothing is checked
+    here, so callers run their checks on every call before asking.
+    """
+    n = f.n
+    na, nb = n + alice_bits, n + bob_bits
+    m = Measure(help=HelpSpec(alice_bits, bob_bits), alpha=alpha)
+    answers = _answers(f, alice_bits, bob_bits)
+    # a member answers base pair (0, 0) under some help string; a fold of
+    # that pair's few cells rejects most trees before the whole grid is folded
+    probe = _help_cells(n, alice_bits, bob_bits, "0" * n, "0" * n)
+    family = []
+    for bits, node in _enumeration_table(na, nb, n, alpha):
+        for cells, _, leaf in _leaf_masks(node, na, nb, probe):
+            if type(leaf) is OutputLeaf and cells & answers(leaf.fn.kind, leaf.fn.value):
+                break
+        else:  # no help string answers the pair
+            continue
+        leaves = _leaf_masks(node, na, nb)
+        if _admissible(node, m, f, leaves):
+            family.append((bits, node_is_one_way(node), _correct_by_depth(leaves, answers)))
+    return tuple(family)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
@@ -102,9 +147,12 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
 
     Returns (bits, witness code); the minimum of an empty family is
     infinity with no witness.  Ties go to the canonically first code, so
-    the scan stops at the first admissible witness that costs nothing.
+    a scan stops at the first admissible witness that costs nothing.
     A tree's cost is the least depth of a leaf that answers f on one of
-    the cells of (x, y) and its help strings.
+    the cells of (x, y) and its help strings.  TCC reads the cached
+    family of `_tcc_family`, where that is the least depth whose correct
+    cells meet the pair's; CC and PCC scan the enumeration folded over
+    the pair's cells only.  Every check runs on every call.
     """
     n = f.n
     check_exhaustive_n(n)
@@ -112,8 +160,18 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     a, b = m.help.alice_bits, m.help.bob_bits
     _check_grid_bits(2 * n + a + b, "help-extended input grid")
     pair = _help_cells(n, a, b, x, y)
-    answers = _answers(f, a, b)
     best, best_bits = INF, None
+    if m.family == "TCC":
+        for bits, bob_only, correct_at in _tcc_family(f, a, b, m.alpha):
+            if m.one_way and not bob_only:
+                continue
+            cost = next((depth for depth, cells in correct_at if cells & pair), INF)
+            if cost < best:
+                best, best_bits = cost, bits
+                if cost == 0:
+                    break
+        return best, None if best_bits is None else PdlCode(best_bits)
+    answers = _answers(f, a, b)
     for bits, node in _enumeration_table(n + a, n + b, n, m.alpha):
         if m.one_way and not node_is_one_way(node):
             continue
@@ -297,9 +355,9 @@ class ComplexityProfile:
         )
 
 
-def _depth_at(leaves, cell: int) -> int:
-    """Depth of the leaf that the cell reaches."""
-    return next(depth for cells, depth, _ in leaves if cells >> cell & 1)
+def _depth_at(correct_at, cell: int) -> int:
+    """Depth of the correct leaf that the cell reaches; every cell must have one."""
+    return next(depth for depth, cells in correct_at if cells >> cell & 1)
 
 
 def _fold_profile(label: str, alpha_max: int, candidates) -> ComplexityProfile:
@@ -358,10 +416,11 @@ class TccProfileReport:
 
 
 def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
-    """One- and two-way TCC identity profiles of column y, from one family scan.
+    """One- and two-way TCC identity profiles of column y, from one cached family.
 
-    The one-way members of the admissible two-way family are exactly the
-    one-way family, in the same canonical order.
+    Folds `_tcc_family(identity_fn(n), 0, 0, alpha_max)`, which depends
+    only on (n, alpha_max); its one-way members are exactly the one-way
+    family, in the same canonical order.  The checks run on every call.
     """
     n = len(check_bits(y))
     check_exhaustive_n(n, "identity profiles")
@@ -371,19 +430,18 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
     for row in rows:
         check_bits(row, n)
 
-    admissible = []
-    for bits, node in _enumeration_table(n, n, n, alpha_max):
-        leaves = _leaf_masks(node, n, n)
-        if _answers_every_pair(leaves, f, HelpSpec()):
-            admissible.append((PdlCode(bits), node_is_one_way(node), leaves))
+    admissible = [
+        (PdlCode(bits), bob_only, correct_at)
+        for bits, bob_only, correct_at in _tcc_family(f, 0, 0, alpha_max)
+    ]
     column = bits_to_int(y)
     # an admissible tree answers every cell, so a cell's value is its leaf's depth
     one_way = _fold_profile(
         f"oneway({y})",
         alpha_max,
         (
-            (len(code.bits), _depth_at(leaves, column), code)
-            for code, bob_only, leaves in admissible
+            (len(code.bits), _depth_at(correct_at, column), code)
+            for code, bob_only, correct_at in admissible
             if bob_only
         ),
     )
@@ -393,7 +451,7 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
         two_way[row] = _fold_profile(
             f"twoway({row},{y})",
             alpha_max,
-            ((len(code.bits), _depth_at(leaves, cell), code) for code, _, leaves in admissible),
+            ((len(code.bits), _depth_at(correct_at, cell), code) for code, _, correct_at in admissible),
         )
 
     agreement = [

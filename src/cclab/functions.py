@@ -70,6 +70,19 @@ class FunctionSpec:
             for v in row:
                 check_bits(v, width)
 
+    def __hash__(self) -> int:
+        # the generated hash walks all 2^(2n) cells, once per cache lookup
+        # keyed by the function; computed on first use, kept per instance
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.name, self.n, self.boolean, self.cells))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes, so a copy recomputes its own
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     def value(self, x: str, y: str) -> str:
         """f(x, y) as a width-n string."""
         raw = self.cells[bits_to_int(check_bits(x, self.n))][bits_to_int(check_bits(y, self.n))]

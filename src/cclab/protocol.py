@@ -19,8 +19,10 @@ that reach it by where its function reads 1:
   input yb, and every leaf ends up with the rectangle of cells that reach
   it and its depth, the transcript length of each of those runs
   (`is_total`, `computes_everywhere`, the family scans in `complexity`,
-  and `cc_with_help`, which folds a tree once and then answers each pair
-  by a mask test);
+  which fold each tree of the total-and-correct family once into the
+  per-depth correct cells of `_correct_by_depth` and keep them, and
+  `cc_with_help`, which folds a tree once and then answers each pair by
+  a mask test);
 - for the hard-instance fibers, bit z stands for Bob's input made of the
   k-bit block z and a fixed suffix, and the blocks are split into classes
   by Bob's one-way message (`_bob_message_classes`).
@@ -680,16 +682,24 @@ def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tup
         return correct_at
     _check_help_shape(tree, f, help_spec)
     _check_grid(tree)
-    answers = _answers(f, a, b)
+    leaves = _leaf_masks(tree.root, tree.n_alice, tree.n_bob)
+    correct_at = _correct_by_depth(leaves, _answers(f, a, b))
+    _last_fold[:] = tree, f, (a, b), correct_at
+    return correct_at
+
+
+def _correct_by_depth(leaves, answers) -> tuple:
+    """(depth, cells) for every depth whose output leaves answer on some cell.
+
+    Ascending by depth, nonempty cells only; answers is an `_answers` lookup.
+    """
     by_depth: dict[int, int] = {}
-    for cells, depth, leaf in _leaf_masks(tree.root, tree.n_alice, tree.n_bob):
+    for cells, depth, leaf in leaves:
         if type(leaf) is OutputLeaf:
             hit = cells & answers(leaf.fn.kind, leaf.fn.value)
             if hit:
                 by_depth[depth] = by_depth.get(depth, 0) | hit
-    correct_at = tuple(sorted(by_depth.items()))
-    _last_fold[:] = tree, f, (a, b), correct_at
-    return correct_at
+    return tuple(sorted(by_depth.items()))
 
 
 def cc_with_help(

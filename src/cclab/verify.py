@@ -16,6 +16,10 @@ from itertools import islice
 
 from .bits import all_bitstrings, log2ceil
 from .codes import (
+    PdlCode,
+    _check_budget,
+    _enumeration_table,
+    decode_signature,
     enumerate_sets,
     enumerate_signature,
     pdl_complexity,
@@ -23,6 +27,7 @@ from .codes import (
 )
 from .complexity import (
     INF,
+    _tcc_family,
     find_hard_y,
     one_way_from_two_way,
     oneway_to_set,
@@ -177,11 +182,17 @@ def verify_rectangles() -> VerificationReport:
 # one-way simulation of two-way protocols
 
 
-def _total_identity_protocols(n: int, budget: int):
-    f = identity_fn(n)
-    for code, tree in enumerate_signature(n, n, n, budget):
-        if computes_everywhere(tree, f):
-            yield code, tree
+def _everywhere_correct(f, budget: int, one_way: bool = False):
+    """(code, tree) for the total everywhere-correct protocols of f, in canonical order.
+
+    Without help bits these are the members of the cached TCC family,
+    and only they are built as trees.
+    """
+    _check_budget(budget)
+    n = f.n
+    for bits, bob_only, _ in _tcc_family(f, 0, 0, budget):
+        if bob_only or not one_way:
+            yield PdlCode(bits), decode_signature(bits, n, n, n)
 
 
 def _simulation_scan(out, claim: str, protocols, n: int, gate: int | None):
@@ -226,7 +237,7 @@ def verify_theorem1() -> VerificationReport:
 
     family = [
         (code.bits, tree, len(code.bits))
-        for code, tree in _total_identity_protocols(1, _THEOREM1_BUDGET)
+        for code, tree in _everywhere_correct(identity_fn(1), _THEOREM1_BUDGET)
     ]
     _simulation_scan(out, "n1-enumerated-simulation", family, 1, gate=8)
 
@@ -256,7 +267,7 @@ def verify_theorem1() -> VerificationReport:
             witness=f"one-way profile matches two-way within {worst} budget bits",
         )
 
-    n2_family = list(_total_identity_protocols(2, _THEOREM1_BUDGET))
+    n2_family = list(_everywhere_correct(identity_fn(2), _THEOREM1_BUDGET))
     out.add(
         "n2-enumerated-family-empty",
         len(n2_family) == 0,
@@ -304,12 +315,7 @@ def verify_ip_bound() -> VerificationReport:
                 f"max |X|*|Y| = {report.max_product} <= {report.bound}",
             )
 
-    f = inner_product_fn(2)
-    stray = sum(
-        1
-        for code, tree in enumerate_signature(2, 2, 2, 20)
-        if computes_everywhere(tree, f)
-    )
+    stray = sum(1 for _ in _everywhere_correct(inner_product_fn(2), 20))
     out.add(
         "n2-enumerated-family-empty",
         stray == 0,
@@ -447,12 +453,7 @@ def verify_equiv() -> VerificationReport:
         witness=failure or f"all {audited} describable sets hit 1+ceil(log2|S|) exactly",
     )
 
-    f2 = identity_fn(2)
-    oneway_n2 = [
-        code
-        for code, tree in enumerate_signature(2, 2, 2, 20, require_one_way=True)
-        if computes_everywhere(tree, f2)
-    ]
+    oneway_n2 = list(_everywhere_correct(identity_fn(2), 20, one_way=True))
     out.add(
         "n2-enumerated-oneway-family-empty",
         len(oneway_n2) == 0,
@@ -464,9 +465,7 @@ def verify_equiv() -> VerificationReport:
     f1 = identity_fn(1)
     audited = 0
     failure = ""
-    for code, tree in enumerate_signature(1, 1, 1, 20, require_one_way=True):
-        if not computes_everywhere(tree, f1):
-            continue
+    for code, tree in _everywhere_correct(f1, 20, one_way=True):
         audited += 1
         for y in all_bitstrings(1):
             members = oneway_to_set(tree, y)
@@ -729,24 +728,24 @@ def verify_helpbits(replay: str | None = None) -> VerificationReport:
     # a zero-extra-bits totalizer cannot exist in this tree model: any
     # speaking root already costs one bit, and a bare output leaf with one
     # help bit per side reaches at most 2 of the 4 identity outputs per row
-    f2 = identity_fn(2)
     spec = HelpSpec(1, 1)
     leaf_roots = 0
     speak_roots = 0
     failure = ""
-    for code, tree in enumerate_signature(3, 3, 2, 20):
-        if isinstance(tree.root, OutputLeaf):
+    # only the roots are read, so no tree is built
+    for bits, root in _enumeration_table(3, 3, 2, 20):
+        if isinstance(root, OutputLeaf):
             leaf_roots += 1
             covered = all(
                 any(
-                    tree.root.fn.evaluate(x + ha, 2) == y
+                    root.fn.evaluate(x + ha, 2) == y
                     for ha in ("0", "1")
                 )
                 for x in all_bitstrings(2)
                 for y in all_bitstrings(2)
             )
             if covered:
-                failure = f"{code.bits}: leaf covers every pair at cost 0"
+                failure = f"{bits}: leaf covers every pair at cost 0"
                 break
         else:
             speak_roots += 1

@@ -30,7 +30,7 @@ from cclab import (
     structure_function_profile,
     tcc_identity_profile,
 )
-from cclab.complexity import _admissible
+from cclab.complexity import _admissible, _tcc_family
 from cclab.protocol import (
     ALICE,
     BOB,
@@ -121,7 +121,7 @@ ORACLE_FUNCTIONS = [
 ]
 
 
-def _brute_force_values(f, one_way, help_bits):
+def _brute_force_values(f, one_way, help_bits, budget=None, tcc_members=None):
     """individual_cc for every pair and family, straight from the definitions.
 
     Walks the family once with plain runs: a tree is total when no run on
@@ -129,12 +129,14 @@ def _brute_force_values(f, one_way, help_bits):
     run over all help strings.  TCC admits total trees that have a correct
     run on every pair, CC admits total trees, PCC admits every tree; the
     value is the least cost, ties going to the canonically first code.
+    The TCC codes are appended to tcc_members when a list is given.
     """
     n = f.n
     a, b = help_bits
     pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
     best = {(fam, pair): (INF, None) for fam in ("TCC", "CC", "PCC") for pair in pairs}
-    budget = ORACLE_BUDGETS[n + a, n + b, n]
+    if budget is None:
+        budget = ORACLE_BUDGETS[n + a, n + b, n]
     for code, tree in enumerate_signature(n + a, n + b, n, budget, require_one_way=one_way):
         total = True
         cost = {}
@@ -152,6 +154,8 @@ def _brute_force_values(f, one_way, help_bits):
             families.append("CC")
             if INF not in cost.values():
                 families.append("TCC")
+                if tcc_members is not None:
+                    tcc_members.append(code.bits)
         for fam in families:
             for pair in pairs:
                 if cost[pair] < best[fam, pair][0]:
@@ -178,6 +182,105 @@ def test_individual_cc_matches_brute_force(f, one_way, help_bits):
         any(v[0] != INF for (fam, _), v in expected.items() if fam == family)
         for family in (("TCC", "CC", "PCC") if n == 1 else ("CC", "PCC"))
     )
+
+
+def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
+    """TCC values and identity profiles from a cache filled in shuffled order.
+
+    Functions, help counts, shapes and budgets 15 and 16 are interleaved,
+    profiles among them, so entries are filled first by one-way, two-way
+    or profile queries and at either budget; every answer must still be
+    the oracle's, and every entry must hold the oracle's members.
+    """
+    fns = [identity_fn(1), equality_fn(1), _random_table_fn(2, seed=7)]
+    expected, members = {}, {}
+    for f in fns:
+        for help_bits in ((0, 0), (1, 0), (1, 1)):
+            for budget in (15, 16):
+                for one_way in (False, True):
+                    key = f, help_bits, budget, one_way
+                    members[key] = []
+                    values = _brute_force_values(f, one_way, help_bits, budget, members[key])
+                    expected[key] = {
+                        pair: v for (fam, pair), v in values.items() if fam == "TCC"
+                    }
+    # the shapes and the budgets have different members, so an entry
+    # filled for the wrong one would show
+    assert any(members[f, h, b, False] != members[f, h, b, True] for f, h, b, _ in members)
+    assert any(members[f, h, 15, w] != members[f, h, 16, w] for f, h, _, w in members)
+
+    queries = [("cc", key, pair) for key, values in expected.items() for pair in values]
+    queries += [("profile", (fns[0], (0, 0), budget, None), y) for budget in (15, 16) for y in "01"]
+    random.Random(12).shuffle(queries)
+    first_shape, budget_order = {}, {}
+    for kind, (f, help_bits, budget, one_way), _ in queries:
+        first_shape.setdefault((f, help_bits, budget), kind if kind == "profile" else one_way)
+        order = budget_order.setdefault((f, help_bits), [])
+        if budget not in order:
+            order.append(budget)
+    assert set(first_shape.values()) == {False, True, "profile"}
+    assert {tuple(order) for order in budget_order.values()} == {(15, 16), (16, 15)}
+
+    _tcc_family.cache_clear()
+    for kind, (f, help_bits, budget, one_way), query in queries:
+        if kind == "cc":
+            m = Measure("TCC", one_way, HelpSpec(*help_bits), budget)
+            assert individual_cc(m, f, *query) == expected[f, help_bits, budget, one_way][query]
+            continue
+        report = tcc_identity_profile(query, budget)
+        for x in "01":
+            assert report.two_way[x].entries[budget] == expected[f, help_bits, budget, False][x, query]
+            assert report.one_way.entries[budget] == expected[f, help_bits, budget, True][x, query]
+    assert _tcc_family.cache_info().currsize == len(fns) * 3 * 2
+    for (f, help_bits, budget, one_way), codes in members.items():
+        family = _tcc_family(f, *help_bits, budget)
+        assert [bits for bits, bob_only, _ in family if bob_only or not one_way] == codes
+
+
+def test_equal_functions_share_one_tcc_family_entry():
+    f, g = identity_fn(1), identity_fn(1)
+    assert f is not g and f == g and hash(f) == hash(g)
+    _tcc_family.cache_clear()
+    m = Measure("TCC", alpha=15)
+    assert individual_cc(m, f, "0", "1") == individual_cc(m, g, "0", "1")
+    tcc_identity_profile("1", 15)
+    info = _tcc_family.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    assert info.maxsize is not None
+
+
+def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
+    f = identity_fn(1)
+    for m in (Measure("TCC", alpha=15), Measure("TCC", True, HelpSpec(1, 0), 15)):
+        individual_cc(m, f, "0", "1")
+        for x, y in (("0", "2"), ("a", "1"), ("00", "1"), ("0", ""), ("0", "0 ")):
+            with pytest.raises(ValueError):
+                individual_cc(m, f, x, y)
+    for y, x in (("2", None), ("0", "00"), ("1", "1a")):
+        with pytest.raises(ValueError):
+            tcc_identity_profile(y, 15, x=x)
+
+    # an entry planted past the input-length limit is never read
+    big = identity_fn(4)
+    assert _tcc_family(big, 0, 0, 0) == ()
+    with pytest.raises(UsageError):
+        individual_cc(Measure("TCC", alpha=0), big, "0000", "0000")
+    with pytest.raises(UsageError):
+        tcc_identity_profile("0000", 0)
+
+    # a family cached under a raised cap is refused once the cap is back
+    monkeypatch.setenv("CCLAB_BUDGET_CAP", "22")
+    m = Measure("TCC", alpha=22)
+    warm = individual_cc(m, f, "0", "1")
+    tcc_identity_profile("1", 22)
+    hits = _tcc_family.cache_info().hits
+    assert individual_cc(m, f, "0", "1") == warm
+    assert _tcc_family.cache_info().hits == hits + 1
+    monkeypatch.delenv("CCLAB_BUDGET_CAP")
+    with pytest.raises(UsageError):
+        individual_cc(m, f, "0", "1")
+    with pytest.raises(UsageError):
+        tcc_identity_profile("1", 22)
 
 
 def test_one_way_restriction_never_helps():

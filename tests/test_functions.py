@@ -1,5 +1,6 @@
 """Built-in functions, truth-table I/O and bit-string checks."""
 
+import pickle
 import random
 
 import pytest
@@ -153,3 +154,15 @@ def test_check_bits_accepts_exactly_the_bit_strings(s, ok):
     else:
         with pytest.raises(ValueError):
             check_bits(s)
+
+
+def test_a_spec_hashes_its_fields_once_and_copies_rehash():
+    f, g = identity_fn(2), identity_fn(2)
+    assert f is not g and f == g
+    assert hash(f) == hash(g) == hash((f.name, f.n, f.boolean, f.cells))
+    assert f.__dict__["_hash"] == hash(f)
+    assert f != equality_fn(2) and f != FunctionSpec("other", 2, False, f.cells)
+    # a string hash is only valid in the process that computed it
+    copy = pickle.loads(pickle.dumps(f))
+    assert "_hash" not in copy.__dict__
+    assert copy == f and hash(copy) == hash(f)

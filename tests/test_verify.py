@@ -13,12 +13,14 @@ from cclab import (
     Speak,
     StuckLeaf,
     all_bitstrings,
+    computes_everywhere,
     enumerate_signature,
     equality_fn,
     help_bit_totalizer,
     identity_fn,
 )
 from cclab import verify
+from cclab.codes import _enumeration_table
 from cclab.protocol import ALICE, BOB
 
 _MODES = (("both", HelpSpec(1, 1)), ("alice-only", HelpSpec(1, 0)), ("bob-only", HelpSpec(0, 1)))
@@ -133,6 +135,7 @@ def test_totalizer_law_matches_a_per_pair_loop_when_wraps_break_it(monkeypatch, 
     monkeypatch.setattr(
         verify, "enumerate_signature", lambda *args: islice(enumerate_signature(*args), _PREFIX)
     )
+    monkeypatch.setattr(verify, "_enumeration_table", lambda *args: _enumeration_table(*args)[:_PREFIX])
     report = verify.verify_helpbits()
     want = _reference(trees, wrap)
     assert [(c.ok, c.slack, c.witness) for c in report.checks[:2]] == want
@@ -142,3 +145,15 @@ def test_totalizer_law_matches_a_per_pair_loop_when_wraps_break_it(monkeypatch, 
         for f in (identity_fn(2), equality_fn(2))
     ]
     assert [not ok for ok, _, _ in want] == damaged
+
+
+@pytest.mark.parametrize("f", [identity_fn(1), equality_fn(1)], ids=lambda f: f.name)
+@pytest.mark.parametrize("one_way", [False, True], ids=["two-way", "one-way"])
+def test_everywhere_correct_family_matches_a_filtered_enumeration(f, one_way):
+    got = list(verify._everywhere_correct(f, 20, one_way))
+    want = [
+        (code, tree)
+        for code, tree in enumerate_signature(1, 1, 1, 20, require_one_way=one_way)
+        if computes_everywhere(tree, f)
+    ]
+    assert got == want and want
