@@ -230,24 +230,36 @@ def _output_rule(m: int, w: int) -> _Rule:
 # protocol encoding
 
 
-def _encode_node(node: Node, alice: _Rule, bob: _Rule, out: _Rule) -> str:
-    if isinstance(node, Speak):
-        return (
-            ("00" + alice.emit(node.fn) if node.owner == ALICE else "01" + bob.emit(node.fn))
-            + _encode_node(node.child0, alice, bob, out)
-            + _encode_node(node.child1, alice, bob, out)
-        )
-    if isinstance(node, OutputLeaf):
-        return "10" + out.emit(node.fn)
-    return "11"
-
-
 def pdl_encode(tree: ProtocolTree) -> PdlCode:
-    """Canonical code of a protocol tree."""
+    """Canonical code of a protocol tree.
+
+    The code is gathered as parts in pre-order and joined once.  A subtree
+    that the tree holds more than once (the same node object) is encoded
+    once per call: its later occurrences repeat its parts.
+    """
     na, nb = tree.n_alice, tree.n_bob
-    return PdlCode(
-        _encode_node(tree.root, _node_rule(na), _node_rule(nb), _output_rule(na, tree.out_len))
-    )
+    alice, bob, out = _node_rule(na), _node_rule(nb), _output_rule(na, tree.out_len)
+    parts: list[str] = []
+    spans: dict[int, tuple[int, int]] = {}  # the tree holds its nodes, so ids are stable
+
+    def encode(node: Node) -> None:
+        span = spans.get(id(node))
+        if span is not None:
+            parts.extend(parts[span[0]:span[1]])
+            return
+        start = len(parts)
+        if isinstance(node, Speak):
+            parts.append("00" + alice.emit(node.fn) if node.owner == ALICE else "01" + bob.emit(node.fn))
+            encode(node.child0)
+            encode(node.child1)
+        elif isinstance(node, OutputLeaf):
+            parts.append("10" + out.emit(node.fn))
+        else:
+            parts.append("11")
+        spans[id(node)] = start, len(parts)
+
+    encode(tree.root)
+    return PdlCode("".join(parts))
 
 
 def pdl_complexity(tree: ProtocolTree) -> int:

@@ -260,6 +260,9 @@ def _exchange_tree(z_list: list, slots: list, out_len: int) -> object:
     slot; the branch not taken by a constant is a dead zero leaf.  Bob
     then answers one input bit per slot, and the leaf matching his
     restriction pattern announces the corresponding padded family member.
+    Only the answer prefixes of some member get nodes of their own: every
+    other branch of Bob's chain at one level is the same dead chain, which
+    ends in zero leaves and is built once per level.
     """
     k = len(z_list[0])
     idx_width = log2ceil(k)
@@ -268,12 +271,17 @@ def _exchange_tree(z_list: list, slots: list, out_len: int) -> object:
     patterns = {
         "".join(z[i] for i in slots): z + "0" * (out_len - k) for z in z_list
     }
+    live = {p[:j] for p in patterns for j in range(len(slots) + 1)}
+    # dead_chain[j]: Bob's chain from slot j on, with no member below it
+    dead_chain = [dead]
+    for i in reversed(slots):
+        dead_chain.insert(0, Speak(BOB, NodeFunction.input_bit(i), dead_chain[0], dead_chain[0]))
 
     def bob_chain(j: int, acc: str) -> object:
+        if acc not in live:
+            return dead_chain[j]
         if j == len(slots):
-            if acc in patterns:
-                return OutputLeaf(OutputFunction.const(patterns[acc]))
-            return OutputLeaf(OutputFunction.const("0" * out_len))
+            return OutputLeaf(OutputFunction.const(patterns[acc]))
         return Speak(
             BOB,
             NodeFunction.input_bit(slots[j]),
@@ -667,7 +675,9 @@ def replay_hard_instance(instance: HardInstance) -> ReplayReport:
     """Recompute the instance from its parameters and diff every field.
 
     The stored member choice is reproduced (including the seed, if any),
-    so a clean replay means the certificate is byte-for-byte stable.
+    so a clean replay means the certificate is byte-for-byte stable.  The
+    companion is rebuilt, validated and encoded from scratch, with nothing
+    kept from the build that made the instance.
     """
     fresh = _build_hard_instance(
         instance.k,

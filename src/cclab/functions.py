@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .bits import all_bitstrings, bits_to_int, check_bits, embed_bit, inner_product_bit
 from .errors import UsageError
@@ -126,16 +127,24 @@ def _grid(n: int, fn) -> tuple[tuple[str, ...], ...]:
     return tuple(tuple(fn(x, y) for y in xs) for x in xs)
 
 
+# The named functions are frozen, so one instance per n is shared: building
+# one tabulates all 2^(2n) cells.  Every admitted n is at most 8, so the
+# caches stay small; a refused n raises and is not kept.
+
+
+@lru_cache(maxsize=16)
 def identity_fn(n: int) -> FunctionSpec:
     """f(x, y) = y."""
     return FunctionSpec("identity", n, False, _grid(n, lambda x, y: y))
 
 
+@lru_cache(maxsize=16)
 def equality_fn(n: int) -> FunctionSpec:
     """f(x, y) = 1 iff x == y."""
     return FunctionSpec("eq", n, True, _grid(n, lambda x, y: str(int(x == y))))
 
 
+@lru_cache(maxsize=16)
 def inner_product_fn(n: int) -> FunctionSpec:
     """f(x, y) = parity of the bitwise AND of x and y."""
     return FunctionSpec("ip", n, True, _grid(n, lambda x, y: str(inner_product_bit(x, y))))

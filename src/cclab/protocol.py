@@ -18,7 +18,8 @@ that reach it by where its function reads 1:
 - over the grid, cell xa << nb | yb stands for Alice's input xa and Bob's
   input yb, and every leaf ends up with the rectangle of cells that reach
   it and its depth, the transcript length of each of those runs
-  (`is_total`, `computes_everywhere`, the family scans in `complexity`,
+  (`is_total`, `computes_everywhere`, the transcript classes of
+  `rectangles.transcript_partition`, the family scans in `complexity`,
   which fold each tree of the total-and-correct family once into the
   per-depth correct cells of `_correct_by_depth` and keep them, and
   `cc_with_help`, which folds a tree once and then answers each pair by
@@ -34,7 +35,9 @@ totalizer bound) is checked on masks in one pass per tree.
 
 Every tree is validated on construction, but a subtree already proven at
 the same widths (`_prove`) is not walked again where its height keeps it
-within the depth cap.  `help_bit_totalizer` proves its default once per
+within the depth cap, and a speak node whose two children are one object
+(the shared dead chains of the index-exchange companion) walks that child
+once.  `help_bit_totalizer` proves its default once per
 function and mode, and the lift of the wrapped protocol once per protocol
 and mode, shared by every function asked about that protocol; only the
 last protocol's lifts are kept.
@@ -280,7 +283,8 @@ def _validate(node: Node, depth: int, cap: int, widths: tuple, proven) -> None:
             raise UsageError(f"unknown owner {node.owner!r}")
         node.fn.validate(widths[0] if node.owner == ALICE else widths[1])
         _validate(node.child0, depth + 1, cap, widths, proven)
-        _validate(node.child1, depth + 1, cap, widths, proven)
+        if node.child1 is not node.child0:  # a shared child passes at the same depth
+            _validate(node.child1, depth + 1, cap, widths, proven)
     elif isinstance(node, OutputLeaf):
         node.fn.validate(widths[0], widths[2])
     elif not isinstance(node, StuckLeaf):

@@ -8,7 +8,12 @@ hang off it (monochromaticity, the rank-based product bound for inner
 product, the diagonal argument for equality).
 
 All grids are tiny by construction, so rectangles are stored as explicit
-sets of bit strings and every audit is exhaustive.
+sets of bit strings and every audit is exhaustive.  The partition comes
+from one `_leaf_masks` fold of the tree: the cells that reach a leaf are
+its class, one walk from the class's lowest cell spells its transcript,
+and a class is a rectangle exactly when its cell count is the number of
+rows it meets times the number of columns it meets.  The audits' own
+per-row and per-diagonal runs stay as independent checks of the fold.
 """
 
 from __future__ import annotations
@@ -18,7 +23,15 @@ from dataclasses import dataclass, field
 from .bits import all_bitstrings, bits_to_int, embed_bit, xor_bits
 from .errors import AuditFailure, RectangleViolation, UsageError
 from .functions import FunctionSpec, equality_fn, inner_product_fn
-from .protocol import ProtocolTree, _check_grid, computes_everywhere, run
+from .protocol import (
+    ProtocolTree,
+    StuckLeaf,
+    _check_grid,
+    _leaf_masks,
+    _walk,
+    computes_everywhere,
+    run,
+)
 
 
 @dataclass(frozen=True)
@@ -53,36 +66,61 @@ class TranscriptPartition:
         return sorted(self.classes, key=lambda t: (len(t), t))
 
 
+def _product_sides(transcript: str, cells: int, xs: list, ys: list) -> tuple[list, list]:
+    """The rows and columns that a class's cells meet, when the cells are their product.
+
+    Otherwise RectangleViolation names the transcript and up to four of the
+    missing pairs, in ascending order.
+    """
+    nb = len(ys).bit_length() - 1
+    row = (1 << len(ys)) - 1
+    rows = [xa for xa in range(len(xs)) if cells >> (xa << nb) & row]
+    met = 0
+    for xa in rows:
+        met |= cells >> (xa << nb) & row
+    cols = [yb for yb in range(len(ys)) if met >> yb & 1]
+    if cells.bit_count() != len(rows) * len(cols):
+        missing = [
+            (xs[xa], ys[yb]) for xa in rows for yb in cols if not cells >> (xa << nb | yb) & 1
+        ]
+        raise RectangleViolation(transcript, missing[:4])
+    return rows, cols
+
+
 def transcript_partition(tree: ProtocolTree) -> TranscriptPartition:
     """Group all pairs by conversation and verify each class is a rectangle.
 
-    The rectangle property is a theorem for protocol trees, so a violation
-    here means the execution engine itself is broken; it is reported as a
-    RectangleViolation carrying the transcript and up to four witness
-    pairs rather than silently producing a bad partition.
+    One `_leaf_masks` fold gives the cells that reach each leaf; the
+    leaf's transcript is spelled by one walk from its lowest cell, and its
+    cells are a product set exactly when their count is the number of rows
+    they meet times the number of columns they meet.  The rectangle
+    property is a theorem for protocol trees, so a violation here means
+    the execution engine itself is broken; it is reported as a
+    RectangleViolation carrying the transcript and up to four of the
+    missing pairs rather than silently producing a bad partition.
     """
     _check_grid(tree)
+    na, nb = tree.n_alice, tree.n_bob
+    xs, ys = list(all_bitstrings(na)), list(all_bitstrings(nb))
     groups: dict = {}
-    covered = set()
-    for x in all_bitstrings(tree.n_alice):
-        for y in all_bitstrings(tree.n_bob):
-            outcome = run(tree, x, y)
-            if outcome.is_stuck:
-                continue
-            covered.add((x, y))
-            rows, cols, pairs = groups.setdefault(outcome.transcript, (set(), set(), set()))
-            rows.add(x)
-            cols.add(y)
-            pairs.add((x, y))
+    for cells, _, leaf in _leaf_masks(tree.root, na, nb):
+        if type(leaf) is StuckLeaf:
+            continue
+        low = (cells & -cells).bit_length() - 1
+        transcript, _ = _walk(tree, xs[low >> nb], ys[low & (1 << nb) - 1])
+        sides = _product_sides(transcript, cells, xs, ys)
+        if transcript in groups:  # two leaves spell one transcript: the class is their union
+            cells |= groups[transcript][0]
+            sides = _product_sides(transcript, cells, xs, ys)
+        groups[transcript] = cells, sides
     classes = {}
-    for transcript, (rows, cols, pairs) in groups.items():
-        if len(pairs) != len(rows) * len(cols):
-            missing = [
-                (x, y) for x in sorted(rows) for y in sorted(cols) if (x, y) not in pairs
-            ]
-            raise RectangleViolation(transcript, missing[:4])
-        classes[transcript] = Rectangle(frozenset(rows), frozenset(cols))
-    return TranscriptPartition(classes, covered, tree.n_alice, tree.n_bob)
+    covered = set()
+    # in the order of each class's lowest cell, as a walk over the grid meets them
+    for transcript, (cells, (rows, cols)) in sorted(groups.items(), key=lambda g: g[1][0] & -g[1][0]):
+        rect = Rectangle(frozenset(xs[xa] for xa in rows), frozenset(ys[yb] for yb in cols))
+        classes[transcript] = rect
+        covered.update((x, y) for x in rect.rows for y in rect.cols)
+    return TranscriptPartition(classes, covered, na, nb)
 
 
 def rectangle_color(rect: Rectangle, f: FunctionSpec) -> int | None:

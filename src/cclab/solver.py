@@ -6,6 +6,12 @@ party can split the current sub-grid.  Announcing the answer at a leaf
 is free, matching the cost convention everywhere else in the package, and
 a leaf's answer is a function of Alice's input, so a sub-grid is finished
 exactly when every row is constant on it.
+
+A sub-grid is a pair of integer masks, bit i of the row mask standing for
+Alice's i-th input and bit j of the column mask for Bob's j-th, both in
+ascending order.  Whether every row is constant is read from per-row
+agreement masks, and the search keeps only each state's cost and winning
+split; the tree is built once, from the winning splits, after the search.
 """
 
 from __future__ import annotations
@@ -33,56 +39,86 @@ def dcc_exact(f: FunctionSpec) -> tuple[int, ProtocolTree]:
     of Alice's input), and otherwise one bit plus the best achievable
     worst half over every proper bipartition of either side.
     Deterministic tie-breaking (Alice's splits first, earlier bipartitions
-    first) pins down the returned tree.  Exponential in 2^n, hence the
-    n <= 3 cap.
+    first) pins down the returned tree; a split is not finished once one
+    bit plus its 0-half already reaches the best so far, which changes no
+    cost and no winner.
+    Exponential in 2^n, hence the n <= 3 cap.
     """
     n = f.n
     if n > 3:
         raise UsageError("exact search supports n <= 3")
     space = tuple(all_bitstrings(n))
     value = {(x, y): f.value(x, y) for x in space for y in space}
+    size = len(space)
+    # agree[i][j]: the columns on which row i takes the value it takes at column j
+    agree = [
+        [sum(1 << k for k, z in enumerate(space) if value[x, z] == value[x, y]) for y in space]
+        for x in space
+    ]
     memo: dict = {}
 
-    def solve(rows: tuple, cols: tuple):
-        key = (rows, cols)
+    def solve(rows: int, cols: int) -> int:
+        key = rows << size | cols
         hit = memo.get(key)
         if hit is not None:
-            return hit
-        answer = {x: value[x, cols[0]] for x in rows}
-        if all(value[x, y] == answer[x] for x in rows for y in cols):
-            if len(set(answer.values())) == 1:
-                leaf = OutputFunction.const(answer[rows[0]])
-            else:
-                leaf = OutputFunction.from_map(n, n, lambda x: answer.get(x, "0" * n))
-            memo[key] = (0, OutputLeaf(leaf))
-            return memo[key]
-        best = None
+            return hit[0]
+        first = (cols & -cols).bit_length() - 1
+        r = rows  # drop rows while they are constant on cols
+        while r and not cols & ~agree[(r & -r).bit_length() - 1][first]:
+            r &= r - 1
+        if not r:
+            memo[key] = 0, None
+            return 0
+        best = split = None
         for owner, side in ((ALICE, rows), (BOB, cols)):
-            if len(side) < 2:
-                continue
-            head, rest = side[0], side[1:]
-            for mask in range(1, 1 << len(rest)):
-                ones = tuple(e for i, e in enumerate(rest) if mask >> i & 1)
-                zeros = (head,) + tuple(
-                    e for i, e in enumerate(rest) if not mask >> i & 1
-                )
+            # the 1-side is every nonempty submask of the side without its
+            # lowest member, in increasing order; the 0-side keeps the rest
+            rest = side & side - 1
+            ones = rest & -rest
+            while ones:
+                zeros = side ^ ones
                 if owner == ALICE:
-                    c0, t0 = solve(zeros, cols)
-                    c1, t1 = solve(ones, cols)
+                    lo, hi = (zeros, cols), (ones, cols)
                 else:
-                    c0, t0 = solve(rows, zeros)
-                    c1, t1 = solve(rows, ones)
-                cost = 1 + max(c0, c1)
-                if best is None or cost < best[0]:
-                    fn = fit_node_function(
-                        {e: 1 for e in ones} | {e: 0 for e in zeros}, n
-                    )
-                    best = (cost, Speak(owner, fn, t0, t1))
-        memo[key] = best
+                    lo, hi = (rows, zeros), (rows, ones)
+                c0 = solve(*lo)
+                if best is None or c0 + 1 < best:  # else this split cannot win
+                    cost = 1 + max(c0, solve(*hi))
+                    if best is None or cost < best:
+                        best, split = cost, (owner, zeros, ones, lo, hi)
+                ones = (ones - rest) & rest
+        memo[key] = best, split
         return best
 
-    bits, root = solve(space, space)
-    tree = ProtocolTree.symmetric(n, root)
+    def members(mask: int) -> list:
+        return [u for i, u in enumerate(space) if mask >> i & 1]
+
+    built: dict = {}
+
+    def build(rows: int, cols: int):
+        key = rows << size | cols
+        node = built.get(key)
+        if node is not None:
+            return node
+        split = memo[key][1]
+        if split is None:
+            y = space[(cols & -cols).bit_length() - 1]
+            answer = {x: value[x, y] for x in members(rows)}
+            if len(set(answer.values())) == 1:
+                leaf = OutputFunction.const(next(iter(answer.values())))
+            else:
+                leaf = OutputFunction.from_map(n, n, lambda x: answer.get(x, "0" * n))
+            node = OutputLeaf(leaf)
+        else:
+            owner, zeros, ones, lo, hi = split
+            targets = {u: 0 for u in members(zeros)} | {u: 1 for u in members(ones)}
+            node = Speak(owner, fit_node_function(targets, n), build(*lo), build(*hi))
+        built[key] = node
+        return node
+
+    everything = (1 << size) - 1
+    bits = solve(everything, everything)
+    tree = ProtocolTree.symmetric(n, build(everything, everything))
     worst = 0
     for (x, y), want in value.items():
         outcome = run(tree, x, y)

@@ -32,6 +32,7 @@ from cclab import (
     sdl_encode,
 )
 from cclab.codes import _HARD_BUDGET_LIMIT, _enumeration_table
+from cclab.constructions import _exchange_tree
 from cclab.protocol import ALICE, BOB, default_depth_cap, run
 
 
@@ -380,3 +381,26 @@ def test_enumerate_sets_distinct_sorted():
 def test_enumerate_sets_caps_n():
     with pytest.raises(UsageError):
         list(enumerate_sets(5, 10))
+
+
+def _unshared(node):
+    """A copy of the tree in which no node object appears twice."""
+    if isinstance(node, Speak):
+        return Speak(node.owner, node.fn, _unshared(node.child0), _unshared(node.child1))
+    return OutputLeaf(node.fn) if isinstance(node, OutputLeaf) else StuckLeaf()
+
+
+def test_shared_subtrees_encode_like_their_unshared_copy():
+    stuck = StuckLeaf()
+    inner = Speak(BOB, NodeFunction.input_bit(1), stuck, OutputLeaf(OutputFunction.copy_x()))
+    # inner sits at depths 1 and 2, stuck in four places
+    hand = ProtocolTree.symmetric(2, Speak(
+        ALICE, NodeFunction.from_table("0110"), inner,
+        Speak(BOB, NodeFunction.negated_bit(0), inner, stuck),
+    ))
+    exchange = ProtocolTree.symmetric(6, _exchange_tree(["00", "01", "10"], [0, 0, 1], 6))
+    for tree in (hand, exchange):
+        copy = ProtocolTree(tree.n_alice, tree.n_bob, tree.out_len, _unshared(tree.root))
+        code = pdl_encode(tree)
+        assert code == pdl_encode(copy)
+        assert pdl_decode(code, tree.n) == copy == tree

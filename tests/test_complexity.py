@@ -238,7 +238,8 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
 
 
 def test_equal_functions_share_one_tcc_family_entry():
-    f, g = identity_fn(1), identity_fn(1)
+    f = identity_fn(1)
+    g = FunctionSpec(f.name, f.n, f.boolean, f.cells)
     assert f is not g and f == g and hash(f) == hash(g)
     _tcc_family.cache_clear()
     m = Measure("TCC", alpha=15)

@@ -157,7 +157,8 @@ def test_check_bits_accepts_exactly_the_bit_strings(s, ok):
 
 
 def test_a_spec_hashes_its_fields_once_and_copies_rehash():
-    f, g = identity_fn(2), identity_fn(2)
+    f = identity_fn(2)
+    g = FunctionSpec(f.name, f.n, f.boolean, f.cells)
     assert f is not g and f == g
     assert hash(f) == hash(g) == hash((f.name, f.n, f.boolean, f.cells))
     assert f.__dict__["_hash"] == hash(f)
@@ -166,3 +167,18 @@ def test_a_spec_hashes_its_fields_once_and_copies_rehash():
     copy = pickle.loads(pickle.dumps(f))
     assert "_hash" not in copy.__dict__
     assert copy == f and hash(copy) == hash(f)
+
+
+def test_named_functions_are_built_once_per_n():
+    for make in (identity_fn, equality_fn, inner_product_fn):
+        for n in (1, 2, 5):
+            f = make(n)
+            assert make(n) is f
+            assert make(n) == FunctionSpec(f.name, n, f.boolean, f.cells)
+            assert hash(make(n)) == hash(f)
+            assert {f: n}[make(n)] == n
+        assert make(1) is not make(2)
+    # a refused n raises on every call and leaves nothing behind
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            identity_fn(0)

@@ -5,21 +5,32 @@ from hypothesis import given, settings
 from test_codes import _tree_pairs
 
 from cclab import (
+    NodeFunction,
     OutputFunction,
     OutputLeaf,
     ProtocolTree,
     Rectangle,
+    RectangleViolation,
+    Speak,
+    StuckLeaf,
     UsageError,
+    enumerate_signature,
     equality_diagonal_bound,
     equality_fn,
     gf2_rank,
     identity_fn,
+    inner_product_fn,
     ip_rectangle_audit,
+    large_rectangle_shortcut,
     rectangle_color,
     run,
     transcript_partition,
+    tree_has_stuck,
 )
+from cclab import protocol
 from cclab.bits import all_bitstrings
+from cclab.constructions import _exchange_tree
+from cclab.protocol import BOB
 from cclab.reference import (
     alice_sends_x_ip,
     equality_protocols,
@@ -45,9 +56,6 @@ def test_partition_of_literal_send():
 
 
 def test_partition_skips_stuck_pairs():
-    from cclab import NodeFunction, Speak, StuckLeaf
-    from cclab.protocol import BOB
-
     tree = ProtocolTree(
         1, 1, 1,
         Speak(BOB, NodeFunction.input_bit(0), StuckLeaf(), OutputLeaf(OutputFunction.const("1"))),
@@ -119,3 +127,72 @@ def test_random_trees_split_their_pairs_into_product_sets(tree):
             for y in rect.cols:
                 assert runs[x, y].transcript == transcript and not runs[x, y].is_stuck
     assert sum(rect.size for rect in partition.classes.values()) == len(partition.covered)
+
+
+def _partition_by_runs(tree):
+    """Classes and covered pairs from one run per pair, in the order the grid meets them."""
+    groups, covered = {}, set()
+    for x in all_bitstrings(tree.n_alice):
+        for y in all_bitstrings(tree.n_bob):
+            outcome = run(tree, x, y)
+            if outcome.is_stuck:
+                continue
+            covered.add((x, y))
+            rows, cols = groups.setdefault(outcome.transcript, (set(), set()))
+            rows.add(x)
+            cols.add(y)
+    return {t: Rectangle(frozenset(r), frozenset(c)) for t, (r, c) in groups.items()}, covered
+
+
+def _shares_a_branch(node):
+    if not isinstance(node, Speak):
+        return False
+    return node.child0 is node.child1 or _shares_a_branch(node.child0) or _shares_a_branch(node.child1)
+
+
+def _partition_cases():
+    stuck = [tree for _, tree in enumerate_signature(2, 2, 2, 14) if tree_has_stuck(tree.root)]
+    yield from stuck[::7]
+    eq3 = equality_fn(3)
+    yield large_rectangle_shortcut(eq3, [
+        Rectangle(frozenset(("000", "001")), frozenset(("110", "111"))),
+        Rectangle(frozenset(("100",)), frozenset(("000", "001"))),
+    ])
+    yield large_rectangle_shortcut(inner_product_fn(3), [
+        Rectangle(frozenset(("000", "001")), frozenset(("000", "010", "100", "110"))),
+    ])
+    # slot 0 asked twice, so Bob's answer prefix 01 is dead and its chain is shared
+    shared = ProtocolTree.symmetric(6, _exchange_tree(["00", "01", "10"], [0, 0, 1], 6))
+    assert _shares_a_branch(shared.root)
+    yield shared
+
+
+def test_partition_matches_one_run_per_pair():
+    cases = list(_partition_cases())
+    assert sum(tree_has_stuck(tree.root) for tree in cases) >= 10
+    for tree in cases:
+        classes, covered = _partition_by_runs(tree)
+        partition = transcript_partition(tree)
+        assert list(partition.classes.items()) == list(classes.items())
+        assert partition.covered == covered
+        assert sum(rect.size for rect in classes.values()) == len(covered)
+
+
+def test_a_fold_that_breaks_the_product_property_is_reported(monkeypatch):
+    # the engine is broken on purpose: Bob's bit "reads 1" on the diagonal of
+    # the grid, which no function of his input alone can do
+    tree = ProtocolTree(
+        2, 2, 2,
+        Speak(BOB, NodeFunction.input_bit(0), OutputLeaf(OutputFunction.const("00")),
+              OutputLeaf(OutputFunction.const("01"))),
+    )
+    diagonal = sum(1 << (i << 2 | i) for i in range(4))
+    monkeypatch.setattr(protocol, "_reads_one", lambda *key: diagonal)
+    with pytest.raises(RectangleViolation) as caught:
+        transcript_partition(tree)
+    # the diagonal leaf misses the off-diagonal pairs, the other leaf the diagonal
+    assert caught.value.transcript == "0"
+    assert caught.value.witnesses in (
+        [("00", "01"), ("00", "10"), ("00", "11"), ("01", "00")],
+        [("00", "00"), ("01", "01"), ("10", "10"), ("11", "11")],
+    )
