@@ -9,13 +9,7 @@ that re-check every headline claim.
 from .bits import (
     all_bitstrings,
     bits_from_hex,
-    bits_from_int,
     bits_to_hex,
-    bits_to_int,
-    embed_bit,
-    inner_product_bit,
-    log2ceil,
-    xor_bits,
 )
 from .codes import (
     PdlCode,
@@ -32,13 +26,9 @@ from .codes import (
     sdl_encode,
 )
 from .complexity import (
-    FAMILIES,
     INF,
     ComplexityProfile,
-    HardYReport,
     Measure,
-    OneWaySimulation,
-    TccProfileReport,
     find_hard_y,
     individual_cc,
     one_way_from_two_way,
@@ -48,11 +38,8 @@ from .complexity import (
     tcc_identity_profile,
 )
 from .constructions import (
-    HARD_INSTANCE_SCHEMA,
     HardInstance,
-    IndexExchangeReport,
     ReplayReport,
-    SeparatingIndexSet,
     equality_shortcut_protocol,
     fit_node_function,
     helpbit_hard_instance,
@@ -86,7 +73,6 @@ from .protocol import (
     OutputFunction,
     OutputLeaf,
     ProtocolTree,
-    RunOutcome,
     Speak,
     StuckLeaf,
     bob_message,
@@ -103,21 +89,14 @@ from .protocol import (
     value_as_help_protocol,
 )
 from .rectangles import (
-    DiagonalReport,
-    IpAuditReport,
     Rectangle,
-    TranscriptPartition,
     equality_diagonal_bound,
     gf2_rank,
     ip_rectangle_audit,
     rectangle_color,
     transcript_partition,
 )
-from .reference import (
-    equality_protocols,
-    identity_protocols,
-    ip_protocols,
-)
+from .reference import equality_protocols
 from .solver import dcc_exact
 from .verify import SUITES, CheckResult, VerificationReport, run_suite
 

@@ -42,14 +42,15 @@ from .protocol import (
     ProtocolTree,
     _answers,
     _answers_every_pair,
+    _bob_message_classes,
     _check_grid,
     _correct_by_depth,
     _help_cells,
     _leaf_masks,
     _no_stuck,
-    bob_message,
-    cc_on_input,
+    cc_with_help,
     computes_everywhere,
+    default_depth_cap,
     is_one_way,
     node_is_one_way,
     run,
@@ -176,7 +177,8 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
         if m.one_way and not node_is_one_way(node):
             continue
         cost = INF
-        for cells, depth, leaf in _leaf_masks(node, n + a, n + b, pair):
+        for cells, path, leaf in _leaf_masks(node, n + a, n + b, pair):
+            depth = path.bit_length() - 1
             if depth < cost and type(leaf) is OutputLeaf:
                 if cells & answers(leaf.fn.kind, leaf.fn.value):
                     cost = depth
@@ -231,7 +233,7 @@ def one_way_from_two_way(tree: ProtocolTree) -> OneWaySimulation:
         raise AuditFailure("two columns share a transcript in a correct protocol")
     sim = message_protocol(messages, n)
     for (row, col), transcript in transcripts.items():
-        after = cc_on_input(sim, f, row, col)
+        after = cc_with_help(sim, f, row, col)
         if after > len(transcript):
             raise AuditFailure(
                 f"one-way cost {after} exceeds two-way cost {len(transcript)} on ({row},{col})"
@@ -266,6 +268,17 @@ def set_to_oneway(members, n: int) -> ProtocolTree:
     return message_protocol(messages, n)
 
 
+def _message_lengths(tree: ProtocolTree) -> list:
+    """The length of Bob's message on every column, in column order.
+
+    Read from one fold of `_bob_message_classes`; the tree must be one-way
+    and never stuck, as the identity senders here are.
+    """
+    n = tree.n_bob
+    classes = _bob_message_classes(tree, n, "", default_depth_cap(tree.n_alice, n) + 1)
+    return [next(len(m) for m, cols in classes.items() if cols >> col & 1) for col in range(1 << n)]
+
+
 def oneway_to_set(tree: ProtocolTree, y: str) -> frozenset:
     """Columns whose message length matches y's; a set of size <= 2^length.
 
@@ -281,9 +294,10 @@ def oneway_to_set(tree: ProtocolTree, y: str) -> frozenset:
         raise UsageError("expected a one-way protocol")
     if not computes_everywhere(tree, identity_fn(n)):
         raise UsageError("protocol is not total and correct for the identity")
-    target = len(bob_message(tree, y))
+    lengths = _message_lengths(tree)
+    target = lengths[bits_to_int(y)]
     result = frozenset(
-        col for col in all_bitstrings(n) if len(bob_message(tree, col)) == target
+        col for col, length in zip(all_bitstrings(n), lengths) if length == target
     )
     if y not in result:
         raise AuditFailure("the defining column fell out of its own class")

@@ -40,8 +40,7 @@ from .protocol import (
     ProtocolTree,
     Speak,
     _bob_message_classes,
-    _spell_input,
-    _table_answer,
+    _literal_send,
     run,
 )
 from .rectangles import rectangle_color
@@ -146,12 +145,12 @@ def equality_shortcut_protocol(n: int) -> ProtocolTree:
     if n < 1:
         raise UsageError("need n >= 1")
     zero = OutputLeaf(OutputFunction.const(embed_bit(0, n)))
-    answer = _table_answer(equality_fn(n))
+    send = _literal_send(equality_fn(n))
     root = Speak(
         BOB,
         NodeFunction.input_bit(0),
-        _spell_input(BOB, n, answer, "0"),
-        Speak(ALICE, NodeFunction.input_bit(0), zero, _spell_input(BOB, n, answer, "1")),
+        send.child0,
+        Speak(ALICE, NodeFunction.input_bit(0), zero, send.child1),
     )
     return ProtocolTree.symmetric(n, root)
 
@@ -179,7 +178,7 @@ def large_rectangle_shortcut(f: FunctionSpec, rects: list) -> ProtocolTree:
             if rects[i].rows & rects[j].rows and rects[i].cols & rects[j].cols:
                 raise UsageError(f"rectangles {i} and {j} overlap")
     width = log2ceil(len(rects) + 1)
-    default = _spell_input(BOB, n, _table_answer(f))
+    default = _literal_send(f)
 
     def index_of(y: str) -> int:
         for i, rect in enumerate(rects):

@@ -10,23 +10,23 @@ computation that never answers.
 Inputs may have different lengths per party (used for help-extended runs);
 the plain case is symmetric with output width equal to the input length.
 
-Two engines read a tree.  A single pair is walked from the root by `run`
-and `bob_message`.  Every other question is a fold over one pass of
-integer masks instead, in which each speak node splits the masked inputs
-that reach it by where its function reads 1:
+A single pair is walked from the root by `run`.  Every other question is
+one fold of integer masks (`_leaf_masks`): each speak node splits the
+inputs that reach it by where its function reads 1, and every leaf ends up
+with the inputs that reach it, which form a rectangle, and its transcript.
+The fold reads two input domains:
 
-- over the grid, cell xa << nb | yb stands for Alice's input xa and Bob's
-  input yb, and every leaf ends up with the rectangle of cells that reach
-  it and its depth, the transcript length of each of those runs
-  (`is_total`, `computes_everywhere`, the transcript classes of
+- the grid, where cell xa << nb | yb stands for Alice's input xa and Bob's
+  input yb (`is_total`, `computes_everywhere`, the transcript classes of
   `rectangles.transcript_partition`, the family scans in `complexity`,
   which fold each tree of the total-and-correct family once into the
   per-depth correct cells of `_correct_by_depth` and keep them, and
   `cc_with_help`, which folds a tree once and then answers each pair by
   a mask test);
-- for the hard-instance fibers, bit z stands for Bob's input made of the
-  k-bit block z and a fixed suffix, and the blocks are split into classes
-  by Bob's one-way message (`_bob_message_classes`).
+- the blocks of a one-way tree, a grid of one row whose column z stands
+  for Bob's input made of the k-bit block z and a fixed suffix, split
+  into classes by Bob's message (`_bob_message_classes`: the hard-instance
+  fibers, and the message lengths of identity senders).
 
 `cc_with_help` looks each pair's cells up in a memo instead of parsing the
 strings again, and `_pairs_within` slides every depth of the fold over the
@@ -37,10 +37,12 @@ Every tree is validated on construction, but a subtree already proven at
 the same widths (`_prove`) is not walked again where its height keeps it
 within the depth cap, and a speak node whose two children are one object
 (the shared dead chains of the index-exchange companion) walks that child
-once.  `help_bit_totalizer` proves its default once per
-function and mode, and the lift of the wrapped protocol once per protocol
-and mode, shared by every function asked about that protocol; only the
-last protocol's lifts are kept.
+once.  The literal-send default is built once per function
+(`_literal_send`) and shared by every protocol that holds it.
+`help_bit_totalizer` proves its lift once per function and mode, and the
+lift of the wrapped protocol once per protocol and mode, shared by every
+function asked about that protocol; only the last protocol's lifts are
+kept.
 """
 
 from __future__ import annotations
@@ -423,48 +425,6 @@ def bob_message(tree: ProtocolTree, y: str) -> str | None:
     return bits if isinstance(node, OutputLeaf) else None
 
 
-@lru_cache(maxsize=4096)
-def _block_reads_one(kind: str, index: int, table: str, k: int, suffix: str) -> int:
-    """Blocks z of k bits where a node function of Bob's input z + suffix reads 1.
-
-    Keyed by the function's fields, like `_reads_one`.
-    """
-    fn = NodeFunction(kind, index, table)
-    return sum(1 << z for z, u in enumerate(all_bitstrings(k)) if fn.evaluate(u + suffix))
-
-
-def _bob_message_classes(tree: ProtocolTree, k: int, suffix: str, l: int) -> dict:
-    """`bob_message` on z + suffix for every k-bit block z, shorter than l bits.
-
-    Returns {message: blocks}, where bit z of blocks is set for each block
-    value z whose run sends that message.  The message is None, the
-    infinity marker, where the run ends at a stuck leaf or speaks l bits.
-    Each speak node splits the blocks that reach it, so no block is walked
-    on its own.
-    """
-    if not is_one_way(tree):
-        raise UsageError("bob_message requires a one-way protocol")
-    if k + len(check_bits(suffix)) != tree.n_bob:
-        raise UsageError(f"a {k}-bit block and the suffix do not make Bob's {tree.n_bob} bits")
-    classes: dict = {}
-    todo = [(tree.root, (1 << (1 << k)) - 1, "")]
-    while todo:
-        node, blocks, bits = todo.pop()
-        while type(node) is Speak and len(bits) < l:
-            fn = node.fn
-            ones = blocks & _block_reads_one(fn.kind, fn.index, fn.table, k, suffix)
-            if not ones:
-                node, bits = node.child0, bits + "0"
-            elif ones == blocks:
-                node, bits = node.child1, bits + "1"
-            else:
-                todo.append((node.child0, blocks ^ ones, bits + "0"))
-                node, blocks, bits = node.child1, ones, bits + "1"
-        message = bits if type(node) is OutputLeaf and len(bits) < l else None
-        classes[message] = classes.get(message, 0) | blocks
-    return classes
-
-
 def cc_on_input(tree: ProtocolTree, f: FunctionSpec, x: str, y: str) -> int | float:
     """Bits spoken on (x, y) when the answer is right, else infinity."""
     return cc_with_help(tree, f, x, y)
@@ -486,46 +446,77 @@ def _check_help_shape(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) 
         raise UsageError("output width must match the base input length")
 
 
-@lru_cache(maxsize=4096)
-def _reads_one(owner: str, kind: str, index: int, table: str, na: int, nb: int) -> int:
+@lru_cache(maxsize=8192)
+def _reads_one(owner: str, kind: str, index: int, table: str, na: int, nb: int, suffix: str) -> int:
     """Cells of the (na, nb) grid where a node function of the owner's input reads 1.
 
-    Keyed by the function's fields, which hash faster than the function.
+    Bob's input is his nb bits followed by suffix.  Keyed by the
+    function's fields, which hash faster than the function.
     """
     fn = NodeFunction(kind, index, table)
     if owner == ALICE:
         row = (1 << (1 << nb)) - 1
         return sum(row << (xa << nb) for xa, u in enumerate(all_bitstrings(na)) if fn.evaluate(u))
-    column = sum(1 << yb for yb, u in enumerate(all_bitstrings(nb)) if fn.evaluate(u))
+    column = sum(1 << yb for yb, u in enumerate(all_bitstrings(nb)) if fn.evaluate(u + suffix))
     return column * sum(1 << (xa << nb) for xa in range(1 << na))
 
 
 def _leaf_masks(
-    node: Node, na: int, nb: int, cells: int | None = None
+    node: Node, na: int, nb: int, cells: int | None = None, suffix: str = ""
 ) -> list[tuple[int, int, Node]]:
-    """(cells, depth, leaf) for every leaf that the given cells reach.
+    """(cells, path, leaf) for every leaf that the given cells reach.
 
     Cell xa << nb | yb is the run on Alice's input xa and Bob's input yb,
-    read as integers, so help bits trail the base input as in `_lift`;
-    the cells default to the whole (na, nb) grid.
+    read as integers, where Bob's input is his nb bits followed by suffix;
+    help bits trail the base input as in `_lift`, and the cells default to
+    the whole (na, nb) grid.  path is the leaf's transcript as an integer
+    behind a leading 1 bit, so its depth is path.bit_length() - 1
+    (`_transcript` spells it).
     """
     leaves = []
-    todo = [(node, (1 << (1 << (na + nb))) - 1 if cells is None else cells, 0)]
+    todo = [(node, (1 << (1 << (na + nb))) - 1 if cells is None else cells, 1)]
     while todo:
-        node, cells, depth = todo.pop()
+        node, cells, path = todo.pop()
         while type(node) is Speak:
             fn = node.fn
-            ones = cells & _reads_one(node.owner, fn.kind, fn.index, fn.table, na, nb)
-            depth += 1
+            ones = cells & _reads_one(node.owner, fn.kind, fn.index, fn.table, na, nb, suffix)
+            path <<= 1
             if not ones:
                 node = node.child0
             elif ones == cells:
-                node = node.child1
+                node, path = node.child1, path | 1
             else:
-                todo.append((node.child0, cells ^ ones, depth))
-                node, cells = node.child1, ones
-        leaves.append((cells, depth, node))
+                todo.append((node.child0, cells ^ ones, path))
+                node, cells, path = node.child1, ones, path | 1
+        leaves.append((cells, path, node))
     return leaves
+
+
+def _transcript(path: int) -> str:
+    """The bits spoken on the way to a leaf of `_leaf_masks`, from its path."""
+    return format(path, "b")[1:]
+
+
+def _bob_message_classes(tree: ProtocolTree, k: int, suffix: str, l: int) -> dict:
+    """`bob_message` on z + suffix for every k-bit block z, shorter than l bits.
+
+    Returns {message: blocks}, where bit z of blocks is set for each block
+    value z whose run sends that message.  The message is None, the
+    infinity marker, where the run ends at a stuck leaf or speaks l bits.
+    Read from one `_leaf_masks` fold over a grid of one row whose columns
+    are the blocks, so no block is walked on its own.
+    """
+    if not is_one_way(tree):
+        raise UsageError("bob_message requires a one-way protocol")
+    if k + len(check_bits(suffix)) != tree.n_bob:
+        raise UsageError(f"a {k}-bit block and the suffix do not make Bob's {tree.n_bob} bits")
+    classes: dict = {}
+    for blocks, path, leaf in _leaf_masks(tree.root, 0, k, suffix=suffix):
+        message = _transcript(path)
+        if type(leaf) is not OutputLeaf or len(message) >= l:
+            message = None
+        classes[message] = classes.get(message, 0) | blocks
+    return classes
 
 
 @lru_cache(maxsize=64)
@@ -698,10 +689,11 @@ def _correct_by_depth(leaves, answers) -> tuple:
     Ascending by depth, nonempty cells only; answers is an `_answers` lookup.
     """
     by_depth: dict[int, int] = {}
-    for cells, depth, leaf in leaves:
+    for cells, path, leaf in leaves:
         if type(leaf) is OutputLeaf:
             hit = cells & answers(leaf.fn.kind, leaf.fn.value)
             if hit:
+                depth = path.bit_length() - 1
                 by_depth[depth] = by_depth.get(depth, 0) | hit
     return tuple(sorted(by_depth.items()))
 
@@ -760,10 +752,16 @@ def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
     )
 
 
-def _table_answer(f: FunctionSpec):
-    """Leaf for Bob spelling out y: Alice answers f(x, y) from a table."""
+@lru_cache(maxsize=32)
+def _literal_send(f: FunctionSpec) -> Node:
+    """Bob spells out y and Alice answers f(x, y) from a table, built once per f.
+
+    Nodes are frozen, so every protocol that holds this default shares it.
+    """
     n = f.n
-    return lambda y: OutputLeaf(OutputFunction.from_map(n, n, lambda u: f.value(u, y)))
+    return _spell_input(
+        BOB, n, lambda y: OutputLeaf(OutputFunction.from_map(n, n, lambda u: f.value(u, y)))
+    )
 
 
 def _repeat_cells(cells, extra: int) -> str:
@@ -802,8 +800,8 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
 
 @lru_cache(maxsize=32)
 def _lifted_default(f: FunctionSpec, extra_alice: int, extra_bob: int) -> Node:
-    """The totalizer's literal-send default, built and lifted once per f and mode."""
-    return _lift(_spell_input(BOB, f.n, _table_answer(f)), f.n, extra_alice, extra_bob)
+    """The totalizer's literal-send default, lifted once per f and mode."""
+    return _lift(_literal_send(f), f.n, extra_alice, extra_bob)
 
 
 # The lift of the last tree wrapped in each mode, keyed by the help counts:

@@ -9,11 +9,12 @@ product, the diagonal argument for equality).
 
 All grids are tiny by construction, so rectangles are stored as explicit
 sets of bit strings and every audit is exhaustive.  The partition comes
-from one `_leaf_masks` fold of the tree: the cells that reach a leaf are
-its class, one walk from the class's lowest cell spells its transcript,
-and a class is a rectangle exactly when its cell count is the number of
-rows it meets times the number of columns it meets.  The audits' own
-per-row and per-diagonal runs stay as independent checks of the fold.
+from one `_leaf_masks` fold of the tree, the same fold every grid question
+reads: the cells that reach a leaf are its class, the fold's path spells
+its transcript, and a class is a rectangle exactly when its cell count is
+the number of rows it meets times the number of columns it meets.  The
+audits' own per-row and per-diagonal runs stay as independent checks of
+the fold.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .protocol import (
     StuckLeaf,
     _check_grid,
     _leaf_masks,
-    _walk,
+    _transcript,
     computes_everywhere,
     run,
 )
@@ -90,33 +91,28 @@ def _product_sides(transcript: str, cells: int, xs: list, ys: list) -> tuple[lis
 def transcript_partition(tree: ProtocolTree) -> TranscriptPartition:
     """Group all pairs by conversation and verify each class is a rectangle.
 
-    One `_leaf_masks` fold gives the cells that reach each leaf; the
-    leaf's transcript is spelled by one walk from its lowest cell, and its
-    cells are a product set exactly when their count is the number of rows
-    they meet times the number of columns they meet.  The rectangle
-    property is a theorem for protocol trees, so a violation here means
-    the execution engine itself is broken; it is reported as a
-    RectangleViolation carrying the transcript and up to four of the
-    missing pairs rather than silently producing a bad partition.
+    One `_leaf_masks` fold gives the cells that reach each leaf and the
+    path that spells its transcript; the cells are a product set exactly
+    when their count is the number of rows they meet times the number of
+    columns they meet.  The rectangle property is a theorem for protocol
+    trees, so a violation here means the execution engine itself is
+    broken; it is reported as a RectangleViolation carrying the transcript
+    and up to four of the missing pairs rather than silently producing a
+    bad partition.
     """
     _check_grid(tree)
     na, nb = tree.n_alice, tree.n_bob
     xs, ys = list(all_bitstrings(na)), list(all_bitstrings(nb))
-    groups: dict = {}
-    for cells, _, leaf in _leaf_masks(tree.root, na, nb):
+    groups = []
+    for cells, path, leaf in _leaf_masks(tree.root, na, nb):
         if type(leaf) is StuckLeaf:
             continue
-        low = (cells & -cells).bit_length() - 1
-        transcript, _ = _walk(tree, xs[low >> nb], ys[low & (1 << nb) - 1])
-        sides = _product_sides(transcript, cells, xs, ys)
-        if transcript in groups:  # two leaves spell one transcript: the class is their union
-            cells |= groups[transcript][0]
-            sides = _product_sides(transcript, cells, xs, ys)
-        groups[transcript] = cells, sides
+        transcript = _transcript(path)
+        groups.append((cells & -cells, transcript, _product_sides(transcript, cells, xs, ys)))
     classes = {}
     covered = set()
     # in the order of each class's lowest cell, as a walk over the grid meets them
-    for transcript, (cells, (rows, cols)) in sorted(groups.items(), key=lambda g: g[1][0] & -g[1][0]):
+    for _, transcript, (rows, cols) in sorted(groups, key=lambda g: g[0]):
         rect = Rectangle(frozenset(xs[xa] for xa in rows), frozenset(ys[yb] for yb in cols))
         classes[transcript] = rect
         covered.update((x, y) for x in rect.rows for y in rect.cols)

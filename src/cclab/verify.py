@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .bits import all_bitstrings, log2ceil
+from .bits import all_bitstrings, bits_to_int, log2ceil
 from .codes import (
     PdlCode,
     _check_budget,
@@ -27,6 +27,7 @@ from .codes import (
 )
 from .complexity import (
     INF,
+    _message_lengths,
     _tcc_family,
     find_hard_y,
     one_way_from_two_way,
@@ -52,8 +53,6 @@ from .protocol import (
     OutputLeaf,
     ProtocolTree,
     _pairs_within,
-    bob_message,
-    cc_on_input,
     cc_with_help,
     computes_everywhere,
     help_bit_totalizer,
@@ -210,7 +209,7 @@ def _simulation_scan(out, claim: str, protocols, n: int, gate: int | None):
             break
         for y in all_bitstrings(n):
             for x in all_bitstrings(n):
-                if len(sim.messages[y]) > cc_on_input(tree, f, x, y):
+                if len(sim.messages[y]) > cc_with_help(tree, f, x, y):
                     failure = f"{label}: message beats no run on ({x},{y})"
                     break
             if failure:
@@ -438,8 +437,9 @@ def verify_equiv() -> VerificationReport:
     for code, members in enumerate_sets(3, 20):
         tree = set_to_oneway(members, 3)
         want = 1 + log2ceil(len(members))
+        lengths = _message_lengths(tree)
         for y in sorted(members):
-            got = len(bob_message(tree, y))
+            got = lengths[bits_to_int(y)]
             if got != want:
                 failure = f"set {sorted(members)}: message {got} != {want} on y={y}"
                 break
@@ -467,9 +467,10 @@ def verify_equiv() -> VerificationReport:
     failure = ""
     for code, tree in _everywhere_correct(f1, 20, one_way=True):
         audited += 1
+        lengths = _message_lengths(tree)
         for y in all_bitstrings(1):
             members = oneway_to_set(tree, y)
-            if math.log2(len(members)) > len(bob_message(tree, y)):
+            if math.log2(len(members)) > lengths[bits_to_int(y)]:
                 failure = f"{code.bits}: set of {len(members)} beats its message on y={y}"
                 break
         if failure:
@@ -490,7 +491,7 @@ def verify_equiv() -> VerificationReport:
         if not members <= back:
             failure = f"set {sorted(members)}: round trip lost members"
             break
-        if math.log2(len(back)) > len(bob_message(sender, y)):
+        if math.log2(len(back)) > _message_lengths(sender)[bits_to_int(y)]:
             failure = f"set {sorted(members)}: recovered class too large"
             break
         audited += 1
@@ -689,7 +690,7 @@ def _totalizer_violation(code, tree: ProtocolTree, f) -> str:
     """The first (mode, pair) that breaks the totalizer law, asked pair by pair."""
     n = f.n
     pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
-    base = {pair: cc_on_input(tree, f, *pair) for pair in pairs}
+    base = {pair: cc_with_help(tree, f, *pair) for pair in pairs}
     for mode, spec in _TOTALIZER_MODES.items():
         wrapped = help_bit_totalizer(tree, f, mode)
         for pair, cost in base.items():

@@ -1,6 +1,9 @@
-"""End-to-end command checks, all in process through main(argv)."""
+"""End-to-end command checks, in process through main(argv), and `python -m cclab`."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -270,3 +273,15 @@ def test_huge_table_header_refused_before_any_power_of_two(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("n=100000\n0\n")
     _refused_quickly_naming_the_limit(capsys, "dcc", "--fn", f"table:{path}", "--n", "2")
+
+
+def test_python_dash_m_runs_the_command_line_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    done = subprocess.run(
+        [sys.executable, "-m", "cclab", "verify", "eq-shortcut"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / "eq-shortcut.txt").read_text(encoding="utf-8")

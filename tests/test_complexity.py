@@ -371,6 +371,20 @@ def test_oneway_to_set_contains_column():
             assert math.log2(len(back)) <= len(bob_message(tree, y))
 
 
+def test_oneway_to_set_is_the_class_of_equal_message_length():
+    # the per-column walk is the reference for the one fold oneway_to_set reads
+    cases = 0
+    for n in (2, 3):
+        for _code, members in enumerate_sets(n, 20):
+            tree = set_to_oneway(members, n)
+            lengths = {col: len(bob_message(tree, col)) for col in all_bitstrings(n)}
+            for y in all_bitstrings(n):
+                want = frozenset(col for col, length in lengths.items() if length == lengths[y])
+                assert oneway_to_set(tree, y) == want, (sorted(members), y)
+                cases += 1
+    assert cases == 1812
+
+
 # ---------------------------------------------------------------------------
 # profiles
 

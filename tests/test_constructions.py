@@ -117,6 +117,18 @@ def test_large_rectangle_shortcut():
     assert run(tree, "00", "10").cost == 2
 
 
+def test_rectangle_shortcuts_share_the_literal_send_default():
+    # the index-0 branch is the default; a second call on f builds nothing anew
+    f = equality_fn(5)
+    first, second = (large_rectangle_shortcut(f, [off_diagonal_quadrant(5)]) for _ in range(2))
+    assert first.root.child0 is second.root.child0
+    code = pdl_encode(first)
+    assert len(code.bits) == 11017
+    assert hashlib.sha256(code.hex().encode()).hexdigest() == (
+        "9cce31c01c76a71f40b17dbf7d074493c6420e87abf679af1a425def0b378389"
+    )
+
+
 def test_large_rectangle_shortcut_validation():
     f = equality_fn(2)
     mixed = Rectangle(frozenset(("00",)), frozenset(("00", "01")))

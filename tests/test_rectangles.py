@@ -190,8 +190,9 @@ def test_a_fold_that_breaks_the_product_property_is_reported(monkeypatch):
     monkeypatch.setattr(protocol, "_reads_one", lambda *key: diagonal)
     with pytest.raises(RectangleViolation) as caught:
         transcript_partition(tree)
-    # the diagonal leaf misses the off-diagonal pairs, the other leaf the diagonal
-    assert caught.value.transcript == "0"
+    # the diagonal leaf, reached on bit 1, misses the off-diagonal pairs,
+    # the other leaf the diagonal
+    assert caught.value.transcript == "1"
     assert caught.value.witnesses in (
         [("00", "01"), ("00", "10"), ("00", "11"), ("01", "00")],
         [("00", "00"), ("01", "01"), ("10", "10"), ("11", "11")],
