@@ -38,9 +38,10 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from typing import Any, Callable, NamedTuple
 
 from .bits import (
@@ -357,9 +358,31 @@ def _raw_enumeration(na: int, nb: int, out_len: int, budget: int) -> list[tuple[
     return sorted(gen(budget), key=lambda item: (len(item[0]), item[0]))
 
 
+# The largest table built per signature (na, nb, out_len), as (budget,
+# table), most recently used last and oldest dropped past the limit.
+_largest_tables: dict = {}
+_LARGEST_LIMIT = 64
+
+
 @lru_cache(maxsize=64)
 def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tuple[str, Node], ...]:
-    return tuple(_raw_enumeration(na, nb, out_len, budget))
+    """(code, root) for every decodable code of at most budget bits, in canonical order.
+
+    Canonical order sorts by (length, code), so the table of a smaller
+    budget is a prefix of a larger one's, and index i names the same tree
+    at every budget that holds it.  A budget up to the largest built for
+    the signature is served as a prefix of that table; a larger one is
+    enumerated and becomes the signature's largest.
+    """
+    signature = na, nb, out_len
+    largest = _largest_tables.pop(signature, None)
+    if largest is None or largest[0] < budget:
+        largest = budget, tuple(_raw_enumeration(na, nb, out_len, budget))
+    _largest_tables[signature] = largest
+    if len(_largest_tables) > _LARGEST_LIMIT:
+        del _largest_tables[next(iter(_largest_tables))]
+    table = largest[1]
+    return table[:bisect_right(table, budget, key=lambda item: len(item[0]))]
 
 
 _HARD_BUDGET_LIMIT = 28
@@ -418,6 +441,8 @@ def enumerate_signature(
     require_one_way: bool = False,
 ):
     """Canonical enumeration under an explicit protocol shape."""
+    if min(na, nb, out_len) < 1:
+        raise UsageError("input lengths and output width must be positive")
     _check_budget(budget)
     for bits, node in _enumeration_table(na, nb, out_len, budget):
         if require_total and tree_has_stuck(node):
@@ -497,10 +522,24 @@ def sdl_decode(code: SdlCode | str, n: int) -> frozenset[str]:
 
 @lru_cache(maxsize=16)
 def _set_table(n: int, budget: int) -> tuple[tuple[SdlCode, frozenset[str]], ...]:
-    universe = [format(v, f"0{n}b") for v in range(1 << n)]
+    """(code, set) for every nonempty set whose canonical code fits, in canonical order.
+
+    A canonical code is a list or a template, so only the sets that a list
+    of at most (budget - 1 - n) // n members or a template can spell are
+    encoded, not every subset.
+    """
+    universe = list(all_bitstrings(n))
+    candidates = {
+        frozenset(members)
+        for size in range(1, (budget - 1 - n) // n + 1)
+        for members in combinations(universe, size)
+    }
+    candidates.update(
+        frozenset(u for u in universe if all(p in ("*", c) for p, c in zip(pattern, u)))
+        for pattern in product("01*", repeat=n)
+    )
     found: list[tuple[SdlCode, frozenset[str]]] = []
-    for mask in range(1, 1 << len(universe)):
-        members = frozenset(universe[i] for i in range(len(universe)) if mask >> i & 1)
+    for members in candidates:
         code = sdl_encode(members, n)
         if len(code) <= budget:
             found.append((code, members))

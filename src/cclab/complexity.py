@@ -9,12 +9,19 @@ Which trees the total-and-correct-everywhere family holds depends on f,
 the help counts and the budget but never on the pair, so that family is
 decided once per key and kept with each member's per-depth correct cells
 (`_tcc_family`); TCC values and identity profiles are read from it, and
-their checks still run on every call.  The pointwise families CC and PCC
-scan the enumeration folded over the pair's cells and stop at their first
-free witness.  On top of the measures sit the one-way simulation of
-arbitrary total identity protocols, the exchange between describable sets
-and one-way senders, structure profiles over the budget axis, and the
-exhaustive search for columns on which every cheap protocol must talk.
+their checks still run on every call.  A family is read from fold
+classes (`_fold_classes`): each enumerated tree of a signature is folded
+over the whole grid once, trees that can strand a cell are dropped, and
+the rest are grouped by their leaves' (cells, depth, output), so a new
+function decides each class once instead of each tree.  A smaller budget
+is a prefix of the canonical order, so its table and its classes are
+read off the largest ones built for the signature.  The pointwise
+families CC and PCC scan the enumeration folded over the pair's cells
+and stop at their first free witness.  On top of the measures sit the
+one-way simulation of arbitrary total identity protocols, the exchange
+between describable sets and one-way senders, structure profiles over
+the budget axis, and the exhaustive search for columns on which every
+cheap protocol must talk.
 """
 
 from __future__ import annotations
@@ -94,22 +101,56 @@ def check_exhaustive_n(n: int, what: str = "exhaustive measures") -> None:
         raise UsageError(f"{what} support n <= {_EXHAUSTIVE_MAX_N}, got n = {n}")
 
 
-def _admissible(root: Node, m: Measure, f: FunctionSpec, leaves=None) -> bool:
-    """Whether the tree with this root belongs to the measure's protocol family.
-
-    leaves, when given, is the tree's `_leaf_masks` fold over the whole
-    help-extended grid, so a caller that needs the fold anyway folds once.
-    """
+def _admissible(root: Node, m: Measure, f: FunctionSpec) -> bool:
+    """Whether the tree with this root belongs to the measure's protocol family."""
     if m.family == "PCC":
         return True
     # correct on every pair means no pair is stranded; with help bits only
     # one help string per pair has to answer, so the others still need the
     # totality test
-    if leaves is None:
-        leaves = _leaf_masks(root, f.n + m.help.alice_bits, f.n + m.help.bob_bits)
+    leaves = _leaf_masks(root, f.n + m.help.alice_bits, f.n + m.help.bob_bits)
     if not _no_stuck(leaves):
         return False
     return m.family == "CC" or _answers_every_pair(leaves, f, m.help)
+
+
+# Fold classes per signature (na, nb, out_len), as (trees folded, classes),
+# most recently used last and oldest dropped past the limit; see _fold_classes.
+_class_store: dict = {}
+_CLASS_LIMIT = 64
+
+
+def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
+    """{fold: (leaves, members)} over the never-stuck trees of an enumeration table.
+
+    Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`);
+    a tree with a reachable stuck leaf can be in no TCC family and is
+    dropped.  The rest are grouped by their fold, the sorted (cells,
+    depth, output kind, output value) of their leaves, on which both TCC
+    admissibility and the per-depth correct cells depend; leaves is the
+    fold of the class's first member and members its ascending table
+    indices.  A table is a prefix of the signature's larger tables, so the
+    store covers the largest table seen and folds only the trees past it;
+    a caller reads the members below its own table's length.
+    """
+    signature = na, nb, out_len
+    folded, classes = _class_store.pop(signature, (0, {}))
+    for i in range(folded, len(table)):
+        leaves = _leaf_masks(table[i][1], na, nb)
+        if not _no_stuck(leaves):
+            continue
+        fold = tuple(sorted(
+            (cells, path.bit_length() - 1, leaf.fn.kind, leaf.fn.value) for cells, path, leaf in leaves
+        ))
+        entry = classes.get(fold)
+        if entry is None:
+            classes[fold] = leaves, [i]
+        else:
+            entry[1].append(i)
+    _class_store[signature] = max(folded, len(table)), classes
+    if len(_class_store) > _CLASS_LIMIT:
+        del _class_store[next(iter(_class_store))]
+    return classes
 
 
 @lru_cache(maxsize=64)
@@ -118,29 +159,29 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
 
     The trees are those of `_enumeration_table(n + alice_bits, n + bob_bits,
     n, alpha)`; correct_at is the tree's ascending (depth, cells) of correct
-    cells, as `protocol._correct_at` builds them, from the same one fold
-    that decides admissibility.  Both interaction shapes share an entry:
-    one_way marks the trees in which only Bob speaks.  Nothing is checked
-    here, so callers run their checks on every call before asking.
+    cells, as `protocol._correct_at` builds them.  Both depend on the tree
+    only through its fold, so each class of `_fold_classes` is decided once
+    and its members below the table's length take its correct_at; the
+    classes are shared by every function and budget of the signature.
+    Both interaction shapes share an entry: one_way marks the trees in
+    which only Bob speaks.  Nothing is checked here, so callers run their
+    checks on every call before asking.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
-    m = Measure(help=HelpSpec(alice_bits, bob_bits), alpha=alpha)
+    help_spec = HelpSpec(alice_bits, bob_bits)
     answers = _answers(f, alice_bits, bob_bits)
-    # a member answers base pair (0, 0) under some help string; a fold of
-    # that pair's few cells rejects most trees before the whole grid is folded
-    probe = _help_cells(n, alice_bits, bob_bits, "0" * n, "0" * n)
-    family = []
-    for bits, node in _enumeration_table(na, nb, n, alpha):
-        for cells, _, leaf in _leaf_masks(node, na, nb, probe):
-            if type(leaf) is OutputLeaf and cells & answers(leaf.fn.kind, leaf.fn.value):
-                break
-        else:  # no help string answers the pair
+    table = _enumeration_table(na, nb, n, alpha)
+    members = []
+    for leaves, indices in _fold_classes(na, nb, n, table).values():
+        if indices[0] >= len(table) or not _answers_every_pair(leaves, f, help_spec):
             continue
-        leaves = _leaf_masks(node, na, nb)
-        if _admissible(node, m, f, leaves):
-            family.append((bits, node_is_one_way(node), _correct_by_depth(leaves, answers)))
-    return tuple(family)
+        correct_at = _correct_by_depth(leaves, answers)
+        members.extend((i, correct_at) for i in indices if i < len(table))
+    members.sort(key=lambda member: member[0])
+    return tuple(
+        (table[i][0], node_is_one_way(table[i][1]), correct_at) for i, correct_at in members
+    )
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):

@@ -229,6 +229,17 @@ def test_negative_n_is_refused_like_zero(capsys, fn):
         assert captured.err.strip() == "error: n must be positive"
 
 
+@pytest.mark.parametrize("kind", ["all", "total", "one-way"])
+@pytest.mark.parametrize("alpha", ["0", "3", "20"])
+@pytest.mark.parametrize("n", ["0", "-1", "-3"])
+def test_enumerate_refuses_nonpositive_widths(capsys, n, alpha, kind):
+    code = main(["enumerate", "--n", n, "--alpha", alpha, "--kind", kind])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == "error: input lengths and output width must be positive"
+
+
 def test_cc_input_length_limit_comes_before_the_table_file(capsys):
     code = main(
         ["cc", "--fn", "table:/nonexistent", "--x", "0000", "--y", "0000", "--alpha", "5"]

@@ -1,5 +1,6 @@
 """Description languages: canonical codes, round trips, enumeration."""
 
+import bisect
 import hashlib
 
 import pytest
@@ -31,7 +32,8 @@ from cclab import (
     sdl_decode,
     sdl_encode,
 )
-from cclab.codes import _HARD_BUDGET_LIMIT, _enumeration_table
+from cclab import codes
+from cclab.codes import _HARD_BUDGET_LIMIT, _enumeration_table, _raw_enumeration, _set_table
 from cclab.constructions import _exchange_tree
 from cclab.protocol import ALICE, BOB, default_depth_cap, run
 
@@ -323,6 +325,19 @@ def test_scanned_tables_hold_valid_shallow_trees(n):
                 assert len(bits) >= 7 * _depth(tree.root) + 2
 
 
+@pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 4, 3)])
+def test_budget_prefixes_equal_fresh_enumerations(signature):
+    # a table is served as the prefix of the largest one built for its
+    # signature, so both build orders must give every budget's own stream
+    fresh = {budget: tuple(_raw_enumeration(*signature, budget)) for budget in range(21)}
+    for budgets in (range(20, -1, -1), range(21)):
+        _enumeration_table.cache_clear()
+        codes._largest_tables.clear()
+        for budget in budgets:
+            assert _enumeration_table(*signature, budget) == fresh[budget], budget
+        assert codes._largest_tables[signature][0] == 20
+
+
 def test_depth_bound_stays_below_every_depth_cap():
     deepest = (_HARD_BUDGET_LIMIT - 2) // 7
     assert deepest == 3
@@ -376,6 +391,27 @@ def test_enumerate_sets_distinct_sorted():
         last = code.sort_key
     # every nonempty subset of the 4-string universe is describable in 20 bits
     assert len(seen) == 15
+
+
+def test_set_tables_equal_an_all_subsets_walk():
+    # the table encodes only the sets a short list or a template can spell;
+    # every subset's own code decides which sets fit each budget
+    for n in (1, 2, 3, 4):
+        universe = list(all_bitstrings(n))
+        every = sorted(
+            (
+                (sdl_encode(members, n), members)
+                for members in (
+                    frozenset(u for i, u in enumerate(universe) if mask >> i & 1)
+                    for mask in range(1, 1 << len(universe))
+                )
+            ),
+            key=lambda item: item[0].sort_key,
+        )
+        lengths = [len(code) for code, _ in every]
+        for budget in range(21):
+            fits = bisect.bisect_right(lengths, budget)
+            assert _set_table(n, budget) == tuple(every[:fits]), (n, budget)
 
 
 def test_enumerate_sets_caps_n():

@@ -30,7 +30,9 @@ from cclab import (
     structure_function_profile,
     tcc_identity_profile,
 )
-from cclab.complexity import _admissible, _tcc_family
+from cclab import codes, complexity
+from cclab.codes import _enumeration_table
+from cclab.complexity import _admissible, _fold_classes, _tcc_family
 from cclab.protocol import (
     ALICE,
     BOB,
@@ -40,10 +42,14 @@ from cclab.protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
+    _correct_at,
     bob_message,
     cc_on_input,
     computes_everywhere,
+    is_one_way,
+    is_total,
     run,
+    tree_has_stuck,
 )
 from cclab.reference import alice_flag_identity, identity_protocols
 
@@ -282,6 +288,72 @@ def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
         individual_cc(m, f, "0", "1")
     with pytest.raises(UsageError):
         tcc_identity_profile("1", 22)
+
+
+# the (n, help bits) keys and budgets of the benchmark's per-input queries
+QUERY_BUDGETS = {
+    (1, (0, 0)): 20, (1, (1, 0)): 20, (1, (0, 1)): 19, (1, (1, 1)): 19,
+    (2, (0, 0)): 20, (2, (1, 0)): 19, (2, (0, 1)): 19, (2, (1, 1)): 19,
+    (3, (0, 0)): 20, (3, (1, 0)): 20, (3, (0, 1)): 20, (3, (1, 1)): 20,
+}
+
+
+def _clear_family_stores():
+    _tcc_family.cache_clear()
+    complexity._class_store.clear()
+    _enumeration_table.cache_clear()
+    codes._largest_tables.clear()
+
+
+@pytest.mark.parametrize("key", QUERY_BUDGETS, ids=lambda key: f"n{key[0]}-h{key[1][0]}{key[1][1]}")
+def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
+    """Families read from fold classes against every tree decided on its own.
+
+    The budget and the budget minus 2 are asked in both orders from empty
+    stores, so the smaller family is read once from classes folded for the
+    larger table and once from classes that the larger one extends.
+    """
+    n, (a, b) = key
+    budget = QUERY_BUDGETS[key]
+    help_spec = HelpSpec(a, b)
+    fns = [identity_fn(n), equality_fn(n), inner_product_fn(n)]
+    members = {f: [] for f in fns}
+    for code, tree in enumerate_signature(n + a, n + b, n, budget):
+        if not is_total(tree):
+            continue
+        for f in fns:
+            if computes_everywhere(tree, f, help_spec):
+                members[f].append((code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)))
+    # everywhere-correct trees fit these budgets at n = 1, and at n = 2 only with help
+    assert any(members.values()) == (n == 1 or (n == 2 and a + b > 0))
+    for order in ((budget, budget - 2), (budget - 2, budget)):
+        _clear_family_stores()
+        for alpha in order:
+            for f in fns:
+                want = tuple(m for m in members[f] if len(m[0]) <= alpha)
+                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
+
+
+@pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
+def test_fold_classes_hold_exactly_the_never_stuck_trees(signature):
+    table = _enumeration_table(*signature, 16)
+    classes = _fold_classes(*signature, table)
+    held = sorted(i for _, indices in classes.values() for i in indices if i < len(table))
+    total = [i for i, (_, node) in enumerate(table) if is_total(ProtocolTree(*signature, node))]
+    assert held == total
+    # trees whose stuck leaves no cell reaches are in, the others are out
+    assert any(tree_has_stuck(table[i][1]) for i in total)
+    assert len(total) < len(table)
+
+
+def test_family_stores_stay_within_their_bounds():
+    signatures = [(na, nb, w) for na in range(1, 6) for nb in range(1, 6) for w in (1, 2, 3)][:70]
+    for signature in signatures:
+        _fold_classes(*signature, _enumeration_table(*signature, 9))
+    assert len(complexity._class_store) == complexity._CLASS_LIMIT == _tcc_family.cache_info().maxsize
+    assert len(codes._largest_tables) == codes._LARGEST_LIMIT == _enumeration_table.cache_info().maxsize
+    assert signatures[-1] in complexity._class_store and signatures[0] not in complexity._class_store
+    assert signatures[-1] in codes._largest_tables and signatures[0] not in codes._largest_tables
 
 
 def test_one_way_restriction_never_helps():
