@@ -37,6 +37,7 @@ smaller).
 from __future__ import annotations
 
 import os
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -400,10 +401,10 @@ def budget_cap() -> int:
     raw = os.environ.get("CCLAB_BUDGET_CAP")
     if raw is None:
         return DEFAULT_BUDGET_CAP
-    try:
-        value = int(raw)
-    except ValueError:
+    # ASCII digits only: int() would also read "1_0", "+5" and full-width digits
+    if not re.fullmatch(r"-?[0-9]+", raw.strip()):
         raise UsageError(f"CCLAB_BUDGET_CAP must be an integer, got {raw!r}")
+    value = int(raw)
     if value < 0:
         raise UsageError("CCLAB_BUDGET_CAP must be nonnegative")
     if value > _HARD_BUDGET_LIMIT:

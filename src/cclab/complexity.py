@@ -13,9 +13,11 @@ their checks still run on every call.  A family is read from fold
 classes (`_fold_classes`): each enumerated tree of a signature is folded
 over the whole grid once, trees that can strand a cell are dropped, and
 the rest are grouped by their leaves' (cells, depth, output), so a new
-function decides each class once instead of each tree.  A smaller budget
-is a prefix of the canonical order, so its table and its classes are
-read off the largest ones built for the signature.  The pointwise
+function decides each class once instead of each tree: it judges each
+distinct (cells, output) leaf of the signature once, as the base pairs
+it serves, and admits a class iff its leaves serve every pair.  A smaller
+budget is a prefix of the canonical order, so its table and its classes
+are read off the largest ones built for the signature.  The pointwise
 families CC and PCC scan the enumeration folded over the pair's cells
 and stop at their first free witness.  On top of the measures sit the
 one-way simulation of arbitrary total identity protocols, the exchange
@@ -49,12 +51,14 @@ from .protocol import (
     ProtocolTree,
     _answers,
     _answers_every_pair,
+    _base_cells,
     _bob_message_classes,
     _check_grid,
     _correct_by_depth,
     _help_cells,
     _leaf_masks,
     _no_stuck,
+    _slid_onto_pairs,
     cc_with_help,
     computes_everywhere,
     default_depth_cap,
@@ -114,14 +118,15 @@ def _admissible(root: Node, m: Measure, f: FunctionSpec) -> bool:
     return m.family == "CC" or _answers_every_pair(leaves, f, m.help)
 
 
-# Fold classes per signature (na, nb, out_len), as (trees folded, classes),
-# most recently used last and oldest dropped past the limit; see _fold_classes.
+# Fold classes per signature (na, nb, out_len), as (trees folded, classes,
+# {(cells, output kind, output value): leaf id}), most recently used last
+# and oldest dropped past the limit; see _fold_classes.
 _class_store: dict = {}
 _CLASS_LIMIT = 64
 
 
 def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
-    """{fold: (leaves, members)} over the never-stuck trees of an enumeration table.
+    """{fold: ((leaf ids, leaves), members)} over the never-stuck trees of a table.
 
     Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`);
     a tree with a reachable stuck leaf can be in no TCC family and is
@@ -129,12 +134,15 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
     depth, output kind, output value) of their leaves, on which both TCC
     admissibility and the per-depth correct cells depend; leaves is the
     fold of the class's first member and members its ascending table
-    indices.  A table is a prefix of the signature's larger tables, so the
-    store covers the largest table seen and folds only the trees past it;
-    a caller reads the members below its own table's length.
+    indices.  The leaf ids number the signature's distinct (cells, output
+    kind, output value) leaves in the store, so `_tcc_family` judges each
+    leaf once.  A table is a prefix of the signature's larger tables, so
+    the store covers the largest table seen and folds (and numbers the
+    leaves of) only the trees past it; a caller reads the members below
+    its own table's length.
     """
     signature = na, nb, out_len
-    folded, classes = _class_store.pop(signature, (0, {}))
+    folded, classes, leaf_ids = _class_store.pop(signature, (0, {}, {}))
     for i in range(folded, len(table)):
         leaves = _leaf_masks(table[i][1], na, nb)
         if not _no_stuck(leaves):
@@ -144,10 +152,11 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
         ))
         entry = classes.get(fold)
         if entry is None:
-            classes[fold] = leaves, [i]
+            ids = tuple(leaf_ids.setdefault((c, k, v), len(leaf_ids)) for c, _, k, v in fold)
+            classes[fold] = (ids, leaves), [i]
         else:
             entry[1].append(i)
-    _class_store[signature] = max(folded, len(table)), classes
+    _class_store[signature] = max(folded, len(table)), classes, leaf_ids
     if len(_class_store) > _CLASS_LIMIT:
         del _class_store[next(iter(_class_store))]
     return classes
@@ -163,18 +172,34 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     only through its fold, so each class of `_fold_classes` is decided once
     and its members below the table's length take its correct_at; the
     classes are shared by every function and budget of the signature.
+    Each distinct leaf of the signature, numbered in the class store, is
+    judged once: the base pairs its correct cells serve
+    (`_slid_onto_pairs`).  A smaller table judges them all as well; reading
+    the verdicts by id is cheaper than a memo keyed by (cells, output).  A
+    class is admitted iff the OR of its leaves' served pairs is every pair,
+    the rule `computes_everywhere` applies to one tree.
     Both interaction shapes share an entry: one_way marks the trees in
     which only Bob speaks.  Nothing is checked here, so callers run their
     checks on every call before asking.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
-    help_spec = HelpSpec(alice_bits, bob_bits)
     answers = _answers(f, alice_bits, bob_bits)
     table = _enumeration_table(na, nb, n, alpha)
+    classes = _fold_classes(na, nb, n, table)
+    served = [
+        _slid_onto_pairs(cells & answers(kind, value), n, alice_bits, bob_bits)
+        for cells, kind, value in _class_store[na, nb, n][2]
+    ]
+    base = _base_cells(n, alice_bits, bob_bits)
     members = []
-    for leaves, indices in _fold_classes(na, nb, n, table).values():
-        if indices[0] >= len(table) or not _answers_every_pair(leaves, f, help_spec):
+    for (ids, leaves), indices in classes.values():
+        if indices[0] >= len(table):
+            continue
+        covered = 0
+        for i in ids:
+            covered |= served[i]
+        if covered != base:
             continue
         correct_at = _correct_by_depth(leaves, answers)
         members.extend((i, correct_at) for i in indices if i < len(table))

@@ -213,6 +213,12 @@ class OutputFunction:
         i = bits_to_int(x)
         return self.value[i * out_len:(i + 1) * out_len]
 
+    def evaluate_all(self, width: int, out_len: int) -> list[str]:
+        """evaluate on every width-bit input, in order; a table is read entry by entry."""
+        if self.kind == "table":
+            return [self.value[i:i + out_len] for i in range(0, out_len << width, out_len)]
+        return [self.evaluate(x, out_len) for x in all_bitstrings(width)]
+
 
 @dataclass(frozen=True)
 class Speak:
@@ -565,15 +571,11 @@ def _answers(f: FunctionSpec, alice_bits: int, bob_bits: int):
         if f.boolean:
             row = {embed_bit(int(v), n): cells for v, cells in row.items()}
         rows.append(row)
-    inputs = list(all_bitstrings(n + alice_bits))
 
     @lru_cache(maxsize=1024)
     def cells(kind: str, value: str) -> int:
-        fn = OutputFunction(kind, value)
-        return sum(
-            rows[xa >> alice_bits].get(fn.evaluate(u, n), 0) << (xa << nb)
-            for xa, u in enumerate(inputs)
-        )
+        outputs = OutputFunction(kind, value).evaluate_all(n + alice_bits, n)
+        return sum(rows[xa >> alice_bits].get(v, 0) << (xa << nb) for xa, v in enumerate(outputs))
 
     return cells
 
@@ -590,16 +592,18 @@ def _answers_every_pair(leaves, f: FunctionSpec, help_spec: HelpSpec) -> bool:
     for cells, _, leaf in leaves:
         if type(leaf) is OutputLeaf:
             correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
-    if not (a or b):  # each pair is one cell
-        return correct == (1 << (1 << 2 * f.n)) - 1
     return _slid_onto_pairs(correct, f.n, a, b) == _base_cells(f.n, a, b)
 
 
 def _slid_onto_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
     """The base cells of the pairs that have a cell in cells under some help string.
 
-    Each help string's cells are slid onto the pairs' all-zero help cells.
+    Each help string's cells are slid onto the pairs' all-zero help cells;
+    without help bits each pair is one cell.  A tree computes f everywhere
+    iff the OR of this over its leaves' correct cells holds every base pair.
     """
+    if not (alice_bits or bob_bits):
+        return cells
     nb = n + bob_bits
     reached = 0
     for ha in range(1 << alice_bits):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from cclab import codes
 from cclab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -238,6 +239,38 @@ def test_enumerate_refuses_nonpositive_widths(capsys, n, alpha, kind):
     assert code == 2
     assert captured.out == ""
     assert captured.err.strip() == "error: input lengths and output width must be positive"
+
+
+CAP_QUERY = ["cc", "--fn", "eq", "--x", "0", "--y", "1", "--alpha", "14", "--mode", "tcc"]
+
+
+@pytest.mark.parametrize("raw", ["1_0", "\uff12\uff10", "+5"])
+def test_budget_cap_takes_ascii_digits_only(monkeypatch, capsys, raw):
+    # int() would read "1_0" as 10, full-width digits "20" as 20 and "+5" as 5
+    monkeypatch.setenv("CCLAB_BUDGET_CAP", raw)
+    code = main(CAP_QUERY)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: CCLAB_BUDGET_CAP must be an integer, got {raw!r}"
+
+
+def test_budget_cap_is_read_on_every_command_and_warned_about_once(monkeypatch, capsys):
+    monkeypatch.setattr(codes, "_warned_about_cap", False)
+    monkeypatch.delenv("CCLAB_BUDGET_CAP", raising=False)
+    assert main(CAP_QUERY) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    for raw, code in ((" 20 ", 0), ("22\n", 0), ("1_0", 2), ("\t21", 0), ("13", 2), ("22", 0)):
+        monkeypatch.setenv("CCLAB_BUDGET_CAP", raw)
+        assert main(CAP_QUERY) == code, raw
+        captured = capsys.readouterr()
+        assert captured.out == (plain.out if code == 0 else ""), raw
+        warned = raw == "22\n"
+        assert ("warning: CCLAB_BUDGET_CAP=22 raises" in captured.err) == warned, raw
+    monkeypatch.delenv("CCLAB_BUDGET_CAP")
+    assert main(CAP_QUERY) == 0
+    assert capsys.readouterr() == plain
 
 
 def test_cc_input_length_limit_comes_before_the_table_file(capsys):

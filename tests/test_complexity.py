@@ -110,11 +110,12 @@ ORACLE_BUDGETS = {
 }
 
 
-def _random_table_fn(n, seed):
+def _random_table_fn(n, seed, boolean=False):
     rng = random.Random(seed)
-    strings = list(all_bitstrings(n))
-    cells = tuple(tuple(rng.choice(strings) for _ in strings) for _ in strings)
-    return FunctionSpec("random", n, False, cells)
+    strings = ["0", "1"] if boolean else list(all_bitstrings(n))
+    size = 1 << n
+    cells = tuple(tuple(rng.choice(strings) for _ in range(size)) for _ in range(size))
+    return FunctionSpec("random", n, boolean, cells)
 
 
 ORACLE_FUNCTIONS = [
@@ -326,6 +327,48 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
                 members[f].append((code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)))
     # everywhere-correct trees fit these budgets at n = 1, and at n = 2 only with help
     assert any(members.values()) == (n == 1 or (n == 2 and a + b > 0))
+    for order in ((budget, budget - 2), (budget - 2, budget)):
+        _clear_family_stores()
+        for alpha in order:
+            for f in fns:
+                want = tuple(m for m in members[f] if len(m[0]) <= alpha)
+                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
+
+
+def _per_tree_family(fns, n, a, b, budget):
+    """{f: [(bits, one_way, correct_at)]} for every tree decided on its own.
+
+    The oracle of the test above: `computes_everywhere` on every total tree
+    that `enumerate_signature` yields, and `_correct_at` on each member.
+    """
+    help_spec = HelpSpec(a, b)
+    members = {f: [] for f in fns}
+    for code, tree in enumerate_signature(n + a, n + b, n, budget):
+        if not is_total(tree):
+            continue
+        for f in fns:
+            if computes_everywhere(tree, f, help_spec):
+                members[f].append((code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)))
+    return members
+
+
+RANDOM_TABLE_KEYS = [key for key in QUERY_BUDGETS if key[0] == 1 or (key[0] == 2 and any(key[1]))]
+
+
+@pytest.mark.parametrize("key", RANDOM_TABLE_KEYS, ids=lambda key: f"n{key[0]}-h{key[1][0]}{key[1][1]}")
+def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
+    """Families of functions without symmetry, in both build orders from empty stores.
+
+    Two truth-valued and two word-valued seeded tables share each class
+    store, so each must judge the same leaves for itself.
+    """
+    n, (a, b) = key
+    budget = QUERY_BUDGETS[key]
+    seed = 7919 * n + 4 * a + 2 * b
+    fns = [_random_table_fn(n, seed + i, boolean) for i, boolean in enumerate((True, True, False, False))]
+    members = _per_tree_family(fns, n, a, b, budget)
+    # every truth-valued table has members; at n = 2 the word-valued ones have none
+    assert all(members[f] for f in fns if f.boolean)
     for order in ((budget, budget - 2), (budget - 2, budget)):
         _clear_family_stores()
         for alpha in order:

@@ -42,6 +42,7 @@ from cclab import protocol
 from cclab.protocol import ALICE, BOB, _bob_message_classes, _lift
 from cclab.rectangles import Rectangle
 from cclab.reference import literal_send_protocol
+from test_functions import _random_table
 
 
 def literal_identity(n):
@@ -235,6 +236,48 @@ def test_computes_on_and_everywhere():
     assert computes_on(leaf, f, "10", "10")
     assert not computes_on(leaf, f, "10", "01")
     assert not computes_everywhere(leaf, f)
+
+
+def _answer_cells_by_walk(f, a, b, out):
+    """The help-extended cells where output function out announces f, cell by cell."""
+    n, nb = f.n, f.n + b
+    cells = 0
+    for xa, u in enumerate(all_bitstrings(n + a)):
+        said = out.evaluate(u, n)
+        for yb, v in enumerate(all_bitstrings(nb)):
+            if said == f.value(u[:n], v[:n]):
+                cells |= 1 << (xa << nb | yb)
+    return cells
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_answer_cells_match_a_walk_cell_by_cell(n):
+    """protocol._answers against evaluate and f.value on every cell.
+
+    The outputs are every form the width-(n + a, n) grammar spells in 10
+    bits, and random tables, which are read at Alice's extended width.
+    """
+    rng = random.Random(4099 + n)
+    fns = [
+        identity_fn(n),
+        equality_fn(n),
+        inner_product_fn(n),
+        _random_table(rng, n, True),
+        _random_table(rng, n, False),
+    ]
+    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        m = n + a
+        outputs = [out for _code, out in _encodings(_output_rule(m, n).forms, 10)]
+        outputs += [
+            OutputFunction.from_table("".join(rng.choice("01") for _ in range(n << m)))
+            for _ in range(8)
+        ]
+        assert {out.kind for out in outputs} >= {"const", "table"}
+        for f in fns:
+            answers = protocol._answers(f, a, b)
+            for out in outputs:
+                want = _answer_cells_by_walk(f, a, b, out)
+                assert answers(out.kind, out.value) == want, (f.name, a, b, out)
 
 
 # the grid folds against a plain run over every help-extended pair
