@@ -5,25 +5,25 @@ partially correct, or partial), an interaction shape, help bits and a
 code-length budget; its value on an input pair is the cheapest correct
 conversation any admissible enumerated protocol has there.
 
-Which trees the total-and-correct-everywhere family holds depends on f,
-the help counts and the budget but never on the pair, so that family is
-decided once per key and kept with each member's per-depth correct cells
-(`_tcc_family`); TCC values and identity profiles are read from it, and
-their checks still run on every call.  A family is read from fold
-classes (`_fold_classes`): each enumerated tree of a signature is folded
-over the whole grid once, trees that can strand a cell are dropped, and
-the rest are grouped by their leaves' (cells, depth, output), so a new
-function decides each class once instead of each tree: it judges each
-distinct (cells, output) leaf of the signature once, as the base pairs
-it serves, and admits a class iff its leaves serve every pair.  A smaller
-budget is a prefix of the canonical order, so its table and its classes
-are read off the largest ones built for the signature.  The pointwise
-families CC and PCC scan the enumeration folded over the pair's cells
-and stop at their first free witness.  On top of the measures sit the
-one-way simulation of arbitrary total identity protocols, the exchange
-between describable sets and one-way senders, structure profiles over
-the budget axis, and the exhaustive search for columns on which every
-cheap protocol must talk.
+Which trees a family holds depends on f, the help counts and the budget
+but never on the pair, so the three families are one cached record per
+(f, help counts, budget) that keeps each member's per-depth correct cells
+(`_families`); every value and the identity profiles are read from it,
+and their checks still run on every call.  The total-and-correct-
+everywhere part is read from fold classes (`_fold_classes`): each
+enumerated tree of a signature is folded over the whole grid once, trees
+that can strand a cell are dropped, and the rest are grouped by their
+leaves' (cells, depth, output), so a new function judges each distinct
+(cells, output) leaf of the signature once, as the base pairs it serves,
+and admits a class iff its leaves serve every pair.  A smaller budget is
+a prefix of the canonical order, so its table and its classes are read
+off the largest ones built for the signature.  The CC and PCC parts fold
+the canonical order tree by tree and stop once every pair has a member
+of cost 0, since no later tree can then be any pair's witness.  On top of
+the measures sit the one-way simulation of arbitrary total identity
+protocols, the exchange between describable sets and one-way senders,
+structure profiles over the budget axis, and the exhaustive search for
+columns on which every cheap protocol must talk.
 """
 
 from __future__ import annotations
@@ -46,11 +46,8 @@ from .errors import AuditFailure, UsageError
 from .functions import FunctionSpec, _check_grid_bits, identity_fn
 from .protocol import (
     HelpSpec,
-    Node,
-    OutputLeaf,
     ProtocolTree,
     _answers,
-    _answers_every_pair,
     _base_cells,
     _bob_message_classes,
     _check_grid,
@@ -95,7 +92,7 @@ class Measure:
             raise UsageError("budget must be nonnegative")
 
 
-# the largest input length the exhaustive family scans below accept
+# the largest input length the exhaustive families below accept
 _EXHAUSTIVE_MAX_N = 3
 
 
@@ -103,19 +100,6 @@ def check_exhaustive_n(n: int, what: str = "exhaustive measures") -> None:
     """Refuse an input length past _EXHAUSTIVE_MAX_N before any work."""
     if n > _EXHAUSTIVE_MAX_N:
         raise UsageError(f"{what} support n <= {_EXHAUSTIVE_MAX_N}, got n = {n}")
-
-
-def _admissible(root: Node, m: Measure, f: FunctionSpec) -> bool:
-    """Whether the tree with this root belongs to the measure's protocol family."""
-    if m.family == "PCC":
-        return True
-    # correct on every pair means no pair is stranded; with help bits only
-    # one help string per pair has to answer, so the others still need the
-    # totality test
-    leaves = _leaf_masks(root, f.n + m.help.alice_bits, f.n + m.help.bob_bits)
-    if not _no_stuck(leaves):
-        return False
-    return m.family == "CC" or _answers_every_pair(leaves, f, m.help)
 
 
 # Fold classes per signature (na, nb, out_len), as (trees folded, classes,
@@ -135,7 +119,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
     admissibility and the per-depth correct cells depend; leaves is the
     fold of the class's first member and members its ascending table
     indices.  The leaf ids number the signature's distinct (cells, output
-    kind, output value) leaves in the store, so `_tcc_family` judges each
+    kind, output value) leaves in the store, so `_families` judges each
     leaf once.  A table is a prefix of the signature's larger tables, so
     the store covers the largest table seen and folds (and numbers the
     leaves of) only the trees past it; a caller reads the members below
@@ -163,24 +147,34 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
 
 
 @lru_cache(maxsize=64)
-def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
-    """(bits, one_way, correct_at) for every TCC-admissible tree, in canonical order.
+def _families(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
+    """(tcc, cc, pcc): each a tuple of (bits, one_way, correct_at) in canonical order.
 
     The trees are those of `_enumeration_table(n + alice_bits, n + bob_bits,
     n, alpha)`; correct_at is the tree's ascending (depth, cells) of correct
-    cells, as `protocol._correct_at` builds them.  Both depend on the tree
-    only through its fold, so each class of `_fold_classes` is decided once
-    and its members below the table's length take its correct_at; the
-    classes are shared by every function and budget of the signature.
-    Each distinct leaf of the signature, numbered in the class store, is
-    judged once: the base pairs its correct cells serve
-    (`_slid_onto_pairs`).  A smaller table judges them all as well; reading
-    the verdicts by id is cheaper than a memo keyed by (cells, output).  A
-    class is admitted iff the OR of its leaves' served pairs is every pair,
-    the rule `computes_everywhere` applies to one tree.
-    Both interaction shapes share an entry: one_way marks the trees in
-    which only Bob speaks.  Nothing is checked here, so callers run their
-    checks on every call before asking.
+    cells, as `protocol._correct_at` builds them.  Both interaction shapes
+    share an entry: one_way marks the trees in which only Bob speaks.
+    Nothing is checked here, so callers run their checks on every call
+    before asking.
+
+    The TCC part is complete.  Its members depend on the tree only through
+    its fold, so each class of `_fold_classes` is decided once and its
+    members below the table's length take its correct_at; the classes are
+    shared by every function and budget of the signature.  Each distinct
+    leaf of the signature, numbered in the class store, is judged once: the
+    base pairs its correct cells serve (`_slid_onto_pairs`).  A smaller
+    table judges them all as well; reading the verdicts by id is cheaper
+    than a memo keyed by (cells, output).  A class is admitted iff the OR of
+    its leaves' served pairs is every pair, the rule `computes_everywhere`
+    applies to one tree.
+
+    The CC and PCC parts come from one walk over the table, folding each
+    tree once: PCC takes every tree, CC the trees with no reachable stuck
+    leaf.  The walk stops at the first tree after which every base pair is
+    served at depth 0 by some tree so far.  That is exact: costs are never
+    below 0, and a tree with a correct cell at depth 0 is a lone output
+    leaf, total, one-way and in both parts, so no later tree can be the
+    canonically first cheapest witness of any pair in either shape.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
@@ -204,9 +198,23 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
         correct_at = _correct_by_depth(leaves, answers)
         members.extend((i, correct_at) for i in indices if i < len(table))
     members.sort(key=lambda member: member[0])
-    return tuple(
+    tcc = tuple(
         (table[i][0], node_is_one_way(table[i][1]), correct_at) for i, correct_at in members
     )
+    cc, pcc = [], []
+    covered = 0
+    for bits, node in table:
+        leaves = _leaf_masks(node, na, nb)
+        correct_at = _correct_by_depth(leaves, answers)
+        member = bits, node_is_one_way(node), correct_at
+        pcc.append(member)
+        if _no_stuck(leaves):
+            cc.append(member)
+        if correct_at and correct_at[0][0] == 0:
+            covered |= _slid_onto_pairs(correct_at[0][1], n, alice_bits, bob_bits)
+            if covered == base:
+                break
+    return tcc, tuple(cc), tuple(pcc)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
@@ -214,12 +222,13 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
 
     Returns (bits, witness code); the minimum of an empty family is
     infinity with no witness.  Ties go to the canonically first code, so
-    a scan stops at the first admissible witness that costs nothing.
-    A tree's cost is the least depth of a leaf that answers f on one of
-    the cells of (x, y) and its help strings.  TCC reads the cached
-    family of `_tcc_family`, where that is the least depth whose correct
-    cells meet the pair's; CC and PCC scan the enumeration folded over
-    the pair's cells only.  Every check runs on every call.
+    the loop stops at the first member that costs nothing.  A tree's cost
+    is the least depth of a leaf that answers f on one of the cells of
+    (x, y) and its help strings: the least depth whose correct cells meet
+    the pair's.  Every family is read from its part of the one cached
+    record per (f, help counts, budget) of `_families`, whose CC and PCC
+    parts end where no later tree can be a witness.  Every check runs on
+    every call.
     """
     n = f.n
     check_exhaustive_n(n)
@@ -228,31 +237,14 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     _check_grid_bits(2 * n + a + b, "help-extended input grid")
     pair = _help_cells(n, a, b, x, y)
     best, best_bits = INF, None
-    if m.family == "TCC":
-        for bits, bob_only, correct_at in _tcc_family(f, a, b, m.alpha):
-            if m.one_way and not bob_only:
-                continue
-            cost = next((depth for depth, cells in correct_at if cells & pair), INF)
-            if cost < best:
-                best, best_bits = cost, bits
-                if cost == 0:
-                    break
-        return best, None if best_bits is None else PdlCode(best_bits)
-    answers = _answers(f, a, b)
-    for bits, node in _enumeration_table(n + a, n + b, n, m.alpha):
-        if m.one_way and not node_is_one_way(node):
+    for bits, bob_only, correct_at in _families(f, a, b, m.alpha)[FAMILIES.index(m.family)]:
+        if m.one_way and not bob_only:
             continue
-        cost = INF
-        for cells, path, leaf in _leaf_masks(node, n + a, n + b, pair):
-            depth = path.bit_length() - 1
-            if depth < cost and type(leaf) is OutputLeaf:
-                if cells & answers(leaf.fn.kind, leaf.fn.value):
-                    cost = depth
-        if cost >= best or not _admissible(node, m, f):
-            continue
-        best, best_bits = cost, bits
-        if cost == 0:
-            break
+        cost = next((depth for depth, cells in correct_at if cells & pair), INF)
+        if cost < best:
+            best, best_bits = cost, bits
+            if cost == 0:
+                break
     return best, None if best_bits is None else PdlCode(best_bits)
 
 
@@ -498,9 +490,9 @@ class TccProfileReport:
 def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
     """One- and two-way TCC identity profiles of column y, from one cached family.
 
-    Folds `_tcc_family(identity_fn(n), 0, 0, alpha_max)`, which depends
-    only on (n, alpha_max); its one-way members are exactly the one-way
-    family, in the same canonical order.  The checks run on every call.
+    Folds the TCC part of `_families(identity_fn(n), 0, 0, alpha_max)`,
+    which depends only on (n, alpha_max); its one-way members are exactly
+    the one-way family, in the same canonical order.  The checks run on every call.
     """
     n = len(check_bits(y))
     check_exhaustive_n(n, "identity profiles")
@@ -512,7 +504,7 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
 
     admissible = [
         (PdlCode(bits), bob_only, correct_at)
-        for bits, bob_only, correct_at in _tcc_family(f, 0, 0, alpha_max)
+        for bits, bob_only, correct_at in _families(f, 0, 0, alpha_max)[0]
     ]
     column = bits_to_int(y)
     # an admissible tree answers every cell, so a cell's value is its leaf's depth

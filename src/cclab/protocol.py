@@ -18,11 +18,11 @@ The fold reads two input domains:
 
 - the grid, where cell xa << nb | yb stands for Alice's input xa and Bob's
   input yb (`is_total`, `computes_everywhere`, the transcript classes of
-  `rectangles.transcript_partition`, the family scans in `complexity`,
-  which fold each tree of the total-and-correct family once into the
-  per-depth correct cells of `_correct_by_depth` and keep them, and
-  `cc_with_help`, which folds a tree once and then answers each pair by
-  a mask test);
+  `rectangles.transcript_partition`, the one cached family record per
+  (f, help counts, budget) in `complexity`, which folds each member once
+  into the per-depth correct cells of `_correct_by_depth` and keeps them,
+  and `cc_with_help`, which folds a tree once and then answers each pair
+  by a mask test);
 - the blocks of a one-way tree, a grid of one row whose column z stands
   for Bob's input made of the k-bit block z and a fixed suffix, split
   into classes by Bob's message (`_bob_message_classes`: the hard-instance
@@ -584,17 +584,6 @@ def _no_stuck(leaves) -> bool:
     return all(type(leaf) is not StuckLeaf for _, _, leaf in leaves)
 
 
-def _answers_every_pair(leaves, f: FunctionSpec, help_spec: HelpSpec) -> bool:
-    """True iff every base pair has a help-extended cell whose leaf answers f."""
-    a, b = help_spec.alice_bits, help_spec.bob_bits
-    answers = _answers(f, a, b)
-    correct = 0
-    for cells, _, leaf in leaves:
-        if type(leaf) is OutputLeaf:
-            correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
-    return _slid_onto_pairs(correct, f.n, a, b) == _base_cells(f.n, a, b)
-
-
 def _slid_onto_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
     """The base cells of the pairs that have a cell in cells under some help string.
 
@@ -658,7 +647,13 @@ def computes_everywhere(
     """
     _check_help_shape(tree, f, help_spec)
     _check_grid(tree)
-    return _answers_every_pair(_leaf_masks(tree.root, tree.n_alice, tree.n_bob), f, help_spec)
+    a, b = help_spec.alice_bits, help_spec.bob_bits
+    answers = _answers(f, a, b)
+    correct = 0
+    for cells, _, leaf in _leaf_masks(tree.root, tree.n_alice, tree.n_bob):
+        if type(leaf) is OutputLeaf:
+            correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
+    return _slid_onto_pairs(correct, f.n, a, b) == _base_cells(f.n, a, b)
 
 
 # The fold for the last (tree, f, help counts) that cc_with_help saw:

@@ -14,6 +14,7 @@ from cclab import (
     HelpSpec,
     INF,
     Measure,
+    PdlCode,
     UsageError,
     all_bitstrings,
     enumerate_sets,
@@ -32,7 +33,7 @@ from cclab import (
 )
 from cclab import codes, complexity
 from cclab.codes import _enumeration_table
-from cclab.complexity import _admissible, _fold_classes, _tcc_family
+from cclab.complexity import FAMILIES, _families, _fold_classes
 from cclab.protocol import (
     ALICE,
     BOB,
@@ -45,6 +46,7 @@ from cclab.protocol import (
     _correct_at,
     bob_message,
     cc_on_input,
+    cc_with_help,
     computes_everywhere,
     is_one_way,
     is_total,
@@ -129,14 +131,16 @@ ORACLE_FUNCTIONS = [
 
 
 def _brute_force_values(f, one_way, help_bits, budget=None, tcc_members=None):
-    """individual_cc for every pair and family, straight from the definitions.
+    """{alpha: individual_cc for every pair and family} for every alpha up to the budget.
 
-    Walks the family once with plain runs: a tree is total when no run on
-    any extended pair is stuck, and a pair's cost is the cheapest correct
-    run over all help strings.  TCC admits total trees that have a correct
-    run on every pair, CC admits total trees, PCC admits every tree; the
-    value is the least cost, ties going to the canonically first code.
-    The TCC codes are appended to tcc_members when a list is given.
+    Straight from the definitions, in one walk with plain runs: a tree is
+    total when no run on any extended pair is stuck, and a pair's cost is
+    the cheapest correct run over all help strings.  TCC admits total trees
+    that have a correct run on every pair, CC admits total trees, PCC
+    admits every tree; the value is the least cost, ties going to the
+    canonically first code.  Codes come in order of length, so the values
+    at alpha are the prefix minima of the walk before its first longer
+    code.  The TCC codes are appended to tcc_members when a list is given.
     """
     n = f.n
     a, b = help_bits
@@ -144,7 +148,11 @@ def _brute_force_values(f, one_way, help_bits, budget=None, tcc_members=None):
     best = {(fam, pair): (INF, None) for fam in ("TCC", "CC", "PCC") for pair in pairs}
     if budget is None:
         budget = ORACLE_BUDGETS[n + a, n + b, n]
+    by_budget = {}
     for code, tree in enumerate_signature(n + a, n + b, n, budget, require_one_way=one_way):
+        assert len(code.bits) >= len(by_budget)
+        while len(by_budget) < len(code.bits):
+            by_budget[len(by_budget)] = dict(best)
         total = True
         cost = {}
         for x, y in pairs:
@@ -167,7 +175,9 @@ def _brute_force_values(f, one_way, help_bits, budget=None, tcc_members=None):
             for pair in pairs:
                 if cost[pair] < best[fam, pair][0]:
                     best[fam, pair] = (cost[pair], code)
-    return best
+    while len(by_budget) <= budget:
+        by_budget[len(by_budget)] = dict(best)
+    return by_budget
 
 
 @pytest.mark.parametrize("help_bits", [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -176,15 +186,28 @@ def _brute_force_values(f, one_way, help_bits, budget=None, tcc_members=None):
     "f", ORACLE_FUNCTIONS, ids=lambda f: f.name if f.n == 1 else f"{f.name}-n{f.n}"
 )
 def test_individual_cc_matches_brute_force(f, one_way, help_bits):
+    """Every budget from 0 to the oracle's, read from the oracle's one walk."""
     n = f.n
-    budget = ORACLE_BUDGETS[n + help_bits[0], n + help_bits[1], n]
-    expected = _brute_force_values(f, one_way, help_bits)
-    for (family, (x, y)), want in expected.items():
-        m = Measure(family, one_way, HelpSpec(*help_bits), budget)
-        assert individual_cc(m, f, x, y) == want, (family, x, y)
+    a, b = help_bits
+    budget = ORACLE_BUDGETS[n + a, n + b, n]
+    by_budget = _brute_force_values(f, one_way, help_bits)
+    assert sorted(by_budget) == list(range(budget + 1))
+    for alpha, expected in by_budget.items():
+        for (family, (x, y)), want in expected.items():
+            m = Measure(family, one_way, HelpSpec(a, b), alpha)
+            assert individual_cc(m, f, x, y) == want, (family, alpha, x, y)
+    # the CC and PCC walks end both ways: at the end of a short table at
+    # small budgets, at the first tree giving every pair a free witness
+    # at large ones
+    stopped = {
+        len(_families(f, a, b, alpha)[2]) < len(_enumeration_table(n + a, n + b, n, alpha))
+        for alpha in by_budget
+    }
+    assert stopped == {False, True}
     # the comparison must reach finite values in every family that is
-    # nonempty at this budget: all three at n = 1, the two pointwise ones
-    # at n = 2, where no everywhere-correct protocol fits in 16 bits
+    # nonempty at the largest budget: all three at n = 1, the two pointwise
+    # ones at n = 2, where no everywhere-correct protocol fits in 16 bits
+    expected = by_budget[budget]
     assert all(
         any(v[0] != INF for (fam, _), v in expected.items() if fam == family)
         for family in (("TCC", "CC", "PCC") if n == 1 else ("CC", "PCC"))
@@ -207,7 +230,7 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
                 for one_way in (False, True):
                     key = f, help_bits, budget, one_way
                     members[key] = []
-                    values = _brute_force_values(f, one_way, help_bits, budget, members[key])
+                    values = _brute_force_values(f, one_way, help_bits, budget, members[key])[budget]
                     expected[key] = {
                         pair: v for (fam, pair), v in values.items() if fam == "TCC"
                     }
@@ -228,7 +251,7 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
     assert set(first_shape.values()) == {False, True, "profile"}
     assert {tuple(order) for order in budget_order.values()} == {(15, 16), (16, 15)}
 
-    _tcc_family.cache_clear()
+    _families.cache_clear()
     for kind, (f, help_bits, budget, one_way), query in queries:
         if kind == "cc":
             m = Measure("TCC", one_way, HelpSpec(*help_bits), budget)
@@ -238,9 +261,9 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
         for x in "01":
             assert report.two_way[x].entries[budget] == expected[f, help_bits, budget, False][x, query]
             assert report.one_way.entries[budget] == expected[f, help_bits, budget, True][x, query]
-    assert _tcc_family.cache_info().currsize == len(fns) * 3 * 2
+    assert _families.cache_info().currsize == len(fns) * 3 * 2
     for (f, help_bits, budget, one_way), codes in members.items():
-        family = _tcc_family(f, *help_bits, budget)
+        family = _families(f, *help_bits, budget)[0]
         assert [bits for bits, bob_only, _ in family if bob_only or not one_way] == codes
 
 
@@ -248,11 +271,11 @@ def test_equal_functions_share_one_tcc_family_entry():
     f = identity_fn(1)
     g = FunctionSpec(f.name, f.n, f.boolean, f.cells)
     assert f is not g and f == g and hash(f) == hash(g)
-    _tcc_family.cache_clear()
+    _families.cache_clear()
     m = Measure("TCC", alpha=15)
     assert individual_cc(m, f, "0", "1") == individual_cc(m, g, "0", "1")
     tcc_identity_profile("1", 15)
-    info = _tcc_family.cache_info()
+    info = _families.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     assert info.maxsize is not None
 
@@ -270,7 +293,7 @@ def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
 
     # an entry planted past the input-length limit is never read
     big = identity_fn(4)
-    assert _tcc_family(big, 0, 0, 0) == ()
+    assert _families(big, 0, 0, 0) == ((), (), ())
     with pytest.raises(UsageError):
         individual_cc(Measure("TCC", alpha=0), big, "0000", "0000")
     with pytest.raises(UsageError):
@@ -281,9 +304,9 @@ def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
     m = Measure("TCC", alpha=22)
     warm = individual_cc(m, f, "0", "1")
     tcc_identity_profile("1", 22)
-    hits = _tcc_family.cache_info().hits
+    hits = _families.cache_info().hits
     assert individual_cc(m, f, "0", "1") == warm
-    assert _tcc_family.cache_info().hits == hits + 1
+    assert _families.cache_info().hits == hits + 1
     monkeypatch.delenv("CCLAB_BUDGET_CAP")
     with pytest.raises(UsageError):
         individual_cc(m, f, "0", "1")
@@ -300,7 +323,7 @@ QUERY_BUDGETS = {
 
 
 def _clear_family_stores():
-    _tcc_family.cache_clear()
+    _families.cache_clear()
     complexity._class_store.clear()
     _enumeration_table.cache_clear()
     codes._largest_tables.clear()
@@ -332,7 +355,7 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
+                assert _families(f, a, b, alpha)[0] == want, (f.name, alpha)
 
 
 def _per_tree_family(fns, n, a, b, budget):
@@ -374,7 +397,37 @@ def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
+                assert _families(f, a, b, alpha)[0] == want, (f.name, alpha)
+
+
+@pytest.mark.parametrize("key", QUERY_BUDGETS, ids=lambda key: f"n{key[0]}-h{key[1][0]}{key[1][1]}")
+def test_cc_and_pcc_parts_end_at_the_first_free_cover(key):
+    """The CC and PCC parts against a per-tree list that ends at the stop.
+
+    The list runs over `enumerate_signature` up to and including the first
+    tree after which every pair has a one-way tree so far that answers it
+    at depth 0 (`cc_with_help`); PCC holds every tree of it and CC the
+    total ones (`is_total`).  A walk that never stops gives longer parts,
+    and one that stops too early shorter ones.
+    """
+    n, (a, b) = key
+    budget = QUERY_BUDGETS[key]
+    help_spec = HelpSpec(a, b)
+    pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
+    table_length = len(_enumeration_table(n + a, n + b, n, budget))
+    for f in (identity_fn(n), equality_fn(n), inner_product_fn(n)):
+        cc, pcc, free = [], [], set()
+        for code, tree in enumerate_signature(n + a, n + b, n, budget):
+            member = code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)
+            pcc.append(member)
+            if is_total(tree):
+                cc.append(member)
+            if is_one_way(tree):
+                free.update(p for p in pairs if cc_with_help(tree, f, *p, help_spec) == 0)
+            if len(free) == len(pairs):
+                break
+        assert len(free) == len(pairs) and len(pcc) < table_length, f.name
+        assert _families(f, a, b, budget)[1:] == (tuple(cc), tuple(pcc)), f.name
 
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
@@ -393,7 +446,7 @@ def test_family_stores_stay_within_their_bounds():
     signatures = [(na, nb, w) for na in range(1, 6) for nb in range(1, 6) for w in (1, 2, 3)][:70]
     for signature in signatures:
         _fold_classes(*signature, _enumeration_table(*signature, 9))
-    assert len(complexity._class_store) == complexity._CLASS_LIMIT == _tcc_family.cache_info().maxsize
+    assert len(complexity._class_store) == complexity._CLASS_LIMIT == _families.cache_info().maxsize
     assert len(codes._largest_tables) == codes._LARGEST_LIMIT == _enumeration_table.cache_info().maxsize
     assert signatures[-1] in complexity._class_store and signatures[0] not in complexity._class_store
     assert signatures[-1] in codes._largest_tables and signatures[0] not in codes._largest_tables
@@ -408,17 +461,39 @@ def test_one_way_restriction_never_helps():
             assert individual_cc(m_free, f, x, y)[0] <= individual_cc(m_ow, f, x, y)[0]
 
 
-# _admissible cases the brute-force oracle cannot reach: a partial tree the
-# CC family must refuse, and a help-bit tree past the oracle budgets
+def test_each_measure_reads_its_own_part(monkeypatch):
+    """A planted record tells the parts apart, as the real CC and PCC parts cannot.
+
+    The real ones never differ in value or witness for n <= 3: every tree
+    before the stop is a lone leaf there, and the lone stuck leaf answers
+    no pair.
+    """
+    f = identity_fn(1)
+    every_cell = (1 << 4) - 1
+    record = tuple((("10" + "1" * i, True, ((i + 1, every_cell),)),) for i in range(len(FAMILIES)))
+    monkeypatch.setattr(complexity, "_families", lambda *key: record)
+    for i, family in enumerate(FAMILIES):
+        for one_way in (False, True):
+            want = i + 1, PdlCode("10" + "1" * i)
+            assert individual_cc(Measure(family, one_way), f, "0", "1") == want
+
+
+# family filters on trees the brute-force oracle cannot reach: a partial
+# tree the CC part must refuse, and a help-bit tree past the oracle budgets
 
 
 def test_cc_refuses_a_partial_tree_that_pcc_admits():
     f = identity_fn(1)
+    _, cc, pcc = _families(f, 0, 0, 12)
+    stuck = pdl_encode(ProtocolTree(1, 1, 1, StuckLeaf())).bits
+    assert pcc[0][0] == stuck == "11"
+    assert stuck not in [bits for bits, _, _ in cc]
+    # the 12-bit partial tree that reads Bob's bit lies past the stop: the
+    # constant leaves before it already give every pair a free witness
     leaf = OutputLeaf(OutputFunction.const("0"))
     tree = ProtocolTree(1, 1, 1, Speak(BOB, NodeFunction.input_bit(0), leaf, StuckLeaf()))
     assert len(pdl_encode(tree).bits) == 12
-    assert _admissible(tree.root, Measure("PCC"), f)
-    assert not _admissible(tree.root, Measure("CC"), f)
+    assert max(len(bits) for bits, _, _ in pcc) < 12
 
 
 def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
@@ -432,9 +507,16 @@ def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
     # Alice's help bit 0 strands every pair, help bit 1 lets Bob spell y
     tree = ProtocolTree(2, 1, 1, Speak(ALICE, NodeFunction.input_bit(1), StuckLeaf(), spell))
     help_spec = HelpSpec(1, 0)
-    assert len(pdl_encode(tree).bits) == 23
+    bits = pdl_encode(tree).bits
+    assert len(bits) == 23
     assert computes_everywhere(tree, f, help_spec)
-    assert not _admissible(tree.root, Measure("TCC", help=help_spec), f)
+    # every TCC part is read from the fold classes, which must not hold it;
+    # a one-tree table would pass for the signature's prefix in the stores
+    _clear_family_stores()
+    try:
+        assert _fold_classes(2, 1, 1, ((bits, tree.root),)) == {}
+    finally:
+        _clear_family_stores()
 
 
 # ---------------------------------------------------------------------------
