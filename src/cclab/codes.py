@@ -365,7 +365,6 @@ _largest_tables: dict = {}
 _LARGEST_LIMIT = 64
 
 
-@lru_cache(maxsize=64)
 def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tuple[str, Node], ...]:
     """(code, root) for every decodable code of at most budget bits, in canonical order.
 
@@ -387,6 +386,10 @@ def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tup
 
 
 _HARD_BUDGET_LIMIT = 28
+# The widest input or output enumerated, that of the widest hard instance:
+# 2^4 + 1 blocks of 16 bits plus 4 help bits.  No budget admits a table past
+# 4 input bits, yet the form rules spell a table's 2^m-bit width as an int.
+_MAX_ENUMERATION_WIDTH = ((1 << 4) + 1) * 16 + 4
 _warned_about_cap = False
 
 
@@ -441,9 +444,14 @@ def enumerate_signature(
     require_total: bool = False,
     require_one_way: bool = False,
 ):
-    """Canonical enumeration under an explicit protocol shape."""
+    """Canonical enumeration under a protocol shape of widths up to _MAX_ENUMERATION_WIDTH."""
     if min(na, nb, out_len) < 1:
         raise UsageError("input lengths and output width must be positive")
+    if max(na, nb, out_len) > _MAX_ENUMERATION_WIDTH:
+        raise UsageError(
+            f"input lengths and output width must be at most {_MAX_ENUMERATION_WIDTH}, "
+            f"got {na}, {nb} and {out_len}"
+        )
     _check_budget(budget)
     for bits, node in _enumeration_table(na, nb, out_len, budget):
         if require_total and tree_has_stuck(node):

@@ -109,21 +109,22 @@ _class_store: dict = {}
 _CLASS_LIMIT = 64
 
 
-def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
-    """{fold: ((leaf ids, leaves), members)} over the never-stuck trees of a table.
+def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> tuple[dict, dict]:
+    """(classes, leaf ids) over the never-stuck trees of a table.
 
     Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`);
     a tree with a reachable stuck leaf can be in no TCC family and is
     dropped.  The rest are grouped by their fold, the sorted (cells,
     depth, output kind, output value) of their leaves, on which both TCC
-    admissibility and the per-depth correct cells depend; leaves is the
-    fold of the class's first member and members its ascending table
-    indices.  The leaf ids number the signature's distinct (cells, output
-    kind, output value) leaves in the store, so `_families` judges each
-    leaf once.  A table is a prefix of the signature's larger tables, so
-    the store covers the largest table seen and folds (and numbers the
-    leaves of) only the trees past it; a caller reads the members below
-    its own table's length.
+    admissibility and the per-depth correct cells depend.  classes maps
+    each fold to ((ids, leaves), members): leaves is the fold of the
+    class's first member, members its ascending table indices and ids its
+    leaves' numbers in leaf ids, {(cells, output kind, output value): id}
+    in id order, so `_families` judges each distinct leaf once.  A table is
+    a prefix of the signature's larger tables, so the store covers the
+    largest table seen and folds (and numbers the leaves of) only the trees
+    past it; a caller reads the members below its own table's length.
+    Only this function reads the store.
     """
     signature = na, nb, out_len
     folded, classes, leaf_ids = _class_store.pop(signature, (0, {}, {}))
@@ -143,7 +144,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> dict:
     _class_store[signature] = max(folded, len(table)), classes, leaf_ids
     if len(_class_store) > _CLASS_LIMIT:
         del _class_store[next(iter(_class_store))]
-    return classes
+    return classes, leaf_ids
 
 
 @lru_cache(maxsize=64)
@@ -161,12 +162,12 @@ def _families(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tu
     its fold, so each class of `_fold_classes` is decided once and its
     members below the table's length take its correct_at; the classes are
     shared by every function and budget of the signature.  Each distinct
-    leaf of the signature, numbered in the class store, is judged once: the
-    base pairs its correct cells serve (`_slid_onto_pairs`).  A smaller
-    table judges them all as well; reading the verdicts by id is cheaper
-    than a memo keyed by (cells, output).  A class is admitted iff the OR of
-    its leaves' served pairs is every pair, the rule `computes_everywhere`
-    applies to one tree.
+    leaf of the signature, numbered in the leaf ids of `_fold_classes`, is
+    judged once: the base pairs its correct cells serve
+    (`_slid_onto_pairs`).  A smaller table judges them all as well; reading
+    the verdicts by id is cheaper than a memo keyed by (cells, output).  A
+    class is admitted iff the OR of its leaves' served pairs is every pair,
+    the rule `computes_everywhere` applies to one tree.
 
     The CC and PCC parts come from one walk over the table, folding each
     tree once: PCC takes every tree, CC the trees with no reachable stuck
@@ -180,10 +181,10 @@ def _families(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tu
     na, nb = n + alice_bits, n + bob_bits
     answers = _answers(f, alice_bits, bob_bits)
     table = _enumeration_table(na, nb, n, alpha)
-    classes = _fold_classes(na, nb, n, table)
+    classes, leaf_ids = _fold_classes(na, nb, n, table)
     served = [
         _slid_onto_pairs(cells & answers(kind, value), n, alice_bits, bob_bits)
-        for cells, kind, value in _class_store[na, nb, n][2]
+        for cells, kind, value in leaf_ids
     ]
     base = _base_cells(n, alice_bits, bob_bits)
     members = []

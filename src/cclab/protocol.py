@@ -33,16 +33,14 @@ strings again, and `_pairs_within` slides every depth of the fold over the
 help shifts at once, so a law over all pairs (the `helpbits` suite's
 totalizer bound) is checked on masks in one pass per tree.
 
-Every tree is validated on construction, but a subtree already proven at
-the same widths (`_prove`) is not walked again where its height keeps it
-within the depth cap, and a speak node whose two children are one object
-(the shared dead chains of the index-exchange companion) walks that child
-once.  The literal-send default is built once per function
-(`_literal_send`) and shared by every protocol that holds it.
-`help_bit_totalizer` proves its lift once per function and mode, and the
-lift of the wrapped protocol once per protocol and mode, shared by every
-function asked about that protocol; only the last protocol's lifts are
-kept.
+Every tree is validated on construction by one full walk; a speak node
+whose two children are one object (the shared dead chains of the
+index-exchange companion) walks that child once.  The literal-send default
+is built once per function (`_literal_send`) and shared by every protocol
+that holds it.  `help_bit_totalizer` lifts that default once per function
+and mode, and the wrapped protocol once per protocol and mode, a lift
+shared by every function asked about that protocol; only the last
+protocol's lifts are kept.
 """
 
 from __future__ import annotations
@@ -263,66 +261,24 @@ def default_depth_cap(n_alice: int, n_bob: int) -> int:
     return 4 * max(n_alice, n_bob, 1)
 
 
-# Subtrees already validated, per widths: (n_alice, n_bob, out_len) ->
-# {id(node): (node, height)}.  Holding the node means a recycled id cannot
-# give a false hit.  Only `_prove` fills it, and it stays small: the
-# totalizer's defaults and the last tree's lifts (`_shared_lift`), oldest
-# dropped past the limit.  Trees of widths with no proofs look nothing up.
-_proven: dict = {}
-_PROVEN_LIMIT = 64
-
-
-def _validate(node: Node, depth: int, cap: int, widths: tuple, proven) -> None:
+def _validate(node: Node, depth: int, cap: int, widths: tuple) -> None:
     """Check the subtree reached at depth against the widths and the depth cap.
 
-    A subtree in proven, the proofs at exactly these widths, is skipped
-    when its height keeps it within the cap.  Everything else, every
-    failure included, is walked in full, so the error raised is the one a
-    full walk meets first.
+    One full walk, so the error raised is the first one met in pre-order.
     """
-    if proven is not None:
-        hit = proven.get(id(node))
-        if hit is not None and hit[0] is node and depth + hit[1] <= cap:
-            return
     if depth > cap:
         raise UsageError(f"tree exceeds depth cap {cap}")
     if isinstance(node, Speak):
         if node.owner not in (ALICE, BOB):
             raise UsageError(f"unknown owner {node.owner!r}")
         node.fn.validate(widths[0] if node.owner == ALICE else widths[1])
-        _validate(node.child0, depth + 1, cap, widths, proven)
+        _validate(node.child0, depth + 1, cap, widths)
         if node.child1 is not node.child0:  # a shared child passes at the same depth
-            _validate(node.child1, depth + 1, cap, widths, proven)
+            _validate(node.child1, depth + 1, cap, widths)
     elif isinstance(node, OutputLeaf):
         node.fn.validate(widths[0], widths[2])
     elif not isinstance(node, StuckLeaf):
         raise UsageError(f"unknown node {node!r}")
-
-
-def _height(node: Node) -> int:
-    if isinstance(node, Speak):
-        return 1 + max(_height(node.child0), _height(node.child1))
-    return 0
-
-
-def _prove(node: Node, n_alice: int, n_bob: int, out_len: int) -> None:
-    """Validate node once as a tree of these widths and remember its height.
-
-    A node that fails is not remembered: the tree that holds it then walks
-    it in full and raises there.
-    """
-    widths = (n_alice, n_bob, out_len)
-    proven = _proven.setdefault(widths, {})
-    hit = proven.get(id(node))
-    if hit is not None and hit[0] is node:
-        return
-    try:
-        _validate(node, 0, default_depth_cap(n_alice, n_bob), widths, proven)
-    except UsageError:
-        return
-    if len(proven) >= _PROVEN_LIMIT:
-        del proven[next(iter(proven))]
-    proven[id(node)] = node, _height(node)
 
 
 @dataclass(frozen=True)
@@ -331,8 +287,8 @@ class ProtocolTree:
 
     The tree is validated on construction: node functions must match the
     owner's input length, output functions the output width, and every
-    root-to-leaf path must stay within the depth cap.  Subtrees proven at
-    the same widths are not walked again (`_validate`).
+    root-to-leaf path must stay within the depth cap.  One full walk
+    checks it all (`_validate`).
     """
 
     n_alice: int
@@ -344,8 +300,7 @@ class ProtocolTree:
         if min(self.n_alice, self.n_bob, self.out_len) < 1:
             raise UsageError("input lengths and output width must be positive")
         cap = default_depth_cap(self.n_alice, self.n_bob)
-        widths = (self.n_alice, self.n_bob, self.out_len)
-        _validate(self.root, 0, cap, widths, _proven.get(widths))
+        _validate(self.root, 0, cap, (self.n_alice, self.n_bob, self.out_len))
 
     @classmethod
     def symmetric(cls, n: int, root: Node) -> "ProtocolTree":
@@ -467,20 +422,17 @@ def _reads_one(owner: str, kind: str, index: int, table: str, na: int, nb: int, 
     return column * sum(1 << (xa << nb) for xa in range(1 << na))
 
 
-def _leaf_masks(
-    node: Node, na: int, nb: int, cells: int | None = None, suffix: str = ""
-) -> list[tuple[int, int, Node]]:
-    """(cells, path, leaf) for every leaf that the given cells reach.
+def _leaf_masks(node: Node, na: int, nb: int, suffix: str = "") -> list[tuple[int, int, Node]]:
+    """(cells, path, leaf) for every leaf, with the cells of the whole grid that reach it.
 
     Cell xa << nb | yb is the run on Alice's input xa and Bob's input yb,
     read as integers, where Bob's input is his nb bits followed by suffix;
-    help bits trail the base input as in `_lift`, and the cells default to
-    the whole (na, nb) grid.  path is the leaf's transcript as an integer
-    behind a leading 1 bit, so its depth is path.bit_length() - 1
-    (`_transcript` spells it).
+    help bits trail the base input as in `_lift`.  path is the leaf's
+    transcript as an integer behind a leading 1 bit, so its depth is
+    path.bit_length() - 1 (`_transcript` spells it).
     """
     leaves = []
-    todo = [(node, (1 << (1 << (na + nb))) - 1 if cells is None else cells, 1)]
+    todo = [(node, (1 << (1 << (na + nb))) - 1, 1)]
     while todo:
         node, cells, path = todo.pop()
         while type(node) is Speak:
@@ -810,19 +762,11 @@ _last_lift: dict = {}
 
 
 def _shared_lift(root: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
-    """`_lift` of root, built and proven once per tree and mode.
-
-    A new tree replaces the slot's lift and forgets its proof, so the
-    memo of proven subtrees holds one tree's lifts at a time.
-    """
+    """`_lift` of root, built once per tree and mode and kept until the next tree."""
     last = _last_lift.get((extra_alice, extra_bob))
     if last is not None and last[0] is root and last[1] == n:
         return last[2]
-    if last is not None:
-        _, m, old = last
-        _proven.get((m + extra_alice, m + extra_bob, m), {}).pop(id(old), None)
     lifted = _lift(root, n, extra_alice, extra_bob)
-    _prove(lifted, n + extra_alice, n + extra_bob, n)
     _last_lift[extra_alice, extra_bob] = root, n, lifted
     return lifted
 
@@ -843,11 +787,11 @@ def help_bit_totalizer(
     "alice-only" Alice both holds and resends it, so the wrapper is never
     one-way even if the wrapped protocol was.
 
-    Each wrap is validated without walking its two branches again: the
-    default is proven once per f and mode, and the lift of the protocol,
-    which does not depend on f, is built and proven once per mode for the
-    last protocol wrapped, so the functions asked about one protocol share
-    it.  Only the routing node is checked per wrap.
+    Neither branch is rebuilt per wrap: the default is lifted once per f
+    and mode, and the lift of the protocol, which does not depend on f, is
+    built once per mode for the last protocol wrapped, so the functions
+    asked about one protocol share it.  Each wrap is validated by one full
+    walk, as every tree is.
     """
     if not tree.is_symmetric or tree.n_alice != f.n:
         raise UsageError("protocol shape does not match the function")
@@ -856,12 +800,10 @@ def help_bit_totalizer(
     n = f.n
     extra_alice = 1 if mode in ("both", "alice-only") else 0
     extra_bob = 1 if mode in ("both", "bob-only") else 0
-    default = _lifted_default(f, extra_alice, extra_bob)
-    _prove(default, n + extra_alice, n + extra_bob, n)
     root = Speak(
         BOB if extra_bob else ALICE,
         NodeFunction.input_bit(n),
-        default,
+        _lifted_default(f, extra_alice, extra_bob),
         _shared_lift(tree.root, n, extra_alice, extra_bob),
     )
     return ProtocolTree(n + extra_alice, n + extra_bob, n, root)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,24 @@ def test_enumerate_refuses_nonpositive_widths(capsys, n, alpha, kind):
     assert code == 2
     assert captured.out == ""
     assert captured.err.strip() == "error: input lengths and output width must be positive"
+
+
+def test_enumerate_refuses_widths_past_the_bound_before_work(capsys):
+    tracemalloc.start()
+    try:
+        code = main(["enumerate", "--n", "1000000000", "--alpha", "8"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error: input lengths and output width must be at most 276, "
+        "got 1000000000, 1000000000 and 1000000000"
+    )
+    # a rule at this width would spell a 2^(10^9)-bit table width, 125 MB
+    assert peak < 1 << 20
 
 
 CAP_QUERY = ["cc", "--fn", "eq", "--x", "0", "--y", "1", "--alpha", "14", "--mode", "tcc"]

@@ -34,7 +34,7 @@ from cclab import (
 )
 from cclab import codes
 from cclab.codes import _HARD_BUDGET_LIMIT, _enumeration_table, _raw_enumeration, _set_table
-from cclab.constructions import _exchange_tree
+from cclab.constructions import _MAX_HARD_K, _MAX_HARD_SLOTS_LOG, _exchange_tree
 from cclab.protocol import ALICE, BOB, default_depth_cap, run
 
 
@@ -243,6 +243,22 @@ def test_pdl_complexity_is_code_length():
 # enumeration
 
 
+def test_enumeration_widths_stop_at_the_widest_hard_instance():
+    widest = codes._MAX_ENUMERATION_WIDTH
+    assert widest == ((1 << _MAX_HARD_SLOTS_LOG) + 1) * _MAX_HARD_K + _MAX_HARD_SLOTS_LOG == 276
+    # the hard-instance shape with every slot bit on Alice's help still enumerates
+    trees = [tree for _code, tree in enumerate_signature(widest, widest - 4, widest - 4, 18)]
+    assert len(trees) == 1133
+    assert any(
+        tree.root.owner == ALICE and tree.root.fn == NodeFunction.input_bit(widest - 1)
+        for tree in trees
+        if isinstance(tree.root, Speak)
+    )
+    for signature in ((widest + 1, 1, 1), (1, widest + 1, 1), (1, 1, widest + 1)):
+        with pytest.raises(UsageError, match=f"must be at most {widest}"):
+            next(enumerate_signature(*signature, 0))
+
+
 def test_enumeration_counts_are_stable():
     # regression anchors for the canonical streams
     assert sum(1 for _ in enumerate_signature(2, 2, 2, 10)) == 22
@@ -331,7 +347,6 @@ def test_budget_prefixes_equal_fresh_enumerations(signature):
     # signature, so both build orders must give every budget's own stream
     fresh = {budget: tuple(_raw_enumeration(*signature, budget)) for budget in range(21)}
     for budgets in (range(20, -1, -1), range(21)):
-        _enumeration_table.cache_clear()
         codes._largest_tables.clear()
         for budget in budgets:
             assert _enumeration_table(*signature, budget) == fresh[budget], budget

@@ -325,7 +325,6 @@ QUERY_BUDGETS = {
 def _clear_family_stores():
     _families.cache_clear()
     complexity._class_store.clear()
-    _enumeration_table.cache_clear()
     codes._largest_tables.clear()
 
 
@@ -433,7 +432,7 @@ def test_cc_and_pcc_parts_end_at_the_first_free_cover(key):
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
 def test_fold_classes_hold_exactly_the_never_stuck_trees(signature):
     table = _enumeration_table(*signature, 16)
-    classes = _fold_classes(*signature, table)
+    classes, _leaf_ids = _fold_classes(*signature, table)
     held = sorted(i for _, indices in classes.values() for i in indices if i < len(table))
     total = [i for i, (_, node) in enumerate(table) if is_total(ProtocolTree(*signature, node))]
     assert held == total
@@ -447,7 +446,7 @@ def test_family_stores_stay_within_their_bounds():
     for signature in signatures:
         _fold_classes(*signature, _enumeration_table(*signature, 9))
     assert len(complexity._class_store) == complexity._CLASS_LIMIT == _families.cache_info().maxsize
-    assert len(codes._largest_tables) == codes._LARGEST_LIMIT == _enumeration_table.cache_info().maxsize
+    assert len(codes._largest_tables) == codes._LARGEST_LIMIT
     assert signatures[-1] in complexity._class_store and signatures[0] not in complexity._class_store
     assert signatures[-1] in codes._largest_tables and signatures[0] not in codes._largest_tables
 
@@ -514,7 +513,7 @@ def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
     # a one-tree table would pass for the signature's prefix in the stores
     _clear_family_stores()
     try:
-        assert _fold_classes(2, 1, 1, ((bits, tree.root),)) == {}
+        assert _fold_classes(2, 1, 1, ((bits, tree.root),))[0] == {}
     finally:
         _clear_family_stores()
 

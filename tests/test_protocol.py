@@ -578,11 +578,12 @@ def test_totalizer_mode_validation():
 
 
 # ---------------------------------------------------------------------------
-# validate-once wraps and the pair-cell memo
+# shared lifts and the pair-cell memo
 
 
 def test_validate_once_wraps_equal_wraps_built_and_walked_in_full(monkeypatch):
-    monkeypatch.setattr(protocol, "_proven", {})
+    # a wrap that reuses the lift another function left equals one built
+    # from a fresh lift, and a tree built again from its root passes the walk
     monkeypatch.setattr(protocol, "_last_lift", {})
     fns = (identity_fn(2), equality_fn(2))
     for _code, tree in enumerate_signature(2, 2, 2, 14):
@@ -590,74 +591,57 @@ def test_validate_once_wraps_equal_wraps_built_and_walked_in_full(monkeypatch):
             for mode in _MODE_SPECS:
                 wrapped = help_bit_totalizer(tree, f, mode)
                 with monkeypatch.context() as cleared:
-                    cleared.setattr(protocol, "_proven", {})
                     cleared.setattr(protocol, "_last_lift", {})
                     assert help_bit_totalizer(tree, f, mode) == wrapped
-                    protocol._proven.clear()
-                    ProtocolTree(wrapped.n_alice, wrapped.n_bob, wrapped.out_len, wrapped.root)
+                rebuilt = ProtocolTree(wrapped.n_alice, wrapped.n_bob, wrapped.out_len, wrapped.root)
+                assert rebuilt == wrapped
 
 
-def test_a_wrap_walks_only_its_routing_node_once_its_branches_are_proven(monkeypatch):
-    monkeypatch.setattr(protocol, "_proven", {})
+def test_one_lift_per_tree_and_mode_is_shared_by_the_functions_asked(monkeypatch):
     monkeypatch.setattr(protocol, "_last_lift", {})
-    tree = literal_identity(2)
-    help_bit_totalizer(tree, identity_fn(2), "both")
-    calls = []
-    walk = protocol._validate
-    monkeypatch.setattr(
-        protocol, "_validate", lambda *args: calls.append(args[1]) or walk(*args)
-    )
-    # equality shares the lift of the same tree; its default is proven once
-    help_bit_totalizer(tree, equality_fn(2), "both")
-    calls.clear()
-    help_bit_totalizer(tree, equality_fn(2), "both")
-    assert calls == [0, 1, 1]
+    tree, other = literal_identity(2), literal_send_protocol(equality_fn(2))
+    for mode, spec in _MODE_SPECS.items():
+        lift = help_bit_totalizer(tree, identity_fn(2), mode).root.child1
+        assert lift == _lift(tree.root, 2, spec.alice_bits, spec.bob_bits)
+        assert help_bit_totalizer(tree, equality_fn(2), mode).root.child1 is lift
+        # wrapping another tree replaces the slot, so the first is lifted anew
+        assert help_bit_totalizer(other, identity_fn(2), mode).root.child1 is not lift
+        again = help_bit_totalizer(tree, equality_fn(2), mode).root.child1
+        assert again == lift and again is not lift
 
 
-def test_a_proof_is_used_only_at_its_own_widths_and_within_the_cap(monkeypatch):
-    monkeypatch.setattr(protocol, "_proven", {})
-    leaf = OutputLeaf(OutputFunction.const("00"))
-    wide = Speak(ALICE, NodeFunction.from_table("01" * 4), leaf, leaf)  # Alice reads 3 bits
-    protocol._prove(wide, 3, 3, 2)
-    assert protocol._proven[3, 3, 2][id(wide)] == (wide, 1)
-    ProtocolTree(3, 3, 2, Speak(BOB, NodeFunction.const(0), wide, leaf))
-    with pytest.raises(UsageError, match="table has 8 entries, expected 4"):
-        ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.const(0), wide, leaf))
-    # a node that fails is not remembered, so it fails again where it hangs
-    protocol._prove(wide, 2, 2, 2)
-    assert id(wide) not in protocol._proven.get((2, 2, 2), {})
-    # a proven chain fits at a depth that keeps it within the cap, not below it
-    cap = default_depth_cap(1, 1)
-    chain = OutputLeaf(OutputFunction.const("1"))
-    for _ in range(cap - 1):
-        chain = Speak(BOB, NodeFunction.const(1), StuckLeaf(), chain)
-    protocol._prove(chain, 1, 1, 1)
-    assert protocol._proven[1, 1, 1][id(chain)] == (chain, cap - 1)
-    ProtocolTree(1, 1, 1, Speak(ALICE, NodeFunction.const(1), StuckLeaf(), chain))
-    deeper = Speak(ALICE, NodeFunction.const(1), StuckLeaf(), chain)
-    with pytest.raises(UsageError, match=f"depth cap {cap}"):
-        ProtocolTree(1, 1, 1, Speak(ALICE, NodeFunction.const(1), StuckLeaf(), deeper))
-
-
-def test_the_proof_memo_holds_the_defaults_and_one_trees_lifts(monkeypatch):
-    monkeypatch.setattr(protocol, "_proven", {})
+def test_the_lift_slots_hold_only_the_last_trees_lifts(monkeypatch):
     monkeypatch.setattr(protocol, "_last_lift", {})
-    fns = (identity_fn(2), equality_fn(2))
     count = 0
     for _code, tree in enumerate_signature(2, 2, 2, 20):
-        for f in fns:
-            for mode in _MODE_SPECS:
-                help_bit_totalizer(tree, f, mode)
+        for mode in _MODE_SPECS:
+            help_bit_totalizer(tree, identity_fn(2), mode)
         count += 1
     assert count == 11290
-    lifts = [entry[2] for entry in protocol._last_lift.values()]
-    defaults = [
-        protocol._lifted_default(f, spec.alice_bits, spec.bob_bits)
-        for f in fns
-        for spec in _MODE_SPECS.values()
-    ]
-    proven = [node for proofs in protocol._proven.values() for node, _height in proofs.values()]
-    assert sorted(map(id, proven)) == sorted(map(id, lifts + defaults))
+    assert sorted(protocol._last_lift) == sorted(
+        (spec.alice_bits, spec.bob_bits) for spec in _MODE_SPECS.values()
+    )
+    for (a, b), (root, n, lifted) in protocol._last_lift.items():
+        assert root is tree.root and n == 2
+        assert lifted == _lift(tree.root, 2, a, b)
+
+
+def test_validation_refuses_a_subtree_of_other_widths_and_a_chain_past_the_cap():
+    leaf = OutputLeaf(OutputFunction.const("00"))
+    wide = Speak(ALICE, NodeFunction.from_table("01" * 4), leaf, leaf)  # Alice reads 3 bits
+    ProtocolTree(3, 3, 2, Speak(BOB, NodeFunction.const(0), wide, leaf))
+    # a child held twice is walked once, and still checked
+    for other in (leaf, wide):
+        with pytest.raises(UsageError, match="table has 8 entries, expected 4"):
+            ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.const(0), wide, other))
+    # a chain that ends at the cap passes; one more level above it does not
+    cap = default_depth_cap(1, 1)
+    chain = OutputLeaf(OutputFunction.const("1"))
+    for _ in range(cap):
+        chain = Speak(BOB, NodeFunction.const(1), StuckLeaf(), chain)
+    ProtocolTree(1, 1, 1, chain)
+    with pytest.raises(UsageError, match=f"depth cap {cap}"):
+        ProtocolTree(1, 1, 1, Speak(ALICE, NodeFunction.const(1), StuckLeaf(), chain))
 
 
 def test_pair_cells_are_checked_on_every_miss_and_refusals_leave_nothing(monkeypatch):
