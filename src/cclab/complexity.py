@@ -5,21 +5,23 @@ partially correct, or partial), an interaction shape, help bits and a
 code-length budget; its value on an input pair is the cheapest correct
 conversation any admissible enumerated protocol has there.
 
-Which trees a family holds depends on f, the help counts and the budget
-but never on the pair, so the three families are one cached record per
-(f, help counts, budget) that keeps each member's per-depth correct cells
-(`_families`); every value and the identity profiles are read from it,
-and their checks still run on every call.  The total-and-correct-
-everywhere part is read from fold classes (`_fold_classes`): each
-enumerated tree of a signature is folded over the whole grid once, trees
-that can strand a cell are dropped, and the rest are grouped by their
-leaves' (cells, depth, output), so a new function judges each distinct
-(cells, output) leaf of the signature once, as the base pairs it serves,
-and admits a class iff its leaves serve every pair.  A smaller budget is
-a prefix of the canonical order, so its table and its classes are read
-off the largest ones built for the signature.  The CC and PCC parts fold
-the canonical order tree by tree and stop once every pair has a member
-of cost 0, since no later tree can then be any pair's witness.  On top of
+The total-and-correct-everywhere (TCC) members depend on f, the help
+counts and the budget but never on the pair, so they are one cached
+record per (f, help counts, budget) that keeps each member's per-depth
+correct cells (`_tcc_family`); TCC values and the identity profiles are
+read from it, and their checks still run on every call.  The record is
+read from fold classes (`_fold_classes`): each enumerated tree of a
+signature is folded over the whole grid once, trees that can strand a
+cell are dropped, and the rest are grouped by their leaves' (cells,
+depth, output), so a new function judges each distinct (cells, output)
+leaf of the signature once, as the base pairs it serves, and admits a
+class iff its leaves serve every pair.  A smaller budget is a prefix of
+the canonical order, so its table and its classes are read off the
+largest ones built for the signature.  CC and PCC need no enumeration:
+a tree of cost 0 on a pair is a lone output leaf, and any tree correct
+on the pair holds a leaf correct there that alone is total, one-way and
+no longer, so both values are 0 once the canonically first correct lone
+leaf fits the budget and infinite before (`individual_cc`).  On top of
 the measures sit the one-way simulation of arbitrary total identity
 protocols, the exchange between describable sets and one-way senders,
 structure profiles over the budget axis, and the exhaustive search for
@@ -77,7 +79,9 @@ class Measure:
     never strand a pair and answer correctly on all of them, CC admits
     total protocols correct at least on the queried pair, PCC admits any
     protocol correct on the queried pair.  one_way restricts to trees in
-    which only Bob speaks; help extends both inputs by trusted bits.
+    which only Bob speaks; help extends both inputs by trusted bits.  CC
+    and PCC never differ: both are answered by one lone output leaf, in
+    either shape and for every help count (`individual_cc`).
     """
 
     family: str = "TCC"
@@ -120,7 +124,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> tuple[dict, d
     each fold to ((ids, leaves), members): leaves is the fold of the
     class's first member, members its ascending table indices and ids its
     leaves' numbers in leaf ids, {(cells, output kind, output value): id}
-    in id order, so `_families` judges each distinct leaf once.  A table is
+    in id order, so `_tcc_family` judges each distinct leaf once.  A table is
     a prefix of the signature's larger tables, so the store covers the
     largest table seen and folds (and numbers the leaves of) only the trees
     past it; a caller reads the members below its own table's length.
@@ -148,8 +152,8 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> tuple[dict, d
 
 
 @lru_cache(maxsize=64)
-def _families(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
-    """(tcc, cc, pcc): each a tuple of (bits, one_way, correct_at) in canonical order.
+def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
+    """The TCC members, each (bits, one_way, correct_at), in canonical order.
 
     The trees are those of `_enumeration_table(n + alice_bits, n + bob_bits,
     n, alpha)`; correct_at is the tree's ascending (depth, cells) of correct
@@ -158,24 +162,16 @@ def _families(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tu
     Nothing is checked here, so callers run their checks on every call
     before asking.
 
-    The TCC part is complete.  Its members depend on the tree only through
-    its fold, so each class of `_fold_classes` is decided once and its
-    members below the table's length take its correct_at; the classes are
-    shared by every function and budget of the signature.  Each distinct
-    leaf of the signature, numbered in the leaf ids of `_fold_classes`, is
-    judged once: the base pairs its correct cells serve
-    (`_slid_onto_pairs`).  A smaller table judges them all as well; reading
-    the verdicts by id is cheaper than a memo keyed by (cells, output).  A
-    class is admitted iff the OR of its leaves' served pairs is every pair,
-    the rule `computes_everywhere` applies to one tree.
-
-    The CC and PCC parts come from one walk over the table, folding each
-    tree once: PCC takes every tree, CC the trees with no reachable stuck
-    leaf.  The walk stops at the first tree after which every base pair is
-    served at depth 0 by some tree so far.  That is exact: costs are never
-    below 0, and a tree with a correct cell at depth 0 is a lone output
-    leaf, total, one-way and in both parts, so no later tree can be the
-    canonically first cheapest witness of any pair in either shape.
+    The members depend on the tree only through its fold, so each class of
+    `_fold_classes` is decided once and its members below the table's
+    length take its correct_at; the classes are shared by every function
+    and budget of the signature.  Each distinct leaf of the signature,
+    numbered in the leaf ids of `_fold_classes`, is judged once: the base
+    pairs its correct cells serve (`_slid_onto_pairs`).  A smaller table
+    judges them all as well; reading the verdicts by id is cheaper than a
+    memo keyed by (cells, output).  A class is admitted iff the OR of its
+    leaves' served pairs is every pair, the rule `computes_everywhere`
+    applies to one tree.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
@@ -199,37 +195,25 @@ def _families(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tu
         correct_at = _correct_by_depth(leaves, answers)
         members.extend((i, correct_at) for i in indices if i < len(table))
     members.sort(key=lambda member: member[0])
-    tcc = tuple(
+    return tuple(
         (table[i][0], node_is_one_way(table[i][1]), correct_at) for i, correct_at in members
     )
-    cc, pcc = [], []
-    covered = 0
-    for bits, node in table:
-        leaves = _leaf_masks(node, na, nb)
-        correct_at = _correct_by_depth(leaves, answers)
-        member = bits, node_is_one_way(node), correct_at
-        pcc.append(member)
-        if _no_stuck(leaves):
-            cc.append(member)
-        if correct_at and correct_at[0][0] == 0:
-            covered |= _slid_onto_pairs(correct_at[0][1], n, alice_bits, bob_bits)
-            if covered == base:
-                break
-    return tcc, tuple(cc), tuple(pcc)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     """Cheapest correct conversation on (x, y) within the measure's family.
 
     Returns (bits, witness code); the minimum of an empty family is
-    infinity with no witness.  Ties go to the canonically first code, so
-    the loop stops at the first member that costs nothing.  A tree's cost
-    is the least depth of a leaf that answers f on one of the cells of
-    (x, y) and its help strings: the least depth whose correct cells meet
-    the pair's.  Every family is read from its part of the one cached
-    record per (f, help counts, budget) of `_families`, whose CC and PCC
-    parts end where no later tree can be a witness.  Every check runs on
-    every call.
+    infinity with no witness, and ties go to the canonically first code.
+    Every check runs on every call, before the family is looked at.
+
+    CC and PCC are the module docstring's closed form in either shape and
+    for every Bob help count.  The first correct lone leaf is `copy_x`
+    ("10" "01") when v = f(x, y) is x and Alice has no help bits to widen
+    her input, else the constant v ("10" "00" v): an xor leaf ties it in
+    length but follows it in canonical order.  A TCC tree's cost is the least depth whose correct cells meet
+    the pair's help-extended cells; the members come from `_tcc_family`,
+    and the loop stops at the first that costs nothing.
     """
     n = f.n
     check_exhaustive_n(n)
@@ -237,8 +221,15 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     a, b = m.help.alice_bits, m.help.bob_bits
     _check_grid_bits(2 * n + a + b, "help-extended input grid")
     pair = _help_cells(n, a, b, x, y)
+    if m.family != "TCC":
+        v = f.value(x, y)
+        if not a and v == x and m.alpha >= 4:
+            return 0, PdlCode("1001")
+        if m.alpha >= 4 + n:
+            return 0, PdlCode("1000" + v)
+        return INF, None
     best, best_bits = INF, None
-    for bits, bob_only, correct_at in _families(f, a, b, m.alpha)[FAMILIES.index(m.family)]:
+    for bits, bob_only, correct_at in _tcc_family(f, a, b, m.alpha):
         if m.one_way and not bob_only:
             continue
         cost = next((depth for depth, cells in correct_at if cells & pair), INF)
@@ -491,9 +482,9 @@ class TccProfileReport:
 def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
     """One- and two-way TCC identity profiles of column y, from one cached family.
 
-    Folds the TCC part of `_families(identity_fn(n), 0, 0, alpha_max)`,
-    which depends only on (n, alpha_max); its one-way members are exactly
-    the one-way family, in the same canonical order.  The checks run on every call.
+    Folds `_tcc_family(identity_fn(n), 0, 0, alpha_max)`, which depends
+    only on (n, alpha_max); its one-way members are exactly the one-way
+    family, in the same canonical order.  The checks run on every call.
     """
     n = len(check_bits(y))
     check_exhaustive_n(n, "identity profiles")
@@ -505,7 +496,7 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
 
     admissible = [
         (PdlCode(bits), bob_only, correct_at)
-        for bits, bob_only, correct_at in _families(f, 0, 0, alpha_max)[0]
+        for bits, bob_only, correct_at in _tcc_family(f, 0, 0, alpha_max)
     ]
     column = bits_to_int(y)
     # an admissible tree answers every cell, so a cell's value is its leaf's depth
@@ -569,9 +560,10 @@ def find_hard_y(n: int, alpha: int, x: str) -> HardYReport:
     """First column whose budget-limited cost reaches n - alpha.
 
     Scans all columns under the CC measure (total protocols, correct on
-    the scanned pair) and returns the lexicographically first column at
-    or above the threshold, falling back to the first maximizer if the
-    counting guarantee has no bite in the enumerated family.
+    the scanned pair), read in closed form from one lone leaf per column,
+    and returns the lexicographically first column at or above the
+    threshold, falling back to the first maximizer if the counting
+    guarantee has no bite in the enumerated family.
     """
     check_exhaustive_n(n, "exhaustive searches")
     check_bits(x, n)

@@ -27,8 +27,8 @@ from .codes import (
 )
 from .complexity import (
     INF,
-    _families,
     _message_lengths,
+    _tcc_family,
     find_hard_y,
     one_way_from_two_way,
     oneway_to_set,
@@ -189,7 +189,7 @@ def _everywhere_correct(f, budget: int, one_way: bool = False):
     """
     _check_budget(budget)
     n = f.n
-    for bits, bob_only, _ in _families(f, 0, 0, budget)[0]:
+    for bits, bob_only, _ in _tcc_family(f, 0, 0, budget):
         if bob_only or not one_way:
             yield PdlCode(bits), decode_signature(bits, n, n, n)
 

@@ -52,6 +52,30 @@ def test_cc_empty_family_reports_inf(capsys):
     assert "witness: none" in out
 
 
+# stdout of CC and PCC queries at n = 3, as the enumerating walk printed it
+PINNED_N3 = [
+    (("identity", "011", "101", "6", "1", "1"), "value: inf\nwitness: none\n"),
+    (("ip", "011", "101", "6", "1", "1"), "value: inf\nwitness: none\n"),
+    (("identity", "011", "101", "7", "1", "1"), "value: 0\nwitness: 7:8a (7 bits)\n"),
+    (("ip", "011", "101", "7", "1", "1"), "value: 0\nwitness: 7:82 (7 bits)\n"),
+    (("identity", "011", "011", "4", "0", "0"), "value: 0\nwitness: 4:9 (4 bits)\n"),
+    (("identity", "011", "101", "4", "0", "0"), "value: inf\nwitness: none\n"),
+    (("ip", "011", "011", "4", "0", "0"), "value: inf\nwitness: none\n"),
+]
+
+
+@pytest.mark.parametrize("mode", ["cc", "pcc"])
+@pytest.mark.parametrize("query, want", PINNED_N3, ids=["-".join(query) for query, _ in PINNED_N3])
+def test_cc_and_pcc_output_is_pinned_at_n3(capsys, query, want, mode):
+    fn, x, y, alpha, help_alice, help_bob = query
+    code, out = run_cli(
+        capsys, "cc", "--fn", fn, "--x", x, "--y", y, "--alpha", alpha,
+        "--help-alice", help_alice, "--help-bob", help_bob, "--mode", mode,
+    )
+    assert code == 0
+    assert out == want
+
+
 def test_profile_csv_on_stdout(capsys):
     code, out = run_cli(capsys, "profile", "--y", "01", "--alpha-max", "8")
     assert code == 0

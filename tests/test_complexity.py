@@ -33,7 +33,7 @@ from cclab import (
 )
 from cclab import codes, complexity
 from cclab.codes import _enumeration_table
-from cclab.complexity import FAMILIES, _families, _fold_classes
+from cclab.complexity import FAMILIES, _fold_classes, _tcc_family
 from cclab.protocol import (
     ALICE,
     BOB,
@@ -196,14 +196,6 @@ def test_individual_cc_matches_brute_force(f, one_way, help_bits):
         for (family, (x, y)), want in expected.items():
             m = Measure(family, one_way, HelpSpec(a, b), alpha)
             assert individual_cc(m, f, x, y) == want, (family, alpha, x, y)
-    # the CC and PCC walks end both ways: at the end of a short table at
-    # small budgets, at the first tree giving every pair a free witness
-    # at large ones
-    stopped = {
-        len(_families(f, a, b, alpha)[2]) < len(_enumeration_table(n + a, n + b, n, alpha))
-        for alpha in by_budget
-    }
-    assert stopped == {False, True}
     # the comparison must reach finite values in every family that is
     # nonempty at the largest budget: all three at n = 1, the two pointwise
     # ones at n = 2, where no everywhere-correct protocol fits in 16 bits
@@ -212,6 +204,28 @@ def test_individual_cc_matches_brute_force(f, one_way, help_bits):
         any(v[0] != INF for (fam, _), v in expected.items() if fam == family)
         for family in (("TCC", "CC", "PCC") if n == 1 else ("CC", "PCC"))
     )
+
+
+@pytest.mark.parametrize("help_bits", [(0, 0), (1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("f", [identity_fn(3), equality_fn(3), inner_product_fn(3)], ids=lambda f: f.name)
+def test_cc_and_pcc_closed_form_matches_brute_force_at_n3(f, help_bits):
+    """The lone-leaf closed form against the oracle at n = 3, both shapes.
+
+    Budgets 0 to 12 reach both thresholds, 4 for copy_x and 7 for a
+    constant, and the first trees that speak (9 bits); budgets 13 to 20
+    must give the budget-12 answer.
+    """
+    a, b = help_bits
+    assert any(len(code.bits) > 7 for code, _ in enumerate_signature(3 + a, 3 + b, 3, 12))
+    for one_way in (False, True):
+        by_budget = _brute_force_values(f, one_way, help_bits, 12)
+        values = {alpha: {v for (fam, _), (v, _) in by_budget[alpha].items() if fam != "TCC"} for alpha in (3, 6, 7)}
+        assert values[3] == {INF} and INF in values[6] and values[7] == {0}
+        for alpha in range(21):
+            for (family, (x, y)), want in by_budget[min(alpha, 12)].items():
+                if family != "TCC":
+                    m = Measure(family, one_way, HelpSpec(a, b), alpha)
+                    assert individual_cc(m, f, x, y) == want, (family, one_way, alpha, x, y)
 
 
 def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
@@ -251,7 +265,7 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
     assert set(first_shape.values()) == {False, True, "profile"}
     assert {tuple(order) for order in budget_order.values()} == {(15, 16), (16, 15)}
 
-    _families.cache_clear()
+    _tcc_family.cache_clear()
     for kind, (f, help_bits, budget, one_way), query in queries:
         if kind == "cc":
             m = Measure("TCC", one_way, HelpSpec(*help_bits), budget)
@@ -261,9 +275,9 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
         for x in "01":
             assert report.two_way[x].entries[budget] == expected[f, help_bits, budget, False][x, query]
             assert report.one_way.entries[budget] == expected[f, help_bits, budget, True][x, query]
-    assert _families.cache_info().currsize == len(fns) * 3 * 2
+    assert _tcc_family.cache_info().currsize == len(fns) * 3 * 2
     for (f, help_bits, budget, one_way), codes in members.items():
-        family = _families(f, *help_bits, budget)[0]
+        family = _tcc_family(f, *help_bits, budget)
         assert [bits for bits, bob_only, _ in family if bob_only or not one_way] == codes
 
 
@@ -271,18 +285,20 @@ def test_equal_functions_share_one_tcc_family_entry():
     f = identity_fn(1)
     g = FunctionSpec(f.name, f.n, f.boolean, f.cells)
     assert f is not g and f == g and hash(f) == hash(g)
-    _families.cache_clear()
+    _tcc_family.cache_clear()
     m = Measure("TCC", alpha=15)
     assert individual_cc(m, f, "0", "1") == individual_cc(m, g, "0", "1")
     tcc_identity_profile("1", 15)
-    info = _families.cache_info()
+    info = _tcc_family.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     assert info.maxsize is not None
 
 
 def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
     f = identity_fn(1)
-    for m in (Measure("TCC", alpha=15), Measure("TCC", True, HelpSpec(1, 0), 15)):
+    measures = [Measure("TCC", alpha=15), Measure("TCC", True, HelpSpec(1, 0), 15)]
+    measures += [Measure(family, one_way, HelpSpec(1, 1), 15) for family in ("CC", "PCC") for one_way in (False, True)]
+    for m in measures:
         individual_cc(m, f, "0", "1")
         for x, y in (("0", "2"), ("a", "1"), ("00", "1"), ("0", ""), ("0", "0 ")):
             with pytest.raises(ValueError):
@@ -293,23 +309,30 @@ def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
 
     # an entry planted past the input-length limit is never read
     big = identity_fn(4)
-    assert _families(big, 0, 0, 0) == ((), (), ())
-    with pytest.raises(UsageError):
-        individual_cc(Measure("TCC", alpha=0), big, "0000", "0000")
+    assert _tcc_family(big, 0, 0, 0) == ()
+    for family in FAMILIES:
+        with pytest.raises(UsageError):
+            individual_cc(Measure(family, alpha=8), big, "0000", "0000")
     with pytest.raises(UsageError):
         tcc_identity_profile("0000", 0)
 
-    # a family cached under a raised cap is refused once the cap is back
+    # a family cached under a raised cap is refused once the cap is back,
+    # and so is every CC and PCC query past it
     monkeypatch.setenv("CCLAB_BUDGET_CAP", "22")
     m = Measure("TCC", alpha=22)
     warm = individual_cc(m, f, "0", "1")
     tcc_identity_profile("1", 22)
-    hits = _families.cache_info().hits
+    hits = _tcc_family.cache_info().hits
     assert individual_cc(m, f, "0", "1") == warm
-    assert _families.cache_info().hits == hits + 1
+    assert _tcc_family.cache_info().hits == hits + 1
+    for family in ("CC", "PCC"):
+        assert individual_cc(Measure(family, alpha=22), f, "0", "1") == (0, PdlCode("10001"))
+        with pytest.raises(UsageError):
+            individual_cc(Measure(family, alpha=23), f, "0", "1")
     monkeypatch.delenv("CCLAB_BUDGET_CAP")
-    with pytest.raises(UsageError):
-        individual_cc(m, f, "0", "1")
+    for family in FAMILIES:
+        with pytest.raises(UsageError):
+            individual_cc(Measure(family, alpha=22), f, "0", "1")
     with pytest.raises(UsageError):
         tcc_identity_profile("1", 22)
 
@@ -323,7 +346,7 @@ QUERY_BUDGETS = {
 
 
 def _clear_family_stores():
-    _families.cache_clear()
+    _tcc_family.cache_clear()
     complexity._class_store.clear()
     codes._largest_tables.clear()
 
@@ -354,7 +377,7 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _families(f, a, b, alpha)[0] == want, (f.name, alpha)
+                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
 
 
 def _per_tree_family(fns, n, a, b, budget):
@@ -396,37 +419,7 @@ def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _families(f, a, b, alpha)[0] == want, (f.name, alpha)
-
-
-@pytest.mark.parametrize("key", QUERY_BUDGETS, ids=lambda key: f"n{key[0]}-h{key[1][0]}{key[1][1]}")
-def test_cc_and_pcc_parts_end_at_the_first_free_cover(key):
-    """The CC and PCC parts against a per-tree list that ends at the stop.
-
-    The list runs over `enumerate_signature` up to and including the first
-    tree after which every pair has a one-way tree so far that answers it
-    at depth 0 (`cc_with_help`); PCC holds every tree of it and CC the
-    total ones (`is_total`).  A walk that never stops gives longer parts,
-    and one that stops too early shorter ones.
-    """
-    n, (a, b) = key
-    budget = QUERY_BUDGETS[key]
-    help_spec = HelpSpec(a, b)
-    pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
-    table_length = len(_enumeration_table(n + a, n + b, n, budget))
-    for f in (identity_fn(n), equality_fn(n), inner_product_fn(n)):
-        cc, pcc, free = [], [], set()
-        for code, tree in enumerate_signature(n + a, n + b, n, budget):
-            member = code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)
-            pcc.append(member)
-            if is_total(tree):
-                cc.append(member)
-            if is_one_way(tree):
-                free.update(p for p in pairs if cc_with_help(tree, f, *p, help_spec) == 0)
-            if len(free) == len(pairs):
-                break
-        assert len(free) == len(pairs) and len(pcc) < table_length, f.name
-        assert _families(f, a, b, budget)[1:] == (tuple(cc), tuple(pcc)), f.name
+                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
 
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
@@ -445,10 +438,21 @@ def test_family_stores_stay_within_their_bounds():
     signatures = [(na, nb, w) for na in range(1, 6) for nb in range(1, 6) for w in (1, 2, 3)][:70]
     for signature in signatures:
         _fold_classes(*signature, _enumeration_table(*signature, 9))
-    assert len(complexity._class_store) == complexity._CLASS_LIMIT == _families.cache_info().maxsize
+    assert len(complexity._class_store) == complexity._CLASS_LIMIT == _tcc_family.cache_info().maxsize
     assert len(codes._largest_tables) == codes._LARGEST_LIMIT
     assert signatures[-1] in complexity._class_store and signatures[0] not in complexity._class_store
     assert signatures[-1] in codes._largest_tables and signatures[0] not in codes._largest_tables
+
+
+def test_cc_and_pcc_enumerate_nothing():
+    _clear_family_stores()
+    f = inner_product_fn(3)
+    for family in ("CC", "PCC"):
+        for one_way in (False, True):
+            m = Measure(family, one_way, HelpSpec(1, 1), 20)
+            assert individual_cc(m, f, "011", "101") == (0, PdlCode("1000001"))
+    assert _tcc_family.cache_info().currsize == 0
+    assert not complexity._class_store and not codes._largest_tables
 
 
 def test_one_way_restriction_never_helps():
@@ -460,39 +464,7 @@ def test_one_way_restriction_never_helps():
             assert individual_cc(m_free, f, x, y)[0] <= individual_cc(m_ow, f, x, y)[0]
 
 
-def test_each_measure_reads_its_own_part(monkeypatch):
-    """A planted record tells the parts apart, as the real CC and PCC parts cannot.
-
-    The real ones never differ in value or witness for n <= 3: every tree
-    before the stop is a lone leaf there, and the lone stuck leaf answers
-    no pair.
-    """
-    f = identity_fn(1)
-    every_cell = (1 << 4) - 1
-    record = tuple((("10" + "1" * i, True, ((i + 1, every_cell),)),) for i in range(len(FAMILIES)))
-    monkeypatch.setattr(complexity, "_families", lambda *key: record)
-    for i, family in enumerate(FAMILIES):
-        for one_way in (False, True):
-            want = i + 1, PdlCode("10" + "1" * i)
-            assert individual_cc(Measure(family, one_way), f, "0", "1") == want
-
-
-# family filters on trees the brute-force oracle cannot reach: a partial
-# tree the CC part must refuse, and a help-bit tree past the oracle budgets
-
-
-def test_cc_refuses_a_partial_tree_that_pcc_admits():
-    f = identity_fn(1)
-    _, cc, pcc = _families(f, 0, 0, 12)
-    stuck = pdl_encode(ProtocolTree(1, 1, 1, StuckLeaf())).bits
-    assert pcc[0][0] == stuck == "11"
-    assert stuck not in [bits for bits, _, _ in cc]
-    # the 12-bit partial tree that reads Bob's bit lies past the stop: the
-    # constant leaves before it already give every pair a free witness
-    leaf = OutputLeaf(OutputFunction.const("0"))
-    tree = ProtocolTree(1, 1, 1, Speak(BOB, NodeFunction.input_bit(0), leaf, StuckLeaf()))
-    assert len(pdl_encode(tree).bits) == 12
-    assert max(len(bits) for bits, _, _ in pcc) < 12
+# a help-bit tree past the oracle budgets that the TCC family must refuse
 
 
 def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
