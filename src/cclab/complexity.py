@@ -7,25 +7,28 @@ conversation any admissible enumerated protocol has there.
 
 The total-and-correct-everywhere (TCC) members depend on f, the help
 counts and the budget but never on the pair, so they are one cached
-record per (f, help counts, budget) that keeps each member's per-depth
-correct cells (`_tcc_family`); TCC values and the identity profiles are
-read from it, and their checks still run on every call.  The record is
-read from fold classes (`_fold_classes`): each enumerated tree of a
-signature is folded over the whole grid once, trees that can strand a
-cell are dropped, and the rest are grouped by their leaves' (cells,
-depth, output), so a new function judges each distinct (cells, output)
-leaf of the signature once, as the base pairs it serves, and admits a
-class iff its leaves serve every pair.  A smaller budget is a prefix of
-the canonical order, so its table and its classes are read off the
-largest ones built for the signature.  CC and PCC need no enumeration:
-a tree of cost 0 on a pair is a lone output leaf, and any tree correct
-on the pair holds a leaf correct there that alone is total, one-way and
-no longer, so both values are 0 once the canonically first correct lone
-leaf fits the budget and infinite before (`individual_cc`).  On top of
-the measures sit the one-way simulation of arbitrary total identity
-protocols, the exchange between describable sets and one-way senders,
-structure profiles over the budget axis, and the exhaustive search for
-columns on which every cheap protocol must talk.
+record per (f, help counts, budget) (`_tcc_family`), read per pair: with
+the members it keeps every pair's staircase, the strict improvements of
+its cost over the members of each shape in canonical order.  A TCC value
+is the pair's last step and an identity profile's value at a budget is
+the last step whose code fits, so no query walks the members; their
+checks still run on every call.  The record is read from fold classes
+(`_fold_classes`): each enumerated tree of a signature is folded over the
+whole grid once, trees that can strand a cell are dropped, and the rest
+are grouped by their leaves' (cells, depth, output), so a new function
+judges each distinct (cells, output) leaf of the signature once, as the
+base pairs it serves, admits a class iff its leaves serve every pair,
+and reads the per-pair costs of an admitted class that can lower one.  A
+smaller budget is a prefix of the canonical order, so its table and its
+classes are read off the largest ones built for the signature.  CC and
+PCC need no enumeration: a tree of cost 0 on a pair is a lone output
+leaf, and any tree correct on the pair holds a leaf correct there that
+alone is total, one-way and no longer, so both values are 0 once the
+canonically first correct lone leaf fits the budget and infinite before
+(`individual_cc`).  On top of the measures sit the one-way simulation of
+arbitrary total identity protocols, the exchange between describable sets
+and one-way senders, structure profiles over the budget axis, and the
+exhaustive search for columns on which every cheap protocol must talk.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, log2ceil
+from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, embed_bit, log2ceil
 from .codes import (
     PdlCode,
     _check_budget,
@@ -57,6 +60,7 @@ from .protocol import (
     _help_cells,
     _leaf_masks,
     _no_stuck,
+    _plain_pairs,
     _slid_onto_pairs,
     cc_with_help,
     computes_everywhere,
@@ -153,14 +157,19 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> tuple[dict, d
 
 @lru_cache(maxsize=64)
 def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
-    """The TCC members, each (bits, one_way, correct_at), in canonical order.
+    """(members, steps): the TCC members in canonical order and every pair's staircase.
 
     The trees are those of `_enumeration_table(n + alice_bits, n + bob_bits,
-    n, alpha)`; correct_at is the tree's ascending (depth, cells) of correct
-    cells, as `protocol._correct_at` builds them.  Both interaction shapes
-    share an entry: one_way marks the trees in which only Bob speaks.
-    Nothing is checked here, so callers run their checks on every call
-    before asking.
+    n, alpha)`.  members holds each as (bits, one_way, correct_at), where
+    correct_at is the tree's ascending (depth, cells) of correct cells, as
+    `protocol._correct_at` builds them, and one_way marks the trees in which
+    only Bob speaks.  steps[shape][x << n | y] is the staircase of pair (x,
+    y): the (code length, cost, code bits) at which its cost strictly falls
+    over the shape's members in canonical order, shape 0 being two-way
+    (every member) and shape 1 one-way.  Its last step is the pair's TCC
+    value and witness, and the last step whose code fits a smaller budget is
+    the value at that budget.  Nothing is checked here, so callers run their
+    checks on every call before asking.
 
     The members depend on the tree only through its fold, so each class of
     `_fold_classes` is decided once and its members below the table's
@@ -171,7 +180,12 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     judges them all as well; reading the verdicts by id is cheaper than a
     memo keyed by (cells, output).  A class is admitted iff the OR of its
     leaves' served pairs is every pair, the rule `computes_everywhere`
-    applies to one tree.
+    applies to one tree.  An admitted class's members share its per-pair
+    costs, the least depth whose correct cells slide onto the pair, so only
+    its first member and its first one-way member can add a step: a later
+    one ties and loses on canonical order.  The costs are read only for a
+    class whose least correct depth undercuts the greatest last step of the
+    shape, since no other can add one.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
@@ -183,7 +197,7 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
         for cells, kind, value in leaf_ids
     ]
     base = _base_cells(n, alice_bits, bob_bits)
-    members = []
+    members, offers = [], []
     for (ids, leaves), indices in classes.values():
         if indices[0] >= len(table):
             continue
@@ -193,10 +207,36 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
         if covered != base:
             continue
         correct_at = _correct_by_depth(leaves, answers)
-        members.extend((i, correct_at) for i in indices if i < len(table))
+        inside = [(i, node_is_one_way(table[i][1])) for i in indices if i < len(table)]
+        members.extend((i, bob_only, correct_at) for i, bob_only in inside)
+        offers.append((inside[0][0], 0, correct_at))
+        first_one_way = next((i for i, bob_only in inside if bob_only), None)
+        if first_one_way is not None:
+            offers.append((first_one_way, 1, correct_at))
     members.sort(key=lambda member: member[0])
-    return tuple(
-        (table[i][0], node_is_one_way(table[i][1]), correct_at) for i, correct_at in members
+    offers.sort(key=lambda offer: offer[0])
+    pair_count = 1 << 2 * n
+    steps = [[[] for _ in range(pair_count)] for _ in range(2)]
+    # a class costs at least its least correct depth everywhere, so it adds
+    # no step unless that undercuts the shape's greatest last step
+    ceiling = [INF, INF]
+    for i, shape, correct_at in offers:
+        if correct_at[0][0] >= ceiling[shape]:
+            continue
+        costs = [INF] * pair_count
+        for depth, cells in reversed(correct_at):
+            pairs = _plain_pairs(_slid_onto_pairs(cells, n, alice_bits, bob_bits), n, alice_bits, bob_bits)
+            for p in range(pair_count):
+                if pairs >> p & 1:
+                    costs[p] = depth
+        bits = table[i][0]
+        for stairs, cost in zip(steps[shape], costs):
+            if not stairs or cost < stairs[-1][1]:
+                stairs.append((len(bits), cost, bits))
+        ceiling[shape] = max(stairs[-1][1] for stairs in steps[shape])
+    return (
+        tuple((table[i][0], bob_only, correct_at) for i, bob_only, correct_at in members),
+        tuple(tuple(map(tuple, pairs)) for pairs in steps),
     )
 
 
@@ -211,33 +251,32 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     for every Bob help count.  The first correct lone leaf is `copy_x`
     ("10" "01") when v = f(x, y) is x and Alice has no help bits to widen
     her input, else the constant v ("10" "00" v): an xor leaf ties it in
-    length but follows it in canonical order.  A TCC tree's cost is the least depth whose correct cells meet
-    the pair's help-extended cells; the members come from `_tcc_family`,
-    and the loop stops at the first that costs nothing.
+    length but follows it in canonical order.  v is read from the table at
+    the pair's checked indices.  A TCC value is the last step of the pair's
+    staircase in the shape's part of the `_tcc_family` record, so a query
+    reads one entry and walks no member.
     """
     n = f.n
     check_exhaustive_n(n)
     _check_budget(m.alpha)
     a, b = m.help.alice_bits, m.help.bob_bits
     _check_grid_bits(2 * n + a + b, "help-extended input grid")
-    pair = _help_cells(n, a, b, x, y)
+    _help_cells(n, a, b, x, y)  # checks x and y
+    row, col = int(x, 2), int(y, 2)
     if m.family != "TCC":
-        v = f.value(x, y)
+        v = f.cells[row][col]
+        if f.boolean:
+            v = embed_bit(int(v), n)
         if not a and v == x and m.alpha >= 4:
             return 0, PdlCode("1001")
         if m.alpha >= 4 + n:
             return 0, PdlCode("1000" + v)
         return INF, None
-    best, best_bits = INF, None
-    for bits, bob_only, correct_at in _tcc_family(f, a, b, m.alpha):
-        if m.one_way and not bob_only:
-            continue
-        cost = next((depth for depth, cells in correct_at if cells & pair), INF)
-        if cost < best:
-            best, best_bits = cost, bits
-            if cost == 0:
-                break
-    return best, None if best_bits is None else PdlCode(best_bits)
+    stairs = _tcc_family(f, a, b, m.alpha)[1][m.one_way][row << n | col]
+    if not stairs:
+        return INF, None
+    _, cost, bits = stairs[-1]
+    return cost, PdlCode(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +458,6 @@ class ComplexityProfile:
         )
 
 
-def _depth_at(correct_at, cell: int) -> int:
-    """Depth of the correct leaf that the cell reaches; every cell must have one."""
-    return next(depth for depth, cells in correct_at if cells >> cell & 1)
-
-
 def _fold_profile(label: str, alpha_max: int, candidates) -> ComplexityProfile:
     """Prefix-minimum over code length; candidates iterate in canonical order."""
     entries = {a: (INF, None) for a in range(alpha_max + 1)}
@@ -479,12 +513,27 @@ class TccProfileReport:
     agreement: list
 
 
-def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
-    """One- and two-way TCC identity profiles of column y, from one cached family.
+def _staircase_profile(label: str, alpha_max: int, stairs) -> ComplexityProfile:
+    """One pair's profile from its staircase: at each budget, the last step that fits."""
+    entries, best, i = {}, (INF, None), 0
+    for alpha in range(alpha_max + 1):
+        while i < len(stairs) and stairs[i][0] <= alpha:
+            best = stairs[i][1], PdlCode(stairs[i][2])
+            i += 1
+        entries[alpha] = best
+    profile = ComplexityProfile(label, entries)
+    profile.assert_nonincreasing()
+    return profile
 
-    Folds `_tcc_family(identity_fn(n), 0, 0, alpha_max)`, which depends
-    only on (n, alpha_max); its one-way members are exactly the one-way
-    family, in the same canonical order.  The checks run on every call.
+
+def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
+    """One- and two-way TCC identity profiles of column y, from one cached record.
+
+    Reads the staircases of `_tcc_family(identity_fn(n), 0, 0, alpha_max)`,
+    which depends only on (n, alpha_max): a pair's value at a budget is its
+    last step whose code fits, one-way from pair (0, y), since a one-way
+    tree's cost does not depend on the row, and two-way from (row, y) for
+    each row.  The checks run on every call.
     """
     n = len(check_bits(y))
     check_exhaustive_n(n, "identity profiles")
@@ -494,29 +543,13 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
     for row in rows:
         check_bits(row, n)
 
-    admissible = [
-        (PdlCode(bits), bob_only, correct_at)
-        for bits, bob_only, correct_at in _tcc_family(f, 0, 0, alpha_max)
-    ]
+    steps = _tcc_family(f, 0, 0, alpha_max)[1]
     column = bits_to_int(y)
-    # an admissible tree answers every cell, so a cell's value is its leaf's depth
-    one_way = _fold_profile(
-        f"oneway({y})",
-        alpha_max,
-        (
-            (len(code.bits), _depth_at(correct_at, column), code)
-            for code, bob_only, correct_at in admissible
-            if bob_only
-        ),
-    )
-    two_way = {}
-    for row in rows:
-        cell = bits_to_int(row) << n | column
-        two_way[row] = _fold_profile(
-            f"twoway({row},{y})",
-            alpha_max,
-            ((len(code.bits), _depth_at(correct_at, cell), code) for code, _, correct_at in admissible),
-        )
+    one_way = _staircase_profile(f"oneway({y})", alpha_max, steps[1][column])
+    two_way = {
+        row: _staircase_profile(f"twoway({row},{y})", alpha_max, steps[0][bits_to_int(row) << n | column])
+        for row in rows
+    }
 
     agreement = [
         AgreementRow(a, row, two_way[row].value(a), one_way.value(a))

@@ -189,7 +189,7 @@ def _everywhere_correct(f, budget: int, one_way: bool = False):
     """
     _check_budget(budget)
     n = f.n
-    for bits, bob_only, _ in _tcc_family(f, 0, 0, budget):
+    for bits, bob_only, _ in _tcc_family(f, 0, 0, budget)[0]:
         if bob_only or not one_way:
             yield PdlCode(bits), decode_signature(bits, n, n, n)
 

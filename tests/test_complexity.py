@@ -1,5 +1,6 @@
 """Individual measures, simulations, profiles, hard-column search."""
 
+import hashlib
 import math
 import random
 
@@ -17,6 +18,7 @@ from cclab import (
     PdlCode,
     UsageError,
     all_bitstrings,
+    decode_signature,
     enumerate_sets,
     enumerate_signature,
     equality_fn,
@@ -49,6 +51,7 @@ from cclab.protocol import (
     cc_with_help,
     computes_everywhere,
     is_one_way,
+    node_is_one_way,
     is_total,
     run,
     tree_has_stuck,
@@ -277,7 +280,7 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
             assert report.one_way.entries[budget] == expected[f, help_bits, budget, True][x, query]
     assert _tcc_family.cache_info().currsize == len(fns) * 3 * 2
     for (f, help_bits, budget, one_way), codes in members.items():
-        family = _tcc_family(f, *help_bits, budget)
+        family = _tcc_family(f, *help_bits, budget)[0]
         assert [bits for bits, bob_only, _ in family if bob_only or not one_way] == codes
 
 
@@ -309,7 +312,7 @@ def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
 
     # an entry planted past the input-length limit is never read
     big = identity_fn(4)
-    assert _tcc_family(big, 0, 0, 0) == ()
+    assert _tcc_family(big, 0, 0, 0)[0] == ()
     for family in FAMILIES:
         with pytest.raises(UsageError):
             individual_cc(Measure(family, alpha=8), big, "0000", "0000")
@@ -377,7 +380,7 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
+                assert _tcc_family(f, a, b, alpha)[0] == want, (f.name, alpha)
 
 
 def _per_tree_family(fns, n, a, b, budget):
@@ -419,7 +422,7 @@ def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _tcc_family(f, a, b, alpha) == want, (f.name, alpha)
+                assert _tcc_family(f, a, b, alpha)[0] == want, (f.name, alpha)
 
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
@@ -455,13 +458,238 @@ def test_cc_and_pcc_enumerate_nothing():
     assert not complexity._class_store and not codes._largest_tables
 
 
+HELP_COUNTS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
 def test_one_way_restriction_never_helps():
+    """Two-way values never exceed one-way ones, for CC and for TCC.
+
+    TCC reads the one-way staircase from its own table, so the comparison
+    runs where the families are nonempty at budget 19: n = 1 under every
+    help count, and eq and ip at n = 2 with Bob help bits (4 to 8 members).
+    """
     f = identity_fn(1)
     m_free = Measure(family="CC", alpha=15)
     m_ow = Measure(family="CC", alpha=15, one_way=True)
     for x in "01":
         for y in "01":
             assert individual_cc(m_free, f, x, y)[0] <= individual_cc(m_ow, f, x, y)[0]
+    keys = [(g, h) for g in (identity_fn(1), equality_fn(1), inner_product_fn(1)) for h in HELP_COUNTS]
+    keys += [(g, h) for g in (equality_fn(2), inner_product_fn(2)) for h in ((0, 1), (1, 1))]
+    finite = 0
+    for g, help_bits in keys:
+        free, ow = (Measure("TCC", one_way, HelpSpec(*help_bits), 19) for one_way in (False, True))
+        for x in all_bitstrings(g.n):
+            for y in all_bitstrings(g.n):
+                one_way_value = individual_cc(ow, g, x, y)[0]
+                assert individual_cc(free, g, x, y)[0] <= one_way_value, (g.name, help_bits, x, y)
+                finite += one_way_value != INF
+    assert finite
+
+
+# n = 1 functions under every help count at budgets 19 and 20, and the
+# helped n = 2 keys of eq and ip at budget 19
+STAIRCASE_KEYS = [
+    (f, help_bits, budget)
+    for f in (identity_fn(1), equality_fn(1), inner_product_fn(1), _random_table_fn(1, seed=23, boolean=True))
+    for help_bits in HELP_COUNTS
+    for budget in (19, 20)
+] + [(f, help_bits, 19) for f in (equality_fn(2), inner_product_fn(2)) for help_bits in HELP_COUNTS[1:]]
+
+
+def _member_minima(f, help_bits, budget, one_way):
+    """{(x, y): (value, witness)} from every member of the record asked about every pair.
+
+    Each member is decoded and its shape read from the tree; the value is
+    the prefix minimum of `cc_with_help` over the members in canonical
+    order, ties going to the first.
+    """
+    n = f.n
+    a, b = help_bits
+    best = {(x, y): (INF, None) for x in all_bitstrings(n) for y in all_bitstrings(n)}
+    members = [bits for bits, _, _ in _tcc_family(f, a, b, budget)[0]]
+    assert members == sorted(members, key=lambda bits: (len(bits), bits))
+    for bits in members:
+        tree = decode_signature(bits, n + a, n + b, n)
+        if one_way and not is_one_way(tree):
+            continue
+        for pair in best:
+            cost = cc_with_help(tree, f, *pair, HelpSpec(a, b))
+            if cost < best[pair][0]:
+                best[pair] = (cost, PdlCode(bits))
+    return best
+
+
+def _mixed_admitted_classes(f, help_bits, budget):
+    """Admitted fold classes whose first member is two-way and a later one one-way."""
+    n = f.n
+    a, b = help_bits
+    table = _enumeration_table(n + a, n + b, n, budget)
+    admitted = {bits for bits, _, _ in _tcc_family(f, a, b, budget)[0]}
+    count = 0
+    for _, indices in _fold_classes(n + a, n + b, n, table)[0].values():
+        inside = [i for i in indices if i < len(table)]
+        if inside and table[inside[0]][0] in admitted and not node_is_one_way(table[inside[0]][1]):
+            count += any(node_is_one_way(table[i][1]) for i in inside[1:])
+    return count
+
+
+def test_staircases_equal_prefix_minima_over_the_members():
+    """Every TCC answer against the members asked one by one, in both shapes.
+
+    Classes whose first member is two-way and a later one one-way must
+    occur, so a one-way staircase that took its steps only from the first
+    member of each class would show.
+    """
+    mixed = 0
+    for f, help_bits, budget in STAIRCASE_KEYS:
+        for one_way in (False, True):
+            m = Measure("TCC", one_way, HelpSpec(*help_bits), budget)
+            for (x, y), want in _member_minima(f, help_bits, budget, one_way).items():
+                assert individual_cc(m, f, x, y) == want, (f.name, help_bits, budget, one_way, x, y)
+        mixed += _mixed_admitted_classes(f, help_bits, budget)
+    assert mixed
+
+
+def test_staircase_rules_on_planted_tables(monkeypatch):
+    """The record's rules on hand-made tables, where the enumerated keys cannot tell.
+
+    Every key enumerated in these tests has one step per staircase, so
+    none of them changes if a class offered only its first member, if the
+    greatest depth over the help strings won, if a profile read the last
+    step at every budget or read the one-way profile off the two-way
+    staircase, or if a class were skipped unless it undercut the least
+    last step rather than the greatest.  So the tables are planted, in canonical order: a two-way and
+    a one-way tree of one class, both costing 2, then two longer one-way
+    trees costing 1 on column 0 and on column 1 respectively, and 2 on the
+    other; and a help-bit tree costing 2 or 3 by Alice's help string.
+    """
+    def leaf(v):
+        return OutputLeaf(OutputFunction.const(v))
+
+    def spell():
+        return Speak(BOB, NodeFunction.input_bit(0), leaf("0"), leaf("1"))
+
+    roots = [
+        Speak(ALICE, NodeFunction.const(0), spell(), StuckLeaf()),
+        Speak(BOB, NodeFunction.const(0), spell(), StuckLeaf()),
+        Speak(BOB, NodeFunction.input_bit(0), leaf("0"), Speak(BOB, NodeFunction.const(0), leaf("1"), leaf("0"))),
+        Speak(BOB, NodeFunction.negated_bit(0), leaf("1"), Speak(BOB, NodeFunction.const(0), leaf("0"), leaf("1"))),
+    ]
+    two, one, cheap0, cheap1 = (pdl_encode(ProtocolTree(1, 1, 1, root)).bits for root in roots)
+    helped = Speak(ALICE, NodeFunction.input_bit(1), spell(), Speak(BOB, NodeFunction.const(0), spell(), StuckLeaf()))
+    planted = {
+        (1, 1, 1): tuple(zip((two, one, cheap0, cheap1), roots)),
+        (2, 1, 1): ((pdl_encode(ProtocolTree(2, 1, 1, helped)).bits, helped),),
+    }
+    assert [len(bits) for bits in (two, one, cheap0, cheap1)] == [22, 22, 25, 25] and two < one < cheap0 < cheap1
+    monkeypatch.setattr(
+        complexity,
+        "_enumeration_table",
+        lambda na, nb, out_len, alpha: tuple(e for e in planted[na, nb, out_len] if len(e[0]) <= alpha),
+    )
+    monkeypatch.setenv("CCLAB_BUDGET_CAP", "25")
+    f = identity_fn(1)
+    _clear_family_stores()
+    try:
+        steps = _tcc_family(f, 0, 0, 25)[1]
+        assert steps[0][0b00] == ((22, 2, two), (25, 1, cheap0))
+        assert steps[1][0b10] == ((22, 2, one), (25, 1, cheap0))
+        assert steps[0][0b01] == ((22, 2, two), (25, 1, cheap1))
+        assert steps[1][0b11] == ((22, 2, one), (25, 1, cheap1))
+        report = tcc_identity_profile("0", 25)
+        assert [report.one_way.entries[a] for a in (21, 22, 24, 25)] == [
+            (INF, None), (2, PdlCode(one)), (2, PdlCode(one)), (1, PdlCode(cheap0)),
+        ]
+        assert [report.two_way["1"].entries[a] for a in (22, 24, 25)] == [
+            (2, PdlCode(two)), (2, PdlCode(two)), (1, PdlCode(cheap0)),
+        ]
+        for one_way in (False, True):
+            assert individual_cc(Measure("TCC", one_way, alpha=24), f, "1", "0") == (2, PdlCode(one if one_way else two))
+            assert individual_cc(Measure("TCC", one_way, alpha=25), f, "1", "0") == (1, PdlCode(cheap0))
+            assert individual_cc(Measure("TCC", one_way, alpha=25), f, "0", "1") == (1, PdlCode(cheap1))
+        bits = planted[2, 1, 1][0][0]
+        stairs = ((len(bits), 2, bits),)
+        assert _tcc_family(f, 1, 0, len(bits))[1] == ((stairs,) * 4, ((),) * 4)
+    finally:
+        _clear_family_stores()
+
+
+def _fold_over_members(alpha_max, candidates):
+    """Prefix minima over code length; candidates iterate in canonical order.
+
+    The fold the identity profiles used before staircases, kept as their
+    oracle.
+    """
+    entries = {a: (INF, None) for a in range(alpha_max + 1)}
+    for length, value, witness in candidates:
+        for a in range(length, alpha_max + 1):
+            if value < entries[a][0]:
+                entries[a] = (value, witness)
+    return entries
+
+
+@pytest.mark.parametrize("n, alpha_max", [(1, 15), (1, 19), (1, 20), (2, 19)])
+def test_identity_profiles_equal_a_fold_over_the_members(n, alpha_max):
+    members = _tcc_family(identity_fn(n), 0, 0, alpha_max)[0]
+    assert bool(members) == (n == 1)
+
+    def depth_at(correct_at, cell):
+        return next(depth for depth, cells in correct_at if cells >> cell & 1)
+
+    for y in all_bitstrings(n):
+        column = int(y, 2)
+        report = tcc_identity_profile(y, alpha_max)
+        want = _fold_over_members(alpha_max, (
+            (len(bits), depth_at(correct_at, column), PdlCode(bits))
+            for bits, bob_only, correct_at in members if bob_only
+        ))
+        assert report.one_way.entries == want, y
+        for row in all_bitstrings(n):
+            cell = int(row, 2) << n | column
+            want = _fold_over_members(alpha_max, (
+                (len(bits), depth_at(correct_at, cell), PdlCode(bits)) for bits, _, correct_at in members
+            ))
+            assert report.two_way[row].entries == want, (row, y)
+            assert tcc_identity_profile(y, alpha_max, x=row).two_way[row].entries == want
+
+
+def _spell(value, witness):
+    return f"{value} {witness.bits if witness else '-'}"
+
+
+# taken while every TCC answer and identity profile still folded the members
+_TCC_ANSWERS_HASH = "5f0c33202010e7a8ab6b17b8fbf0d465d2378652f09edc035f52c056a78ccaca"
+
+
+def test_tcc_answers_and_identity_profiles_are_pinned():
+    """Every TCC answer at the query keys, and the identity profiles, by one digest.
+
+    Each (n, help bits) key at its budget and at two bits less, for
+    identity, eq and ip, both shapes and every pair; the no-help keys add
+    the identity profiles of every column.
+    """
+    digest = hashlib.sha256()
+    finite = 0
+    for (n, (a, b)), budget in QUERY_BUDGETS.items():
+        columns = list(all_bitstrings(n))
+        for alpha in (budget, budget - 2):
+            for f in (identity_fn(n), equality_fn(n), inner_product_fn(n)):
+                for one_way in (False, True):
+                    m = Measure("TCC", one_way, HelpSpec(a, b), alpha)
+                    for x in columns:
+                        for y in columns:
+                            answer = individual_cc(m, f, x, y)
+                            finite += answer[0] != INF
+                            digest.update(f"{n} {a}{b} {alpha} {f.name} {one_way} {x} {y} {_spell(*answer)}\n".encode())
+            if (a, b) == (0, 0):
+                for y in columns:
+                    report = tcc_identity_profile(y, alpha)
+                    for row, profile in [("one", report.one_way)] + sorted(report.two_way.items()):
+                        line = " ".join(_spell(*profile.entries[k]) for k in range(alpha + 1))
+                        digest.update(f"profile {y} {alpha} {row} {line}\n".encode())
+    assert finite == 352
+    assert digest.hexdigest() == _TCC_ANSWERS_HASH
 
 
 # a help-bit tree past the oracle budgets that the TCC family must refuse
