@@ -335,28 +335,35 @@ def _encodings(forms, budget: int) -> list[tuple[str, object]]:
     return out
 
 def _raw_enumeration(na: int, nb: int, out_len: int, budget: int) -> list[tuple[str, Node]]:
-    """All decodable codes of length <= budget, sorted canonically."""
-    cache: dict[int, list[tuple[str, Node]]] = {}
+    """All decodable codes of length <= budget, sorted canonically.
 
-    def gen(b: int) -> list[tuple[str, Node]]:
-        if b < 2:
-            return []
-        hit = cache.get(b)
-        if hit is not None:
-            return hit
-        results: list[tuple[str, Node]] = [("11", StuckLeaf())]
-        for code, fn in _encodings(_output_rule(na, out_len).forms, b - 2):
-            results.append(("10" + code, OutputLeaf(fn)))
-        for tag, owner, m in (("00", ALICE, na), ("01", BOB, nb)):
-            for fn_code, fn in _encodings(_node_rule(m).forms, b - 2 - 4):
-                head = 2 + len(fn_code)
-                for c0, t0 in gen(b - head - 2):
-                    for c1, t1 in gen(b - head - len(c0)):
-                        results.append((tag + fn_code + c0 + c1, Speak(owner, fn, t0, t1)))
-        cache[b] = results
-        return results
-
-    return sorted(gen(budget), key=lambda item: (len(item[0]), item[0]))
+    Codes are built by exact length, shortest first: a speak node's code is
+    its head and two shorter codes, so each code is built once, as one node
+    that every longer code holding it shares as a child; the heads of one
+    length are paired with each pair of children in turn.  Codes of one
+    length are distinct, so each length sorts by its codes alone and the
+    lengths are joined in order.
+    """
+    by_length: list[list[tuple[str, Node]]] = [[] for _ in range(budget + 1)]
+    if budget >= 2:
+        by_length[2].append(("11", StuckLeaf()))
+    for code, fn in _encodings(_output_rule(na, out_len).forms, budget - 2):
+        by_length[2 + len(code)].append(("10" + code, OutputLeaf(fn)))
+    heads: dict[int, list[tuple[str, str, NodeFunction]]] = {}  # by length
+    for tag, owner, m in (("00", ALICE, na), ("01", BOB, nb)):
+        for fn_code, fn in _encodings(_node_rule(m).forms, budget - 2 - 4):
+            heads.setdefault(2 + len(fn_code), []).append((tag + fn_code, owner, fn))
+    for length, level in enumerate(by_length):
+        for head_length, group in heads.items():
+            rest = length - head_length
+            for length0 in range(2, rest - 1):
+                for c0, t0 in by_length[length0]:
+                    for c1, t1 in by_length[rest - length0]:
+                        children = c0 + c1
+                        for head, owner, fn in group:
+                            level.append((head + children, Speak(owner, fn, t0, t1)))
+        level.sort()
+    return [item for level in by_length for item in level]
 
 
 # The largest table built per signature (na, nb, out_len), as (budget,

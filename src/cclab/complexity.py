@@ -15,12 +15,16 @@ the last step whose code fits, so no query walks the members; their
 checks still run on every call.  The record is read from fold classes
 (`_fold_classes`): each enumerated tree of a signature is folded over the
 whole grid once, trees that can strand a cell are dropped, and the rest
-are grouped by their leaves' (cells, depth, output), so a new function
-judges each distinct (cells, output) leaf of the signature once, as the
-base pairs it serves, admits a class iff its leaves serve every pair,
-and reads the per-pair costs of an admitted class that can lower one.  A
-smaller budget is a prefix of the canonical order, so its table and its
-classes are read off the largest ones built for the signature.  CC and
+are grouped by their leaves' (cells, depth, output).  The cells that reach
+a leaf form a rectangle fixed by the tree alone, so what a class can
+announce on each pair depends on the signature and not on f: with the
+classes the signature keeps an index, for each pair and value, of the
+classes with a leaf announcing that value on the pair.  A new function
+admits the classes of that index at its own value on every pair, one AND
+per pair, and reads the per-pair costs only of the admitted classes that
+can lower one.  Classes are numbered in canonical order of their first
+members, and a smaller budget is a prefix of that order, so its table and
+its classes are read off the largest ones built for the signature.  CC and
 PCC need no enumeration: a tree of cost 0 on a pair is a lone output
 leaf, and any tree correct on the pair holds a leaf correct there that
 alone is total, one-way and no longer, so both values are 0 once the
@@ -35,8 +39,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, embed_bit, log2ceil
 from .codes import (
@@ -51,12 +57,11 @@ from .errors import AuditFailure, UsageError
 from .functions import FunctionSpec, _check_grid_bits, identity_fn
 from .protocol import (
     HelpSpec,
+    OutputFunction,
     ProtocolTree,
     _answers,
-    _base_cells,
     _bob_message_classes,
     _check_grid,
-    _correct_by_depth,
     _help_cells,
     _leaf_masks,
     _no_stuck,
@@ -110,49 +115,113 @@ def check_exhaustive_n(n: int, what: str = "exhaustive measures") -> None:
         raise UsageError(f"{what} support n <= {_EXHAUSTIVE_MAX_N}, got n = {n}")
 
 
-# Fold classes per signature (na, nb, out_len), as (trees folded, classes,
-# {(cells, output kind, output value): leaf id}), most recently used last
-# and oldest dropped past the limit; see _fold_classes.
+# Fold classes and their index per signature (na, nb, out_len), most
+# recently used last and oldest dropped past the limit; see _fold_classes.
 _class_store: dict = {}
 _CLASS_LIMIT = 64
 
 
-def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> tuple[dict, dict]:
-    """(classes, leaf ids) over the never-stuck trees of a table.
+@dataclass
+class _FoldClasses:
+    """The fold classes of a signature's never-stuck trees, and an index of what they announce.
+
+    Class c is the c-th distinct fold met in canonical order: folds[c] is
+    the sorted (cells, depth, output kind, output value) of its leaves and
+    members[c] its ascending table indices.  A class is numbered when its
+    first member is folded, so the classes of a table are a prefix of the
+    numbering (`prefix`).  The index depends on no function.  announced
+    maps each distinct (cells, output kind, output value) leaf to the
+    (value, pairs) it announces: pairs has bit x << n | y set for each base
+    pair with a help-extended cell in the leaf on which the output is
+    value, n being the output width.  cover[x << n | y][v] has bit c set iff
+    some leaf of class c announces v on the pair (x, y).  folded counts the
+    table entries folded so far.
+    """
+
+    folded: int = 0
+    folds: list = field(default_factory=list)
+    members: list = field(default_factory=list)
+    numbers: dict = field(default_factory=dict)  # fold -> class number
+    announced: dict = field(default_factory=dict)
+    cover: list = field(default_factory=list)
+
+    def prefix(self, size: int) -> int:
+        """The mask of the classes whose first member is among a table's first size entries."""
+        return (1 << bisect_left(self.members, size, key=itemgetter(0))) - 1
+
+
+def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
+    """The fold classes of a table's never-stuck trees, kept per signature.
 
     Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`);
     a tree with a reachable stuck leaf can be in no TCC family and is
-    dropped.  The rest are grouped by their fold, the sorted (cells,
-    depth, output kind, output value) of their leaves, on which both TCC
-    admissibility and the per-depth correct cells depend.  classes maps
-    each fold to ((ids, leaves), members): leaves is the fold of the
-    class's first member, members its ascending table indices and ids its
-    leaves' numbers in leaf ids, {(cells, output kind, output value): id}
-    in id order, so `_tcc_family` judges each distinct leaf once.  A table is
-    a prefix of the signature's larger tables, so the store covers the
-    largest table seen and folds (and numbers the leaves of) only the trees
-    past it; a caller reads the members below its own table's length.
-    Only this function reads the store.
+    dropped.  The rest are grouped by their fold, on which both TCC
+    admissibility and the per-depth correct cells depend.  A new class sets
+    its bit in cover at each (pair, value) its leaves announce; a new leaf's
+    announcements are read off one tabulation, per distinct output, of the
+    grid rows on which it announces each value, and slid onto the base
+    pairs over the help strings (`_slid_onto_pairs`).  Help bits trail the
+    n = out_len base bits of each input, so a signature with an input
+    narrower than its output has no base pairs and an empty cover.  A table
+    is a prefix of the signature's larger tables, so the entry covers the
+    largest table seen and folds only the trees past it; a caller reads the
+    classes below its own table's `prefix`.  Only this function reads the
+    store.
     """
     signature = na, nb, out_len
-    folded, classes, leaf_ids = _class_store.pop(signature, (0, {}, {}))
-    for i in range(folded, len(table)):
+    classes = _class_store.pop(signature, None)
+    if classes is None:
+        pair_count = 1 << 2 * out_len if min(na, nb) >= out_len else 0
+        classes = _FoldClasses(cover=[{} for _ in range(pair_count)])
+    n, alice_bits, bob_bits = out_len, na - out_len, nb - out_len
+    full_row = (1 << (1 << nb)) - 1
+    rows_by_output: dict = {}  # (kind, value) -> {v: cells of the rows on which the output is v}
+    new_classes: dict = {}  # a class's {(v, pairs)} -> mask of the classes numbered here that announce it
+    for i in range(classes.folded, len(table)):
         leaves = _leaf_masks(table[i][1], na, nb)
         if not _no_stuck(leaves):
             continue
         fold = tuple(sorted(
             (cells, path.bit_length() - 1, leaf.fn.kind, leaf.fn.value) for cells, path, leaf in leaves
         ))
-        entry = classes.get(fold)
-        if entry is None:
-            ids = tuple(leaf_ids.setdefault((c, k, v), len(leaf_ids)) for c, _, k, v in fold)
-            classes[fold] = (ids, leaves), [i]
-        else:
-            entry[1].append(i)
-    _class_store[signature] = max(folded, len(table)), classes, leaf_ids
+        c = classes.numbers.setdefault(fold, len(classes.folds))
+        if c < len(classes.folds):
+            classes.members[c].append(i)
+            continue
+        classes.folds.append(fold)
+        classes.members.append([i])
+        if not classes.cover:
+            continue
+        pairs_by_value: dict = {}
+        for cells, _, kind, value in fold:
+            said = classes.announced.get((cells, kind, value))
+            if said is None:
+                rows = rows_by_output.get((kind, value))
+                if rows is None:
+                    rows = rows_by_output[kind, value] = {}
+                    for xa, v in enumerate(OutputFunction(kind, value).evaluate_all(na, out_len)):
+                        rows[v] = rows.get(v, 0) | full_row << (xa << nb)
+                said = classes.announced[cells, kind, value] = tuple(
+                    (v, _plain_pairs(_slid_onto_pairs(cells & r, n, alice_bits, bob_bits), n, alice_bits, bob_bits))
+                    for v, r in rows.items()
+                    if cells & r
+                )
+            for v, pairs in said:
+                pairs_by_value[v] = pairs_by_value.get(v, 0) | pairs
+        # classes that announce alike share one pass over the pairs below
+        key = frozenset(pairs_by_value.items())
+        new_classes[key] = new_classes.get(key, 0) | 1 << c
+    for key, mask in new_classes.items():
+        for v, pairs in key:
+            while pairs:
+                by_value = classes.cover[(pairs & -pairs).bit_length() - 1]
+                by_value[v] = by_value.get(v, 0) | mask
+                pairs &= pairs - 1
+    classes.folded = max(classes.folded, len(table))
+    _class_store[signature] = classes
     if len(_class_store) > _CLASS_LIMIT:
         del _class_store[next(iter(_class_store))]
-    return classes, leaf_ids
+    return classes
 
 
 @lru_cache(maxsize=64)
@@ -174,40 +243,40 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     The members depend on the tree only through its fold, so each class of
     `_fold_classes` is decided once and its members below the table's
     length take its correct_at; the classes are shared by every function
-    and budget of the signature.  Each distinct leaf of the signature,
-    numbered in the leaf ids of `_fold_classes`, is judged once: the base
-    pairs its correct cells serve (`_slid_onto_pairs`).  A smaller table
-    judges them all as well; reading the verdicts by id is cheaper than a
-    memo keyed by (cells, output).  A class is admitted iff the OR of its
-    leaves' served pairs is every pair, the rule `computes_everywhere`
-    applies to one tree.  An admitted class's members share its per-pair
-    costs, the least depth whose correct cells slide onto the pair, so only
-    its first member and its first one-way member can add a step: a later
-    one ties and loses on canonical order.  The costs are read only for a
-    class whose least correct depth undercuts the greatest last step of the
-    shape, since no other can add one.
+    and budget of the signature.  A tree computes f everywhere iff on every
+    pair some leaf announces f there under some help string, the rule of
+    `computes_everywhere`, so the admitted classes are the table's prefix
+    ANDed with the cover of every pair at f's value on it, one AND per pair
+    and none after the mask empties.  Only the admitted classes are
+    visited: each one's correct_at is its fold's correct cells by depth.
+    An admitted class's members share its per-pair costs, the least depth
+    whose correct cells slide onto the pair, so only its first member and
+    its first one-way member can add a step: a later one ties and loses on
+    canonical order.  The costs are read only for a class whose least
+    correct depth undercuts the greatest last step of the shape, since no
+    other can add one.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
-    answers = _answers(f, alice_bits, bob_bits)
     table = _enumeration_table(na, nb, n, alpha)
-    classes, leaf_ids = _fold_classes(na, nb, n, table)
-    served = [
-        _slid_onto_pairs(cells & answers(kind, value), n, alice_bits, bob_bits)
-        for cells, kind, value in leaf_ids
-    ]
-    base = _base_cells(n, alice_bits, bob_bits)
+    classes = _fold_classes(na, nb, n, table)
+    admitted = classes.prefix(len(table))
+    for by_value, v in zip(classes.cover, (v for row in f.cells for v in row)):
+        admitted &= by_value.get(embed_bit(int(v), n) if f.boolean else v, 0)
+        if not admitted:
+            break
+    answers = _answers(f, alice_bits, bob_bits)
     members, offers = [], []
-    for (ids, leaves), indices in classes.values():
-        if indices[0] >= len(table):
-            continue
-        covered = 0
-        for i in ids:
-            covered |= served[i]
-        if covered != base:
-            continue
-        correct_at = _correct_by_depth(leaves, answers)
-        inside = [(i, node_is_one_way(table[i][1])) for i in indices if i < len(table)]
+    while admitted:
+        c = (admitted & -admitted).bit_length() - 1
+        admitted &= admitted - 1
+        by_depth: dict[int, int] = {}
+        for cells, depth, kind, value in classes.folds[c]:
+            hit = cells & answers(kind, value)
+            if hit:
+                by_depth[depth] = by_depth.get(depth, 0) | hit
+        correct_at = tuple(sorted(by_depth.items()))
+        inside = [(i, node_is_one_way(table[i][1])) for i in classes.members[c] if i < len(table)]
         members.extend((i, bob_only, correct_at) for i, bob_only in inside)
         offers.append((inside[0][0], 0, correct_at))
         first_one_way = next((i for i, bob_only in inside if bob_only), None)

@@ -353,6 +353,22 @@ def test_budget_prefixes_equal_fresh_enumerations(signature):
         assert codes._largest_tables[signature][0] == 20
 
 
+@pytest.mark.parametrize("signature", [(2, 2, 2), (3, 3, 2)])
+def test_each_code_is_one_node_shared_wherever_it_is_a_child(signature):
+    table = _raw_enumeration(*signature, 16)
+    reached = {}
+    todo = [node for _, node in table]
+    while todo:
+        node = todo.pop()
+        if id(node) not in reached:
+            reached[id(node)] = node
+            if isinstance(node, Speak):
+                todo += [node.child0, node.child1]
+    assert len(reached) == len(table)
+    for bits, node in table:
+        assert decode_signature(bits, *signature).root == node
+
+
 def test_depth_bound_stays_below_every_depth_cap():
     deepest = (_HARD_BUDGET_LIMIT - 2) // 7
     assert deepest == 3

@@ -1,8 +1,10 @@
 """Individual measures, simulations, profiles, hard-column search."""
 
+import gc
 import hashlib
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -428,8 +430,7 @@ def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
 def test_fold_classes_hold_exactly_the_never_stuck_trees(signature):
     table = _enumeration_table(*signature, 16)
-    classes, _leaf_ids = _fold_classes(*signature, table)
-    held = sorted(i for _, indices in classes.values() for i in indices if i < len(table))
+    held = sorted(i for indices in _fold_classes(*signature, table).members for i in indices if i < len(table))
     total = [i for i, (_, node) in enumerate(table) if is_total(ProtocolTree(*signature, node))]
     assert held == total
     # trees whose stuck leaves no cell reaches are in, the others are out
@@ -437,18 +438,78 @@ def test_fold_classes_hold_exactly_the_never_stuck_trees(signature):
     assert len(total) < len(table)
 
 
+@pytest.mark.parametrize("signature", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)])
+def test_cover_marks_what_each_class_announces_on_each_pair(signature):
+    """The index against runs of each class's first member on every help extension.
+
+    Bit c of cover[p][v] must be set iff some help strings make the run of
+    class c's first member on pair p announce v.  The classes of a smaller
+    budget must be the numbers below its prefix, with the same numbering
+    whichever budget is folded first.
+    """
+    na, nb, n = signature
+    a, b = na - n, nb - n
+    _clear_family_stores()
+    table = _enumeration_table(*signature, 16)
+    classes = _fold_classes(*signature, table)
+    values = list(all_bitstrings(n))
+    assert len(classes.cover) == 1 << 2 * n
+    for c, indices in enumerate(classes.members):
+        tree = ProtocolTree(*signature, table[indices[0]][1])
+        for x in all_bitstrings(n):
+            for y in all_bitstrings(n):
+                said = {
+                    run(tree, x + ha, y + hb).output for ha in all_bitstrings(a) for hb in all_bitstrings(b)
+                }
+                by_value = classes.cover[int(x + y, 2)]
+                for v in values:
+                    assert (by_value.get(v, 0) >> c & 1) == (v in said), (c, x, y, v)
+    assert all(set(by_value) <= set(values) for by_value in classes.cover)
+    numberings = []
+    for order in ((12, 16), (16, 12)):
+        _clear_family_stores()
+        for alpha in order:
+            _fold_classes(*signature, _enumeration_table(*signature, alpha))
+        classes = _fold_classes(*signature, table)
+        numberings.append(classes.folds)
+        for alpha in (12, 14, 16):
+            size = len(_enumeration_table(*signature, alpha))
+            held = {c for c, indices in enumerate(classes.members) if any(i < size for i in indices)}
+            assert classes.prefix(size) == (1 << len(held)) - 1 and held == set(range(len(held))), (order, alpha)
+    assert numberings[0] == numberings[1]
+    _clear_family_stores()
+
+
 def test_family_stores_stay_within_their_bounds():
+    """The stores keep at most their limits, and each index lives and dies in its class entry."""
     signatures = [(na, nb, w) for na in range(1, 6) for nb in range(1, 6) for w in (1, 2, 3)][:70]
-    for signature in signatures:
+    first = weakref.ref(_fold_classes(*signatures[0], _enumeration_table(*signatures[0], 9)))
+    for signature in signatures[1:]:
         _fold_classes(*signature, _enumeration_table(*signature, 9))
     assert len(complexity._class_store) == complexity._CLASS_LIMIT == _tcc_family.cache_info().maxsize
     assert len(codes._largest_tables) == codes._LARGEST_LIMIT
     assert signatures[-1] in complexity._class_store and signatures[0] not in complexity._class_store
     assert signatures[-1] in codes._largest_tables and signatures[0] not in codes._largest_tables
+    gc.collect()
+    assert first() is None
+    for (na, nb, w), classes in complexity._class_store.items():
+        # an input narrower than the output has no base pairs to index
+        assert len(classes.cover) == (1 << 2 * w if min(na, nb) >= w else 0)
+        assert any(classes.cover) == bool(classes.cover and classes.members)
+    # the class store is the module's one store and _tcc_family its one cache
+    stores = [name for name, value in vars(complexity).items() if isinstance(value, (dict, list, set))]
+    assert [name for name in stores if not name.startswith("__")] == ["_class_store"]
+    caches = [name for name, value in vars(complexity).items() if hasattr(value, "cache_info")]
+    assert [name for name in caches if getattr(complexity, name).__module__ == complexity.__name__] == ["_tcc_family"]
 
 
-def test_cc_and_pcc_enumerate_nothing():
+def test_cc_and_pcc_enumerate_nothing(monkeypatch):
     _clear_family_stores()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("CC and PCC built a class index")
+
+    monkeypatch.setattr(complexity, "_FoldClasses", refuse)
     f = inner_product_fn(3)
     for family in ("CC", "PCC"):
         for one_way in (False, True):
@@ -527,7 +588,7 @@ def _mixed_admitted_classes(f, help_bits, budget):
     table = _enumeration_table(n + a, n + b, n, budget)
     admitted = {bits for bits, _, _ in _tcc_family(f, a, b, budget)[0]}
     count = 0
-    for _, indices in _fold_classes(n + a, n + b, n, table)[0].values():
+    for indices in _fold_classes(n + a, n + b, n, table).members:
         inside = [i for i in indices if i < len(table)]
         if inside and table[inside[0]][0] in admitted and not node_is_one_way(table[inside[0]][1]):
             count += any(node_is_one_way(table[i][1]) for i in inside[1:])
@@ -713,7 +774,7 @@ def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
     # a one-tree table would pass for the signature's prefix in the stores
     _clear_family_stores()
     try:
-        assert _fold_classes(2, 1, 1, ((bits, tree.root),))[0] == {}
+        assert _fold_classes(2, 1, 1, ((bits, tree.root),)).members == []
     finally:
         _clear_family_stores()
 
