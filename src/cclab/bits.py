@@ -8,6 +8,7 @@ report deterministic.
 
 from __future__ import annotations
 
+import re
 from itertools import product
 
 __all__ = [
@@ -24,9 +25,14 @@ __all__ = [
 ]
 
 
+# str.translate deletes every '0' and '1' in one C-level pass; any character
+# left over makes the string invalid
+_DELETE_BITS = str.maketrans("", "", "01")
+
+
 def check_bits(s: str, length: int | None = None) -> str:
     """Validate that s is a bit string (optionally of a fixed length)."""
-    if not isinstance(s, str) or s.strip("01"):
+    if not isinstance(s, str) or s.translate(_DELETE_BITS):
         raise ValueError(f"not a bit string: {s!r}")
     if length is not None and len(s) != length:
         raise ValueError(f"expected {length} bits, got {len(s)}: {s!r}")
@@ -84,7 +90,11 @@ def embed_bit(b: int, width: int) -> str:
 
 def bits_to_hex(s: str) -> str:
     """Length-preserving hex form "<bitcount>:<hexdigits>" used in reports."""
-    check_bits(s)
+    return _hex_of(check_bits(s))
+
+
+def _hex_of(s: str) -> str:
+    """bits_to_hex of a string already known to be a bit string."""
     if not s:
         return "0:"
     pad = (-len(s)) % 4
@@ -92,12 +102,27 @@ def bits_to_hex(s: str) -> str:
     return f"{len(s)}:{digits}"
 
 
+# the only forms bits_to_hex writes: a count in ASCII decimal without a
+# leading zero, then lowercase ASCII hex digits (int() alone would also
+# read signs, spaces, underscores and non-ASCII digits)
+_HEX_FORM = re.compile(r"(0|[1-9][0-9]*):([0-9a-f]*)")
+
+
 def bits_from_hex(h: str) -> str:
-    count_s, _, digits = h.partition(":")
-    count = int(count_s)
-    if count == 0:
-        return ""
-    width = 4 * len(digits)
-    if width < count or width - count >= 4:
+    """Inverse of bits_to_hex; anything it would not write is a ValueError."""
+    count, digits = _checked_hex(h)
+    return bits_from_int(int(digits or "0", 16) >> (4 * len(digits) - count), count)
+
+
+def _checked_hex(h: str) -> tuple[int, str]:
+    """Bit count and hex digits of h, which must read exactly as bits_to_hex writes."""
+    match = _HEX_FORM.fullmatch(h) if isinstance(h, str) else None
+    if match is None:
+        raise ValueError(f"not a hex form: {h!r}")
+    count, digits = int(match[1]), match[2]
+    pad = 4 * len(digits) - count
+    if pad not in range(4):
         raise ValueError(f"inconsistent hex form: {h!r}")
-    return bits_from_int(int(digits, 16), width)[:count]
+    if digits and int(digits[-1], 16) & ((1 << pad) - 1):
+        raise ValueError(f"hex form has nonzero padding bits: {h!r}")
+    return count, digits

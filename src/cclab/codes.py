@@ -46,10 +46,10 @@ from itertools import combinations, product
 from typing import Any, Callable, NamedTuple
 
 from .bits import (
+    _hex_of,
     all_bitstrings,
     bits_from_hex,
     bits_from_int,
-    bits_to_hex,
     bits_to_int,
     check_bits,
     log2ceil,
@@ -106,7 +106,8 @@ class _Code:
         return len(self.bits)
 
     def hex(self) -> str:
-        return bits_to_hex(self.bits)
+        # the bits were checked on construction
+        return _hex_of(self.bits)
 
     @classmethod
     def from_hex(cls, h: str):

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from itertools import compress
 from random import Random
 
 from .bits import (
+    _checked_hex,
     all_bitstrings,
     bits_from_hex,
     bits_from_int,
@@ -271,22 +273,20 @@ def _exchange_tree(z_list: list, slots: list, out_len: int) -> object:
         "".join(z[i] for i in slots): z + "0" * (out_len - k) for z in z_list
     }
     live = {p[:j] for p in patterns for j in range(len(slots) + 1)}
+    # one function per slot and per constant, shared by every node that asks it
+    reads = [NodeFunction.input_bit(i) for i in slots]
+    consts = NodeFunction.const(0), NodeFunction.const(1)
     # dead_chain[j]: Bob's chain from slot j on, with no member below it
     dead_chain = [dead]
-    for i in reversed(slots):
-        dead_chain.insert(0, Speak(BOB, NodeFunction.input_bit(i), dead_chain[0], dead_chain[0]))
+    for fn in reversed(reads):
+        dead_chain.insert(0, Speak(BOB, fn, dead_chain[0], dead_chain[0]))
 
     def bob_chain(j: int, acc: str) -> object:
         if acc not in live:
             return dead_chain[j]
         if j == len(slots):
             return OutputLeaf(OutputFunction.const(patterns[acc]))
-        return Speak(
-            BOB,
-            NodeFunction.input_bit(slots[j]),
-            bob_chain(j + 1, acc + "0"),
-            bob_chain(j + 1, acc + "1"),
-        )
+        return Speak(BOB, reads[j], bob_chain(j + 1, acc + "0"), bob_chain(j + 1, acc + "1"))
 
     def alice_chain(d: int) -> object:
         if d == len(slot_bits):
@@ -295,7 +295,7 @@ def _exchange_tree(z_list: list, slots: list, out_len: int) -> object:
         rest = alice_chain(d + 1)
         child0 = rest if b == 0 else dead
         child1 = rest if b == 1 else dead
-        return Speak(ALICE, NodeFunction.const(b), child0, child1)
+        return Speak(ALICE, consts[b], child0, child1)
 
     return alice_chain(0)
 
@@ -355,6 +355,8 @@ _MAX_HARD_SLOTS_LOG = 4
 
 
 _HEX = (bits_to_hex, bits_from_hex)
+# a code is stored as its hex form and kept as one, refused unless canonical
+_CODE = (str, lambda h: _checked_hex(h) and h)
 _INF = (lambda c: "inf" if c is None else c, lambda c: None if c == "inf" else c)
 _ROW = (list, tuple)
 
@@ -372,7 +374,7 @@ _FIELDS = (
     ("b", "b", "int", None),
     ("budget", "budget", "int", None),
     ("n", "n", "int", None),
-    ("protocols", "protocols", "strs", None),
+    ("protocols", "protocols", "strs", _CODE),
     ("fiber_label", "fiber_label", "strs", _INF),
     ("fiber_size", "fiber_size", "int", None),
     ("fiber_floor", "fiber_floor", "int", None),
@@ -382,7 +384,7 @@ _FIELDS = (
     ("served", "served", "rows", _ROW),
     ("hard_index", "hard_index", "int", None),
     ("companion_kind", "companion.kind", "str", None),
-    ("companion_hex", "companion.code", "str", None),
+    ("companion_hex", "companion.code", "str", _CODE),
     ("companion_signature", "companion.signature", "ints", None),
     ("companion_cost", "companion.cost", "int", None),
     ("companion_bound_bits", "companion.bound_bits", "int", None),
@@ -445,6 +447,12 @@ class HardInstance:
     triples yields a family whose concatenation is x; the certificate
     stores, per (protocol, help) triple, which family member it serves,
     and the hard index is the first member no triple serves.
+
+    At every parameter set that builds, the fiber is all 2^k blocks: the
+    few one-way protocols the serving bound admits never read Bob's
+    block, so no message class splits the blocks and the label carries
+    no information (checked for k 1-16, s 0-2, l 1-3, a and b 0-1 and
+    budgets 0-20).
     """
 
     k: int
@@ -516,6 +524,10 @@ class HardInstance:
         return inst
 
 
+# ASCII '0' and '1' to the byte values 0 and 1, as selectors for compress
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _build_hard_instance(
     k: int, s: int, l: int, a: int, b: int, budget: int, seed: int | None = None
 ) -> HardInstance:
@@ -558,8 +570,10 @@ def _build_hard_instance(
         fibers.items(),
         key=lambda kv: (kv[1].bit_count(), tuple("~" if c is None else c for c in kv[0])),
     )
-    # ascending block values, in the order all_bitstrings(k) spells them
-    members = [z for z, bit in enumerate(reversed(format(fiber, "b"))) if bit == "1"]
+    # ascending block values, in the order all_bitstrings(k) spells them:
+    # the fiber's bits, lowest first, as 0/1 bytes select block z
+    selectors = format(fiber, "b")[::-1].encode().translate(_BIT_BYTES)
+    members = list(compress(range(1 << k), selectors))
     floor = 1 << exponent
     if len(members) < floor:
         raise AuditFailure(

@@ -45,6 +45,13 @@ from cclab.protocol import ALICE, BOB, default_depth_cap, run
 def test_hex_round_trip():
     for bits in ("", "0", "1", "0110", "111100001"):
         assert bits_from_hex(bits_to_hex(bits)) == bits
+    # only the exact form bits_to_hex writes is read back
+    for h in (
+        "+8:0f", " 8:0f", "8:0f ", "12:f_f", "8:\u0660f", "4:\uff10", "0:0",
+        "08:0f", "8:0F", "3:f", "5:f", "4:", ":0", "8", "", None,
+    ):
+        with pytest.raises(ValueError):
+            bits_from_hex(h)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from cclab import (
     StuckLeaf,
     UsageError,
     all_bitstrings,
+    bits_to_hex,
     bob_message,
     computes_everywhere,
     decode_signature,
@@ -300,6 +301,18 @@ def test_replay_derives_the_companion_kind():
     assert replay_hard_instance(edited).discrepancies == ["companion_kind"]
 
 
+def test_full_size_companion_hex_round_trips():
+    # the help-routed companion of the benchmark's help-bit instance: 256
+    # leaves, each a 99-bit constant
+    inst = helpbit_hard_instance(11, 1, 2, 1, 1, 6)
+    code = PdlCode.from_hex(inst.companion_hex)
+    assert len(code) == 32999
+    assert code.hex() == inst.companion_hex
+    tree = decode_signature(code, *inst.companion_signature)
+    assert pdl_encode(tree).hex() == inst.companion_hex
+    assert PdlCode(code.bits).hex() == bits_to_hex(code.bits)
+
+
 def test_hard_instance_json_round_trip():
     inst = th7_hard_instance(10, 1, 2, 6)
     text = inst.to_json()
@@ -317,6 +330,18 @@ def test_hard_instance_json_round_trip():
         lambda d: d.update(budget=-1),
         lambda d: d.update(hard_index=3),
         lambda d: d.update(x="5:zz"),
+        lambda d: d.update(x="+" + d["x"]),
+        lambda d: d.update(x=" " + d["x"]),
+        lambda d: d.update(x=d["x"][:5] + "_" + d["x"][6:]),
+        lambda d: d.update(x="0" + d["x"]),
+        lambda d: d.update(x="3" + "\u0660" + d["x"][2:]),
+        lambda d: d.update(x="0:0"),
+        lambda d: d["y_family"].__setitem__(1, "+" + d["y_family"][1]),
+        lambda d: d["protocols"].__setitem__(0, "zz"),
+        lambda d: d["protocols"].__setitem__(-1, "+" + d["protocols"][-1]),
+        lambda d: d["protocols"].__setitem__(0, d["protocols"][0].upper()),
+        lambda d: d["companion"].update(code=d["companion"]["code"] + "0"),
+        lambda d: d["companion"].update(code="4:\uff10"),
         lambda d: d.update(served=[[0, "", ""]]),
         lambda d: d.update(companion=[]),
         lambda d: d["companion"].pop("cost"),
@@ -324,7 +349,10 @@ def test_hard_instance_json_round_trip():
     ],
     ids=[
         "missing-field", "bool-k", "k-over-bound", "n-mismatch", "negative-budget",
-        "hard-index-range", "bad-hex", "short-served-row", "companion-not-object",
+        "hard-index-range", "bad-hex", "signed-hex", "spaced-hex", "underscored-hex",
+        "zero-led-hex", "non-ascii-count", "empty-with-digit", "signed-member",
+        "bad-protocol", "signed-protocol", "uppercase-protocol", "long-companion",
+        "full-width-companion", "short-served-row", "companion-not-object",
         "companion-missing-cost", "signature-not-ints",
     ],
 )

@@ -4,6 +4,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cclab import (
     FunctionSpec,
@@ -146,10 +148,26 @@ def test_bit_requires_boolean():
         ("0" * 14 + "2" + "1" * 15, False),
         (None, False),
         (b"01", False),
+        pytest.param("01" * 16500, True, id="long"),
+        pytest.param("x" + "01" * 16500, False, id="long-bad-first"),
+        pytest.param("01" * 8250 + "x" + "01" * 8250, False, id="long-bad-middle"),
+        pytest.param("01" * 16500 + "x", False, id="long-bad-last"),
+        ("\x00", False),
+        pytest.param("01" * 8250 + "\u0661" + "01" * 8250, False, id="long-arabic-indic-one"),
     ],
 )
 def test_check_bits_accepts_exactly_the_bit_strings(s, ok):
     if ok:
+        assert check_bits(s) is s
+    else:
+        with pytest.raises(ValueError):
+            check_bits(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("01", max_size=40) | st.text(st.sampled_from("01") | st.characters(), max_size=40))
+def test_check_bits_agrees_with_the_alphabet(s):
+    if set(s) <= {"0", "1"}:
         assert check_bits(s) is s
     else:
         with pytest.raises(ValueError):
