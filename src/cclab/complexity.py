@@ -7,32 +7,37 @@ conversation any admissible enumerated protocol has there.
 
 The total-and-correct-everywhere (TCC) members depend on f, the help
 counts and the budget but never on the pair, so they are one cached
-record per (f, help counts, budget) (`_tcc_family`), read per pair: with
-the members it keeps every pair's staircase, the strict improvements of
-its cost over the members of each shape in canonical order.  A TCC value
-is the pair's last step and an identity profile's value at a budget is
-the last step whose code fits, so no query walks the members; their
-checks still run on every call.  The record is read from fold classes
-(`_fold_classes`): each enumerated tree of a signature is folded over the
-whole grid once, trees that can strand a cell are dropped, and the rest
-are grouped by their leaves' (cells, depth, output).  The cells that reach
-a leaf form a rectangle fixed by the tree alone, so what a class can
-announce on each pair depends on the signature and not on f: with the
-classes the signature keeps an index, for each pair and value, of the
-classes with a leaf announcing that value on the pair.  A new function
-admits the classes of that index at its own value on every pair, one AND
-per pair, and reads the per-pair costs only of the admitted classes that
-can lower one.  Classes are numbered in canonical order of their first
-members, and a smaller budget is a prefix of that order, so its table and
-its classes are read off the largest ones built for the signature.  CC and
+record per (f, help counts, budget) (`_tcc_family`), read per pair: it
+keeps the mask of the admitted fold classes and every pair's staircase,
+the strict improvements of its cost over the members of each shape in
+canonical order, each step with its code built once.  A TCC value is the
+pair's last step and an identity profile's value at a budget is the last
+step whose code fits, so no query walks the members; their checks still
+run on every call.  The member list is built only where it is counted
+(`_tcc_members`).  The record is read from fold classes
+(`_fold_classes`): each enumerated tree of a signature is folded over
+the whole grid once, trees that can strand a cell are dropped, and the
+rest are grouped by their leaves' (cells, depth, output).  The cells
+that reach a leaf form a rectangle fixed by the tree alone, so what a
+class can announce on each pair depends on the signature and not on f:
+with the classes the signature keeps an index, for each pair and value,
+of the classes with a leaf announcing that value on the pair.  A new
+function admits the classes of that index at its own value on every
+pair, one AND per pair, and reads the per-pair costs only of the
+admitted classes that can lower one: those whose least leaf depth, a
+fact of the class kept with it, undercuts the shape's greatest last
+step.  Classes are numbered in canonical order of their first members,
+and a smaller budget is a prefix of that order, so its table and its
+classes are read off the largest ones built for the signature.  CC and
 PCC need no enumeration: a tree of cost 0 on a pair is a lone output
 leaf, and any tree correct on the pair holds a leaf correct there that
 alone is total, one-way and no longer, so both values are 0 once the
 canonically first correct lone leaf fits the budget and infinite before
 (`individual_cc`).  On top of the measures sit the one-way simulation of
-arbitrary total identity protocols, the exchange between describable sets
-and one-way senders, structure profiles over the budget axis, and the
-exhaustive search for columns on which every cheap protocol must talk.
+arbitrary total identity protocols, the exchange between describable
+sets and one-way senders, structure profiles over the budget axis, and
+the exhaustive search for columns on which every cheap protocol must
+talk.
 """
 
 from __future__ import annotations
@@ -129,18 +134,25 @@ class _FoldClasses:
     the sorted (cells, depth, output kind, output value) of its leaves and
     members[c] its ascending table indices.  A class is numbered when its
     first member is folded, so the classes of a table are a prefix of the
-    numbering (`prefix`).  The index depends on no function.  announced
-    maps each distinct (cells, output kind, output value) leaf to the
-    (value, pairs) it announces: pairs has bit x << n | y set for each base
-    pair with a help-extended cell in the leaf on which the output is
-    value, n being the output width.  cover[x << n | y][v] has bit c set iff
-    some leaf of class c announces v on the pair (x, y).  folded counts the
-    table entries folded so far.
+    numbering (`prefix`).  Two facts per class bound what it can add to a
+    staircase, and neither depends on a function: least_depth[c] is the
+    least depth of its leaves, which no member's cost on any pair
+    undercuts, and one_way[c] is (the table index of its first member in
+    which only Bob speaks or None, the count of its members walked to find
+    it), filled in by `first_one_way` when first asked.  The index depends
+    on no function either.  announced maps each distinct (cells, output
+    kind, output value) leaf to the (value, pairs) it announces: pairs has
+    bit x << n | y set for each base pair with a help-extended cell in the
+    leaf on which the output is value, n being the output width.
+    cover[x << n | y][v] has bit c set iff some leaf of class c announces v
+    on the pair (x, y).  folded counts the table entries folded so far.
     """
 
     folded: int = 0
     folds: list = field(default_factory=list)
     members: list = field(default_factory=list)
+    least_depth: list = field(default_factory=list)
+    one_way: list = field(default_factory=list)
     numbers: dict = field(default_factory=dict)  # fold -> class number
     announced: dict = field(default_factory=dict)
     cover: list = field(default_factory=list)
@@ -148,6 +160,25 @@ class _FoldClasses:
     def prefix(self, size: int) -> int:
         """The mask of the classes whose first member is among a table's first size entries."""
         return (1 << bisect_left(self.members, size, key=itemgetter(0))) - 1
+
+    def first_one_way(self, c: int, table: tuple):
+        """The index of class c's first one-way member in table, or None.
+
+        Members are walked in canonical order until one has no Alice node,
+        and the walk resumes where it stopped when a larger table has added
+        members, so each member's tree is walked at most once for every
+        function and budget of the signature.
+        """
+        found, walked = self.one_way[c]
+        if found is None:
+            members = self.members[c]
+            while walked < len(members) and members[walked] < len(table):
+                if node_is_one_way(table[members[walked]][1]):
+                    found = members[walked]
+                    break
+                walked += 1
+            self.one_way[c] = found, walked
+        return found if found is not None and found < len(table) else None
 
 
 def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
@@ -190,6 +221,8 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
             continue
         classes.folds.append(fold)
         classes.members.append([i])
+        classes.least_depth.append(min(map(itemgetter(1), fold)))
+        classes.one_way.append((None, 0))
         if not classes.cover:
             continue
         pairs_by_value: dict = {}
@@ -226,35 +259,34 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
 
 @lru_cache(maxsize=64)
 def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
-    """(members, steps): the TCC members in canonical order and every pair's staircase.
+    """(admitted, steps): the mask of the TCC fold classes and every pair's staircase.
 
     The trees are those of `_enumeration_table(n + alice_bits, n + bob_bits,
-    n, alpha)`.  members holds each as (bits, one_way, correct_at), where
-    correct_at is the tree's ascending (depth, cells) of correct cells, as
-    `protocol._correct_at` builds them, and one_way marks the trees in which
-    only Bob speaks.  steps[shape][x << n | y] is the staircase of pair (x,
-    y): the (code length, cost, code bits) at which its cost strictly falls
-    over the shape's members in canonical order, shape 0 being two-way
-    (every member) and shape 1 one-way.  Its last step is the pair's TCC
-    value and witness, and the last step whose code fits a smaller budget is
-    the value at that budget.  Nothing is checked here, so callers run their
-    checks on every call before asking.
+    n, alpha)`, and admitted has bit c set for each class c of
+    `_fold_classes` whose members are TCC members; `_tcc_members` lists
+    them.  steps[shape][x << n | y] is the staircase of pair (x, y): the
+    (code length, cost, code) at which its cost strictly falls over the
+    shape's members in canonical order, shape 0 being two-way (every
+    member) and shape 1 one-way, and each code a `PdlCode` built here once.
+    Its last step is the pair's TCC value and witness, and the last step
+    whose code fits a smaller budget is the value at that budget.  Nothing
+    is checked here, so callers run their checks on every call before
+    asking.
 
-    The members depend on the tree only through its fold, so each class of
-    `_fold_classes` is decided once and its members below the table's
-    length take its correct_at; the classes are shared by every function
-    and budget of the signature.  A tree computes f everywhere iff on every
-    pair some leaf announces f there under some help string, the rule of
-    `computes_everywhere`, so the admitted classes are the table's prefix
-    ANDed with the cover of every pair at f's value on it, one AND per pair
-    and none after the mask empties.  Only the admitted classes are
-    visited: each one's correct_at is its fold's correct cells by depth.
-    An admitted class's members share its per-pair costs, the least depth
-    whose correct cells slide onto the pair, so only its first member and
-    its first one-way member can add a step: a later one ties and loses on
-    canonical order.  The costs are read only for a class whose least
-    correct depth undercuts the greatest last step of the shape, since no
-    other can add one.
+    Membership depends on the tree only through its fold, and the classes
+    are shared by every function and budget of the signature.  A tree
+    computes f everywhere iff on every pair some leaf announces f there
+    under some help string, the rule of `computes_everywhere`, so the
+    admitted classes are the table's prefix ANDed with the cover of every
+    pair at f's value on it, one AND per pair and none after the mask
+    empties.  An admitted class's members share its per-pair costs, the
+    least depth whose correct cells slide onto the pair, so only its first
+    member and its first one-way member can add a step: a later one ties
+    and loses on canonical order.  These offers are taken in canonical
+    order, and an offer adds no step unless its class's least leaf depth
+    undercuts the greatest last step of its shape, since the class costs at
+    least that depth everywhere; only then are the class's correct cells
+    read.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
@@ -264,49 +296,77 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     for by_value, v in zip(classes.cover, (v for row in f.cells for v in row)):
         admitted &= by_value.get(embed_bit(int(v), n) if f.boolean else v, 0)
         if not admitted:
-            break
+            empty = ((),) * (1 << 2 * n)
+            return 0, (empty, empty)
+    numbers, rest = [], admitted
+    while rest:
+        numbers.append((rest & -rest).bit_length() - 1)
+        rest &= rest - 1
+    offers = (
+        [(classes.members[c][0], c) for c in numbers],
+        sorted((i, c) for c in numbers if (i := classes.first_one_way(c, table)) is not None),
+    )
+    pair_count = 1 << 2 * n
+    answers, costs_of, steps = _answers(f, alice_bits, bob_bits), {}, []
+    for shape_offers in offers:
+        shape_steps = [[] for _ in range(pair_count)]
+        ceiling = INF
+        for i, c in shape_offers:
+            if classes.least_depth[c] >= ceiling:
+                continue
+            costs = costs_of.get(c)
+            if costs is None:
+                costs = costs_of[c] = [INF] * pair_count
+                for depth, cells in reversed(_fold_correct_at(classes.folds[c], answers)):
+                    pairs = _plain_pairs(_slid_onto_pairs(cells, n, alice_bits, bob_bits), n, alice_bits, bob_bits)
+                    for p in range(pair_count):
+                        if pairs >> p & 1:
+                            costs[p] = depth
+            length, code = len(table[i][0]), PdlCode(table[i][0])
+            for stairs, cost in zip(shape_steps, costs):
+                if not stairs or cost < stairs[-1][1]:
+                    stairs.append((length, cost, code))
+            ceiling = max(stairs[-1][1] for stairs in shape_steps)
+        steps.append(tuple(map(tuple, shape_steps)))
+    return admitted, tuple(steps)
+
+
+def _fold_correct_at(fold: tuple, answers) -> tuple:
+    """A fold's ascending (depth, cells) of correct cells, as `protocol._correct_at` builds them.
+
+    answers is the `_answers` lookup of the function and help counts.
+    """
+    by_depth: dict[int, int] = {}
+    for cells, depth, kind, value in fold:
+        hit = cells & answers(kind, value)
+        if hit:
+            by_depth[depth] = by_depth.get(depth, 0) | hit
+    return tuple(sorted(by_depth.items()))
+
+
+def _tcc_members(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
+    """The TCC members in canonical order, as (bits, one_way, correct_at), built on each call.
+
+    The members of the classes `_tcc_family` admits, below its table's
+    length: correct_at is the class's ascending (depth, cells) of correct
+    cells, as `protocol._correct_at` builds them, and one_way marks the
+    trees in which only Bob speaks.  No query reads this; it serves the
+    audits that list the family and the tests.
+    """
+    n = f.n
+    na, nb = n + alice_bits, n + bob_bits
+    admitted = _tcc_family(f, alice_bits, bob_bits, alpha)[0]
+    table = _enumeration_table(na, nb, n, alpha)
+    classes = _fold_classes(na, nb, n, table)
     answers = _answers(f, alice_bits, bob_bits)
-    members, offers = [], []
+    members = []
     while admitted:
         c = (admitted & -admitted).bit_length() - 1
         admitted &= admitted - 1
-        by_depth: dict[int, int] = {}
-        for cells, depth, kind, value in classes.folds[c]:
-            hit = cells & answers(kind, value)
-            if hit:
-                by_depth[depth] = by_depth.get(depth, 0) | hit
-        correct_at = tuple(sorted(by_depth.items()))
-        inside = [(i, node_is_one_way(table[i][1])) for i in classes.members[c] if i < len(table)]
-        members.extend((i, bob_only, correct_at) for i, bob_only in inside)
-        offers.append((inside[0][0], 0, correct_at))
-        first_one_way = next((i for i, bob_only in inside if bob_only), None)
-        if first_one_way is not None:
-            offers.append((first_one_way, 1, correct_at))
-    members.sort(key=lambda member: member[0])
-    offers.sort(key=lambda offer: offer[0])
-    pair_count = 1 << 2 * n
-    steps = [[[] for _ in range(pair_count)] for _ in range(2)]
-    # a class costs at least its least correct depth everywhere, so it adds
-    # no step unless that undercuts the shape's greatest last step
-    ceiling = [INF, INF]
-    for i, shape, correct_at in offers:
-        if correct_at[0][0] >= ceiling[shape]:
-            continue
-        costs = [INF] * pair_count
-        for depth, cells in reversed(correct_at):
-            pairs = _plain_pairs(_slid_onto_pairs(cells, n, alice_bits, bob_bits), n, alice_bits, bob_bits)
-            for p in range(pair_count):
-                if pairs >> p & 1:
-                    costs[p] = depth
-        bits = table[i][0]
-        for stairs, cost in zip(steps[shape], costs):
-            if not stairs or cost < stairs[-1][1]:
-                stairs.append((len(bits), cost, bits))
-        ceiling[shape] = max(stairs[-1][1] for stairs in steps[shape])
-    return (
-        tuple((table[i][0], bob_only, correct_at) for i, bob_only, correct_at in members),
-        tuple(tuple(map(tuple, pairs)) for pairs in steps),
-    )
+        correct_at = _fold_correct_at(classes.folds[c], answers)
+        members.extend((i, correct_at) for i in classes.members[c] if i < len(table))
+    members.sort(key=itemgetter(0))
+    return tuple((table[i][0], node_is_one_way(table[i][1]), correct_at) for i, correct_at in members)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
@@ -344,8 +404,7 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     stairs = _tcc_family(f, a, b, m.alpha)[1][m.one_way][row << n | col]
     if not stairs:
         return INF, None
-    _, cost, bits = stairs[-1]
-    return cost, PdlCode(bits)
+    return stairs[-1][1:]
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +646,7 @@ def _staircase_profile(label: str, alpha_max: int, stairs) -> ComplexityProfile:
     entries, best, i = {}, (INF, None), 0
     for alpha in range(alpha_max + 1):
         while i < len(stairs) and stairs[i][0] <= alpha:
-            best = stairs[i][1], PdlCode(stairs[i][2])
+            best = stairs[i][1:]
             i += 1
         entries[alpha] = best
     profile = ComplexityProfile(label, entries)

@@ -318,6 +318,13 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
     closed-form bound 2^s * ceil(log2 (2k)).
     """
     z_list = tuple(z_list)
+    root, bound = _index_exchange(z_list, k)
+    tree = ProtocolTree.symmetric(len("".join(z_list)), root)
+    return IndexExchangeReport(tree, _exchange_cost(tree, z_list), bound)
+
+
+def _index_exchange(z_list, k: int | None = None) -> tuple:
+    """(root, bound): `th7_protocol`'s exchange root, not yet validated, and its closed-form bound."""
     m = len(z_list)
     if m < 2 or (m - 1) & (m - 2):
         raise UsageError("family size must be 2^s + 1")
@@ -327,17 +334,25 @@ def th7_protocol(z_list, k: int | None = None) -> IndexExchangeReport:
         raise UsageError(f"family members have {sep.k} bits, not {k}")
     k = sep.k
     slots = list(sep.indices) + [0] * ((1 << s) - len(sep.indices))
-    n = m * k
-    tree = ProtocolTree.symmetric(n, _exchange_tree(list(z_list), slots, n))
+    return _exchange_tree(list(z_list), slots, m * k), (1 << s) * log2ceil(2 * k)
+
+
+def _exchange_cost(tree: ProtocolTree, z_list) -> int:
+    """The greatest cost of tree on x = the concatenated family and each padded member.
+
+    Alice's input past x is all ones, which routes a help-routed exchange
+    into it; a member the tree fails to name raises AuditFailure.
+    """
     x = "".join(z_list)
+    x += "1" * (tree.n_alice - len(x))
     cost = None
     for j, z in enumerate(z_list):
-        y = z + "0" * (n - k)
+        y = z + "0" * (tree.n_bob - len(z))
         outcome = run(tree, x, y)
         if outcome.is_stuck or outcome.output != y:
             raise AuditFailure(f"index exchange failed to identify member {j}")
         cost = outcome.cost if cost is None else max(cost, outcome.cost)
-    return IndexExchangeReport(tree, cost, (1 << s) * log2ceil(2 * k))
+    return cost
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +629,16 @@ def _build_hard_instance(
                 served_rows.append((idx, ha, hb, hit))
     hard_index = next(j for j in range(blocks) if j not in served_js)
 
-    # with no help bits there is nothing to route on
+    # with no help bits there is nothing to route on; one companion tree is
+    # built and validated, and the cost audit runs on it
     companion_kind = "plain" if a == b == 0 else "help-routed"
-    report = th7_protocol(chosen)
-    comp_tree, comp_cost, comp_bound = report.tree, report.cost, report.closed_form_bound_bits
-    if companion_kind == "help-routed":
-        comp_tree = _routed_companion(comp_tree)
-        comp_cost += 1
+    root, comp_bound = _index_exchange(chosen)
+    if companion_kind == "plain":
+        comp_tree = ProtocolTree.symmetric(n, root)
+    else:
+        comp_tree = _routed_companion(root, n)
         comp_bound += 1
+    comp_cost = _exchange_cost(comp_tree, chosen)
     comp_code = pdl_encode(comp_tree)
     return HardInstance(
         k=k,
@@ -649,16 +666,15 @@ def _build_hard_instance(
     )
 
 
-def _routed_companion(exchange: ProtocolTree) -> ProtocolTree:
-    """The exchange behind one Alice help bit: 1 runs it, 0 answers zero.
+def _routed_companion(exchange: object, n: int) -> ProtocolTree:
+    """The exchange root behind one Alice help bit: 1 runs it, 0 answers zero.
 
     A genuine literal default would need 2^n leaves at these input
     lengths, and the cost claim only concerns the well-formed pairs, where
     the help bit is 1; routing costs one bit.
     """
-    n = exchange.n
     default = OutputLeaf(OutputFunction.const("0" * n))
-    root = Speak(ALICE, NodeFunction.input_bit(n), default, exchange.root)
+    root = Speak(ALICE, NodeFunction.input_bit(n), default, exchange)
     return ProtocolTree(n + 1, n, n, root)
 
 

@@ -28,7 +28,7 @@ from .codes import (
 from .complexity import (
     INF,
     _message_lengths,
-    _tcc_family,
+    _tcc_members,
     find_hard_y,
     one_way_from_two_way,
     oneway_to_set,
@@ -184,12 +184,13 @@ def verify_rectangles() -> VerificationReport:
 def _everywhere_correct(f, budget: int, one_way: bool = False):
     """(code, tree) for the total everywhere-correct protocols of f, in canonical order.
 
-    Without help bits these are the members of the cached TCC family,
-    and only they are built as trees.
+    Without help bits these are the TCC members that `_tcc_members` lists
+    from the classes the cached record admits, and only they are built as
+    trees.
     """
     _check_budget(budget)
     n = f.n
-    for bits, bob_only, _ in _tcc_family(f, 0, 0, budget)[0]:
+    for bits, bob_only, _ in _tcc_members(f, 0, 0, budget):
         if bob_only or not one_way:
             yield PdlCode(bits), decode_signature(bits, n, n, n)
 

@@ -37,7 +37,7 @@ from cclab import (
 )
 from cclab import codes, complexity
 from cclab.codes import _enumeration_table
-from cclab.complexity import FAMILIES, _fold_classes, _tcc_family
+from cclab.complexity import FAMILIES, _fold_classes, _tcc_family, _tcc_members
 from cclab.protocol import (
     ALICE,
     BOB,
@@ -282,7 +282,7 @@ def test_tcc_family_cache_matches_brute_force_in_shuffled_order():
             assert report.one_way.entries[budget] == expected[f, help_bits, budget, True][x, query]
     assert _tcc_family.cache_info().currsize == len(fns) * 3 * 2
     for (f, help_bits, budget, one_way), codes in members.items():
-        family = _tcc_family(f, *help_bits, budget)[0]
+        family = _tcc_members(f, *help_bits, budget)
         assert [bits for bits, bob_only, _ in family if bob_only or not one_way] == codes
 
 
@@ -314,7 +314,7 @@ def test_checks_run_on_a_warm_tcc_cache(monkeypatch):
 
     # an entry planted past the input-length limit is never read
     big = identity_fn(4)
-    assert _tcc_family(big, 0, 0, 0)[0] == ()
+    assert _tcc_members(big, 0, 0, 0) == ()
     for family in FAMILIES:
         with pytest.raises(UsageError):
             individual_cc(Measure(family, alpha=8), big, "0000", "0000")
@@ -362,7 +362,8 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
 
     The budget and the budget minus 2 are asked in both orders from empty
     stores, so the smaller family is read once from classes folded for the
-    larger table and once from classes that the larger one extends.
+    larger table and once from classes that the larger one extends; the
+    staircases must be those of the oracle's members either way.
     """
     n, (a, b) = key
     budget = QUERY_BUDGETS[key]
@@ -382,7 +383,32 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _tcc_family(f, a, b, alpha)[0] == want, (f.name, alpha)
+                assert _tcc_family(f, a, b, alpha)[1] == _staircases_of(want, n, a, b), (f.name, alpha)
+                assert _tcc_members(f, a, b, alpha) == want, (f.name, alpha)
+
+
+def _staircases_of(members, n, a, b):
+    """The record's staircases read off a member list: where each pair's cost strictly falls, per shape.
+
+    A member's cost on a pair is its least depth whose correct cells hold
+    the pair's cell under some help string.
+    """
+    nb = n + b
+    steps = []
+    for shape in (0, 1):
+        pairs = []
+        for x in range(1 << n):
+            for y in range(1 << n):
+                cells = [(x << a | ha) << nb | y << b | hb for ha in range(1 << a) for hb in range(1 << b)]
+                stairs = []
+                for bits, one_way, correct_at in members:
+                    if one_way or not shape:
+                        cost = next(depth for depth, mask in correct_at if any(mask >> cell & 1 for cell in cells))
+                        if not stairs or cost < stairs[-1][1]:
+                            stairs.append((len(bits), cost, PdlCode(bits)))
+                pairs.append(tuple(stairs))
+        steps.append(tuple(pairs))
+    return tuple(steps)
 
 
 def _per_tree_family(fns, n, a, b, budget):
@@ -424,7 +450,8 @@ def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
         for alpha in order:
             for f in fns:
                 want = tuple(m for m in members[f] if len(m[0]) <= alpha)
-                assert _tcc_family(f, a, b, alpha)[0] == want, (f.name, alpha)
+                assert _tcc_family(f, a, b, alpha)[1] == _staircases_of(want, n, a, b), (f.name, alpha)
+                assert _tcc_members(f, a, b, alpha) == want, (f.name, alpha)
 
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
@@ -519,6 +546,66 @@ def test_cc_and_pcc_enumerate_nothing(monkeypatch):
     assert not complexity._class_store and not codes._largest_tables
 
 
+def test_tcc_queries_build_no_member_list(monkeypatch):
+    """TCC answers and identity profiles read staircases only, and walk each tree once.
+
+    Every query key is answered in both shapes for identity, eq and ip,
+    with the member list refused.  A build walks a tree for its shape only
+    in a class whose first one-way member no earlier build on the signature
+    has settled, and folds none that an earlier build folded; asked again
+    from an empty record cache, no key walks or folds a tree.
+    """
+    _clear_family_stores()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a query built a member list")
+
+    walked, folded = [], []
+
+    def walk(node):
+        walked.append(node)
+        return node_is_one_way(node)
+
+    def fold(node, na, nb):
+        folded.append(node)
+        return leaf_masks(node, na, nb)
+
+    leaf_masks = complexity._leaf_masks
+    monkeypatch.setattr(complexity, "_tcc_members", refuse)
+    monkeypatch.setattr(complexity, "node_is_one_way", walk)
+    monkeypatch.setattr(complexity, "_leaf_masks", fold)
+    answered = 0
+    for again in (False, True):
+        _tcc_family.cache_clear()
+        for (n, (a, b)), budget in QUERY_BUDGETS.items():
+            signature = n + a, n + b, n
+            table = _enumeration_table(*signature, budget)
+            for i, f in enumerate((identity_fn(n), equality_fn(n), inner_product_fn(n))):
+                classes = complexity._class_store.get(signature)
+                unsettled = set()
+                if classes is not None:
+                    for c, (found, count) in enumerate(classes.one_way):
+                        if found is None:
+                            unsettled.update(id(table[j][1]) for j in classes.members[c][count:] if j < len(table))
+                del walked[:], folded[:]
+                for one_way in (False, True):
+                    m = Measure("TCC", one_way, HelpSpec(a, b), budget)
+                    for x in all_bitstrings(n):
+                        for y in all_bitstrings(n):
+                            individual_cc(m, f, x, y)
+                            answered += 1
+                if again:
+                    assert walked == [] and folded == [], (n, a, b, f.name)
+                elif i:
+                    assert folded == [] and {id(node) for node in walked} <= unsettled, (n, a, b, f.name)
+    for n, budgets in ((1, (18, 19, 20)), (2, (19,))):
+        for budget in budgets:
+            for y in all_bitstrings(n):
+                tcc_identity_profile(y, budget)
+    assert answered == 2 * sum(2 * 3 * (1 << 2 * n) for n, _ in QUERY_BUDGETS)
+    _clear_family_stores()
+
+
 HELP_COUNTS = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
@@ -568,7 +655,7 @@ def _member_minima(f, help_bits, budget, one_way):
     n = f.n
     a, b = help_bits
     best = {(x, y): (INF, None) for x in all_bitstrings(n) for y in all_bitstrings(n)}
-    members = [bits for bits, _, _ in _tcc_family(f, a, b, budget)[0]]
+    members = [bits for bits, _, _ in _tcc_members(f, a, b, budget)]
     assert members == sorted(members, key=lambda bits: (len(bits), bits))
     for bits in members:
         tree = decode_signature(bits, n + a, n + b, n)
@@ -586,7 +673,7 @@ def _mixed_admitted_classes(f, help_bits, budget):
     n = f.n
     a, b = help_bits
     table = _enumeration_table(n + a, n + b, n, budget)
-    admitted = {bits for bits, _, _ in _tcc_family(f, a, b, budget)[0]}
+    admitted = {bits for bits, _, _ in _tcc_members(f, a, b, budget)}
     count = 0
     for indices in _fold_classes(n + a, n + b, n, table).members:
         inside = [i for i in indices if i < len(table)]
@@ -619,11 +706,19 @@ def test_staircase_rules_on_planted_tables(monkeypatch):
     none of them changes if a class offered only its first member, if the
     greatest depth over the help strings won, if a profile read the last
     step at every budget or read the one-way profile off the two-way
-    staircase, or if a class were skipped unless it undercut the least
-    last step rather than the greatest.  So the tables are planted, in canonical order: a two-way and
-    a one-way tree of one class, both costing 2, then two longer one-way
-    trees costing 1 on column 0 and on column 1 respectively, and 2 on the
-    other; and a help-bit tree costing 2 or 3 by Alice's help string.
+    staircase, if a class were skipped unless it undercut the least last
+    step rather than the greatest, or if the bound that skips a class were
+    read off other than its least leaf depth.  So the tables are planted,
+    in canonical order: a two-way and a one-way tree of one class, both
+    costing 2, then two longer one-way trees costing 1 on column 0 and on
+    column 1 respectively, and 2 on the other; and a help-bit tree costing
+    2 or 3 by Alice's help string, so 2 everywhere, then a longer one whose
+    leaves sit at depths 1 and 3.  Its depth-1 leaf is correct only on pair
+    (1, 1), and it is neither the first leaf the fold lists nor the first
+    in the class's sorted fold.  Under a Bob help bit, a two-way tree and a
+    longer one-way tree of one class are folded together before the
+    shorter budget is asked, so the larger budget's one-way step needs the
+    walk over the class's members to resume where the smaller table ended.
     """
     def leaf(v):
         return OutputLeaf(OutputFunction.const(v))
@@ -639,10 +734,17 @@ def test_staircase_rules_on_planted_tables(monkeypatch):
     ]
     two, one, cheap0, cheap1 = (pdl_encode(ProtocolTree(1, 1, 1, root)).bits for root in roots)
     helped = Speak(ALICE, NodeFunction.input_bit(1), spell(), Speak(BOB, NodeFunction.const(0), spell(), StuckLeaf()))
+    late = Speak(ALICE, NodeFunction.from_table("1110"), leaf("1"), Speak(BOB, NodeFunction.const(0), spell(), spell()))
     planted = {
         (1, 1, 1): tuple(zip((two, one, cheap0, cheap1), roots)),
-        (2, 1, 1): ((pdl_encode(ProtocolTree(2, 1, 1, helped)).bits, helped),),
+        (2, 1, 1): tuple((pdl_encode(ProtocolTree(2, 1, 1, root)).bits, root) for root in (helped, late)),
+        (1, 2, 1): tuple(
+            (pdl_encode(ProtocolTree(1, 2, 1, root)).bits, root)
+            for root in (roots[0], Speak(BOB, NodeFunction.const(0), spell(), spell()))
+        ),
     }
+    (bits, _), (late_bits, _) = planted[2, 1, 1]
+    assert [len(bits), len(late_bits)] == [43, 49]
     assert [len(bits) for bits in (two, one, cheap0, cheap1)] == [22, 22, 25, 25] and two < one < cheap0 < cheap1
     monkeypatch.setattr(
         complexity,
@@ -654,10 +756,10 @@ def test_staircase_rules_on_planted_tables(monkeypatch):
     _clear_family_stores()
     try:
         steps = _tcc_family(f, 0, 0, 25)[1]
-        assert steps[0][0b00] == ((22, 2, two), (25, 1, cheap0))
-        assert steps[1][0b10] == ((22, 2, one), (25, 1, cheap0))
-        assert steps[0][0b01] == ((22, 2, two), (25, 1, cheap1))
-        assert steps[1][0b11] == ((22, 2, one), (25, 1, cheap1))
+        assert steps[0][0b00] == ((22, 2, PdlCode(two)), (25, 1, PdlCode(cheap0)))
+        assert steps[1][0b10] == ((22, 2, PdlCode(one)), (25, 1, PdlCode(cheap0)))
+        assert steps[0][0b01] == ((22, 2, PdlCode(two)), (25, 1, PdlCode(cheap1)))
+        assert steps[1][0b11] == ((22, 2, PdlCode(one)), (25, 1, PdlCode(cheap1)))
         report = tcc_identity_profile("0", 25)
         assert [report.one_way.entries[a] for a in (21, 22, 24, 25)] == [
             (INF, None), (2, PdlCode(one)), (2, PdlCode(one)), (1, PdlCode(cheap0)),
@@ -669,9 +771,18 @@ def test_staircase_rules_on_planted_tables(monkeypatch):
             assert individual_cc(Measure("TCC", one_way, alpha=24), f, "1", "0") == (2, PdlCode(one if one_way else two))
             assert individual_cc(Measure("TCC", one_way, alpha=25), f, "1", "0") == (1, PdlCode(cheap0))
             assert individual_cc(Measure("TCC", one_way, alpha=25), f, "0", "1") == (1, PdlCode(cheap1))
-        bits = planted[2, 1, 1][0][0]
-        stairs = ((len(bits), 2, bits),)
+        stairs = ((len(bits), 2, PdlCode(bits)),)
         assert _tcc_family(f, 1, 0, len(bits))[1] == ((stairs,) * 4, ((),) * 4)
+        costs = [cc_with_help(ProtocolTree(2, 1, 1, late), f, x, y, HelpSpec(1, 0)) for x in "01" for y in "01"]
+        assert costs == [3, 3, 3, 1]
+        late_stairs = stairs + ((len(late_bits), 1, PdlCode(late_bits)),)
+        assert _tcc_family(f, 1, 0, len(late_bits))[1] == ((stairs,) * 3 + (late_stairs,), ((),) * 4)
+        (short, _), (long, _) = planted[1, 2, 1]
+        assert len(short) < len(long)
+        _fold_classes(1, 2, 1, planted[1, 2, 1])
+        stairs = ((len(short), 2, PdlCode(short)),)
+        assert _tcc_family(f, 0, 1, len(short))[1] == ((stairs,) * 4, ((),) * 4)
+        assert _tcc_family(f, 0, 1, len(long))[1] == ((stairs,) * 4, (((len(long), 2, PdlCode(long)),),) * 4)
     finally:
         _clear_family_stores()
 
@@ -692,7 +803,7 @@ def _fold_over_members(alpha_max, candidates):
 
 @pytest.mark.parametrize("n, alpha_max", [(1, 15), (1, 19), (1, 20), (2, 19)])
 def test_identity_profiles_equal_a_fold_over_the_members(n, alpha_max):
-    members = _tcc_family(identity_fn(n), 0, 0, alpha_max)[0]
+    members = _tcc_members(identity_fn(n), 0, 0, alpha_max)
     assert bool(members) == (n == 1)
 
     def depth_at(correct_at, cell):

@@ -301,6 +301,34 @@ def test_replay_derives_the_companion_kind():
     assert replay_hard_instance(edited).discrepancies == ["companion_kind"]
 
 
+def test_each_build_validates_one_companion(monkeypatch):
+    """A build and its replay each validate the companion once, as its own root or the exchange inside it."""
+    validated = []
+    post_init = ProtocolTree.__post_init__
+
+    def record(tree):
+        validated.append(tree.root)
+        post_init(tree)
+
+    monkeypatch.setattr(ProtocolTree, "__post_init__", record)
+    for build, kind in (
+        (lambda: th7_hard_instance(10, 1, 2, 6), "plain"),
+        (lambda: helpbit_hard_instance(10, 1, 2, 1, 0, 6), "help-routed"),
+        (lambda: helpbit_hard_instance(11, 1, 2, 1, 1, 6), "help-routed"),
+    ):
+        del validated[:]
+        inst = build()
+        walks = [validated[:]]
+        del validated[:]
+        assert replay_hard_instance(inst).ok
+        walks.append(validated[:])
+        assert inst.companion_kind == kind
+        companion = decode_signature(PdlCode.from_hex(inst.companion_hex), *inst.companion_signature).root
+        exchange = companion if kind == "plain" else companion.child1
+        for roots in walks:
+            assert sum(root == companion or root == exchange for root in roots) == 1, kind
+
+
 def test_full_size_companion_hex_round_trips():
     # the help-routed companion of the benchmark's help-bit instance: 256
     # leaves, each a 99-bit constant
