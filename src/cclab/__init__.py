@@ -21,7 +21,6 @@ from .codes import (
     pdl_complexity,
     pdl_decode,
     pdl_encode,
-    sdl_complexity,
     sdl_decode,
     sdl_encode,
 )

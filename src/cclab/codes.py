@@ -81,7 +81,6 @@ __all__ = [
     "enumerate_signature",
     "sdl_encode",
     "sdl_decode",
-    "sdl_complexity",
     "enumerate_sets",
 ]
 
@@ -489,11 +488,6 @@ def _template_of(members: frozenset[str], n: int) -> str | None:
     if count != len(members):
         return None
     return "".join(fixed)
-
-
-def sdl_complexity(members, n: int) -> int:
-    """Shortest set-code length for the given nonempty set."""
-    return len(sdl_encode(members, n))
 
 
 def sdl_encode(members, n: int) -> SdlCode:

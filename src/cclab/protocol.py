@@ -28,10 +28,13 @@ The fold reads two input domains:
   into classes by Bob's message (`_bob_message_classes`: the hard-instance
   fibers, and the message lengths of identity senders).
 
-`cc_with_help` looks each pair's cells up in a memo instead of parsing the
-strings again, and `_pairs_within` slides every depth of the fold over the
-help shifts at once, so a law over all pairs (the `helpbits` suite's
-totalizer bound) is checked on masks in one pass per tree.
+`cc_with_help` keeps the fold of the last (tree, f, help counts) it saw
+and reads that one-slot memo inline, so a run of pairs on one protocol
+pays the shape and grid checks and the fold once; each pair's cells are
+checked and looked up in a memo instead of parsing the strings again.
+`_pairs_within` slides every depth of the fold over the help shifts at
+once, so a law over all pairs (the `helpbits` suite's totalizer bound) is
+checked on masks in one pass per tree.
 
 Every tree is validated on construction by one full walk; a speak node
 whose two children are one object (the shared dead chains of the
@@ -40,7 +43,10 @@ is built once per function (`_literal_send`) and shared by every protocol
 that holds it.  `help_bit_totalizer` lifts that default once per function
 and mode, and the wrapped protocol once per protocol and mode, a lift
 shared by every function asked about that protocol; only the last
-protocol's lifts are kept.
+protocol's lifts are kept.  A lifted output leaf depends only on its
+answer, n and Alice's extra bits, so each is built once (`_lifted_leaf`)
+and shared by every lifted tree that holds it, as is the routing read at
+the root of every wrap of one width.
 """
 
 from __future__ import annotations
@@ -505,11 +511,29 @@ def _base_cells(n: int, alice_bits: int, bob_bits: int) -> int:
     return rows * sum(1 << (y << bob_bits) for y in range(1 << n))
 
 
+def _joined(rows: list, width: int) -> int:
+    """rows[0] | rows[1] << width | rows[2] << 2 * width | ..., in time linear in the bits.
+
+    Adding shifted rows one by one to a growing sum copies the sum each
+    time.  Instead, pairs of rows narrower than a byte are merged until
+    they fill whole bytes, and the rows are then laid out as bytes and read
+    once.  The number of rows and width are powers of two.
+    """
+    while width < 8 and len(rows) > 1:
+        rows = [rows[i] | rows[i + 1] << width for i in range(0, len(rows), 2)]
+        width <<= 1
+    if len(rows) == 1:
+        return rows[0]
+    size = width >> 3
+    return int.from_bytes(b"".join([row.to_bytes(size, "little") for row in rows]), "little")
+
+
 @lru_cache(maxsize=64)
 def _answers(f: FunctionSpec, alice_bits: int, bob_bits: int):
     """The help-extended cells where an output function announces f on the base pair.
 
-    The returned lookup takes the output function's kind and value.
+    The returned lookup takes the output function's kind and value; each
+    mask is joined from its rows in one pass (`_joined`).
     """
     n = f.n
     nb = n + bob_bits
@@ -527,7 +551,7 @@ def _answers(f: FunctionSpec, alice_bits: int, bob_bits: int):
     @lru_cache(maxsize=1024)
     def cells(kind: str, value: str) -> int:
         outputs = OutputFunction(kind, value).evaluate_all(n + alice_bits, n)
-        return sum(rows[xa >> alice_bits].get(v, 0) << (xa << nb) for xa, v in enumerate(outputs))
+        return _joined([rows[xa >> alice_bits].get(v, 0) for xa, v in enumerate(outputs)], 1 << nb)
 
     return cells
 
@@ -612,7 +636,7 @@ def computes_everywhere(
 # callers ask about every pair of one tree before moving on.  It caches a
 # pure result, so it changes no answer.  Trees are frozen and the slot
 # holds them, so an identity hit cannot be a recycled id.
-_last_fold: list = [None, None, (), ()]
+_last_fold: list = [None, None, -1, -1, ()]
 
 
 def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tuple:
@@ -623,14 +647,14 @@ def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tup
     key run on a miss.
     """
     a, b = help_spec.alice_bits, help_spec.bob_bits
-    last_tree, last_f, last_help, correct_at = _last_fold
-    if tree is last_tree and (f is last_f or f == last_f) and (a, b) == last_help:
+    last_tree, last_f, last_a, last_b, correct_at = _last_fold
+    if tree is last_tree and a == last_a and b == last_b and (f is last_f or f == last_f):
         return correct_at
     _check_help_shape(tree, f, help_spec)
     _check_grid(tree)
     leaves = _leaf_masks(tree.root, tree.n_alice, tree.n_bob)
     correct_at = _correct_by_depth(leaves, _answers(f, a, b))
-    _last_fold[:] = tree, f, (a, b), correct_at
+    _last_fold[:] = tree, f, a, b, correct_at
     return correct_at
 
 
@@ -660,9 +684,16 @@ def cc_with_help(
     number of bits spoken on (x, y) when the answer is right, else
     infinity.  It is the least depth whose correct cells meet the pair's
     help cells.
+
+    A run of calls on one (tree, f, help counts) reads the `_correct_at`
+    memo inline, so only its first call pays the shape and grid checks and
+    the fold; every call checks x and y (`_help_cells`).
     """
-    correct_at = _correct_at(tree, f, help_spec)
-    pair = _help_cells(f.n, help_spec.alice_bits, help_spec.bob_bits, x, y)
+    a, b = help_spec.alice_bits, help_spec.bob_bits
+    last_tree, last_f, last_a, last_b, correct_at = _last_fold
+    if tree is not last_tree or a != last_a or b != last_b or (f is not last_f and f != last_f):
+        correct_at = _correct_at(tree, f, help_spec)
+    pair = _help_cells(f.n, a, b, x, y)
     for depth, cells in correct_at:
         if cells & pair:
             return depth
@@ -728,7 +759,8 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
     same on the longer input and pass through unchanged; every other answer
     reads Alice's whole input, so it is tabulated at base width and lifted
     as a table.  A stuck leaf becomes the constant answer 0...0, so the
-    lifted tree is total.
+    lifted tree is total.  Lifted leaves come from `_lifted_leaf`, so each
+    is built once, not once per tree.
     """
     if isinstance(node, Speak):
         extra = extra_alice if node.owner == ALICE else extra_bob
@@ -742,11 +774,24 @@ def _lift(node: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
             _lift(node.child1, n, extra_alice, extra_bob),
         )
     if isinstance(node, StuckLeaf):
-        return OutputLeaf(OutputFunction("const", "0" * n))
+        return _lifted_leaf("const", "0" * n, n, extra_alice)
     if isinstance(node, OutputLeaf) and extra_alice and node.fn.kind != "const":
-        cells = [node.fn.evaluate(u, n) for u in all_bitstrings(n)]
-        return OutputLeaf(OutputFunction("table", _repeat_cells(cells, extra_alice)))
+        return _lifted_leaf(node.fn.kind, node.fn.value, n, extra_alice)
     return node
+
+
+@lru_cache(maxsize=1024)
+def _lifted_leaf(kind: str, value: str, n: int, extra_alice: int) -> OutputLeaf:
+    """The lift of an output leaf announcing OutputFunction(kind, value).
+
+    A stuck leaf is lifted as the constant answer 0...0.  A lifted leaf
+    depends on nothing else, so it is keyed by the answer's fields, n and
+    Alice's extra bits, and every lifted tree shares the frozen leaf.
+    """
+    fn = OutputFunction(kind, value)
+    if kind != "const":
+        fn = OutputFunction("table", _repeat_cells(fn.evaluate_all(n, n), extra_alice))
+    return OutputLeaf(fn)
 
 
 @lru_cache(maxsize=32)
@@ -771,6 +816,12 @@ def _shared_lift(root: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
     return lifted
 
 
+@lru_cache(maxsize=32)
+def _routing_read(n: int) -> NodeFunction:
+    """The read of bit n, the helped party's help bit, at the root of every wrap of width n."""
+    return NodeFunction.input_bit(n)
+
+
 def help_bit_totalizer(
     tree: ProtocolTree, f: FunctionSpec, mode: str = "both"
 ) -> ProtocolTree:
@@ -790,8 +841,10 @@ def help_bit_totalizer(
     Neither branch is rebuilt per wrap: the default is lifted once per f
     and mode, and the lift of the protocol, which does not depend on f, is
     built once per mode for the last protocol wrapped, so the functions
-    asked about one protocol share it.  Each wrap is validated by one full
-    walk, as every tree is.
+    asked about one protocol share it.  A new protocol's lift builds only
+    its speak nodes: its output leaves come lifted from `_lifted_leaf`,
+    and the routing read is built once per width (`_routing_read`).  Each
+    wrap is validated by one full walk, as every tree is.
     """
     if not tree.is_symmetric or tree.n_alice != f.n:
         raise UsageError("protocol shape does not match the function")
@@ -802,7 +855,7 @@ def help_bit_totalizer(
     extra_bob = 1 if mode in ("both", "bob-only") else 0
     root = Speak(
         BOB if extra_bob else ALICE,
-        NodeFunction.input_bit(n),
+        _routing_read(n),
         _lifted_default(f, extra_alice, extra_bob),
         _shared_lift(tree.root, n, extra_alice, extra_bob),
     )

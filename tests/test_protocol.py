@@ -255,7 +255,9 @@ def test_answer_cells_match_a_walk_cell_by_cell(n):
     """protocol._answers against evaluate and f.value on every cell.
 
     The outputs are every form the width-(n + a, n) grammar spells in 10
-    bits, and random tables, which are read at Alice's extended width.
+    bits, which holds every output kind, and random tables, which are read
+    at Alice's extended width.  The grids' rows are 2 to 16 cells wide, so
+    `_joined` merges rows narrower than a byte and lays out whole bytes.
     """
     rng = random.Random(4099 + n)
     fns = [
@@ -272,12 +274,24 @@ def test_answer_cells_match_a_walk_cell_by_cell(n):
             OutputFunction.from_table("".join(rng.choice("01") for _ in range(n << m)))
             for _ in range(8)
         ]
-        assert {out.kind for out in outputs} >= {"const", "table"}
+        # copy_x and xor_mask need Alice's input as wide as the output
+        kinds = {"const", "table"} | ({"copy_x", "xor_mask"} if a == 0 else set())
+        assert {out.kind for out in outputs} == kinds
         for f in fns:
             answers = protocol._answers(f, a, b)
             for out in outputs:
                 want = _answer_cells_by_walk(f, a, b, out)
                 assert answers(out.kind, out.value) == want, (f.name, a, b, out)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4, 8, 16, 64, 256])
+def test_joined_rows_equal_a_sum_of_shifted_rows(width):
+    rng = random.Random(width)
+    for count in (1, 2, 4, 8, 64):
+        rows = [rng.getrandbits(width) for _ in range(count)]
+        rows[-1] |= 1 << width - 1  # the top cell is kept
+        want = sum(row << i * width for i, row in enumerate(rows))
+        assert protocol._joined(rows, width) == want, (width, count)
 
 
 # the grid folds against a plain run over every help-extended pair
@@ -429,6 +443,7 @@ def _walked_cost(tree, want, x, y, help_spec):
 
 _HELP_STRINGS = {0: [""], 1: ["0", "1"]}
 _MODE_SPECS = {"both": HelpSpec(1, 1), "alice-only": HelpSpec(1, 0), "bob-only": HelpSpec(0, 1)}
+_ALL_SPECS = [HelpSpec()] + list(_MODE_SPECS.values())
 
 
 def test_cc_with_help_matches_a_plain_walk_in_shuffled_order():
@@ -582,19 +597,128 @@ def test_totalizer_mode_validation():
 
 
 def test_validate_once_wraps_equal_wraps_built_and_walked_in_full(monkeypatch):
-    # a wrap that reuses the lift another function left equals one built
-    # from a fresh lift, and a tree built again from its root passes the walk
+    # a wrap that reuses the lift another function left, and the lifted
+    # leaves of earlier trees, equals one built from empty lift caches; a
+    # tree built again from its root passes the walk
     monkeypatch.setattr(protocol, "_last_lift", {})
-    fns = (identity_fn(2), equality_fn(2))
+    fns = (identity_fn(2), equality_fn(2), inner_product_fn(2))
     for _code, tree in enumerate_signature(2, 2, 2, 14):
         for f in fns:
             for mode in _MODE_SPECS:
                 wrapped = help_bit_totalizer(tree, f, mode)
-                with monkeypatch.context() as cleared:
-                    cleared.setattr(protocol, "_last_lift", {})
-                    assert help_bit_totalizer(tree, f, mode) == wrapped
+                protocol._lifted_leaf.cache_clear()
+                protocol._last_lift.clear()
+                assert help_bit_totalizer(tree, f, mode) == wrapped
                 rebuilt = ProtocolTree(wrapped.n_alice, wrapped.n_bob, wrapped.out_len, wrapped.root)
                 assert rebuilt == wrapped
+
+
+def _leaves_by_path(node, path=""):
+    """(path, leaf) for every leaf below node, path spelling the branches taken."""
+    if isinstance(node, Speak):
+        yield from _leaves_by_path(node.child0, path + "0")
+        yield from _leaves_by_path(node.child1, path + "1")
+    else:
+        yield path, node
+
+
+def _at(node, path):
+    for bit in path:
+        node = node.child1 if bit == "1" else node.child0
+    return node
+
+
+def test_a_leaf_held_by_two_trees_lifts_to_one_object_in_each_mode():
+    seen, found = {}, {}
+    for _code, tree in enumerate_signature(2, 2, 2, 20):
+        for path, leaf in _leaves_by_path(tree.root):
+            kind = "stuck" if isinstance(leaf, StuckLeaf) else leaf.fn.kind
+            first = seen.setdefault(id(leaf), (tree, path))
+            if first[0] is not tree and kind not in found:
+                found[kind] = (first, (tree, path))
+    assert {"stuck", "table", "xor_mask", "copy_x"} <= set(found)
+    f = identity_fn(2)
+    for kind, ((one, one_path), (two, two_path)) in found.items():
+        assert _at(one.root, one_path) is _at(two.root, two_path)
+        for mode in _MODE_SPECS:
+            # child1 of a wrap's root is the lift of the wrapped tree
+            first = _at(help_bit_totalizer(one, f, mode).root.child1, one_path)
+            second = _at(help_bit_totalizer(two, f, mode).root.child1, two_path)
+            assert first is second, (kind, mode)
+
+
+@pytest.mark.parametrize("order", [(1, 2), (2, 1)])
+def test_lifted_leaves_are_kept_apart_by_n_and_alices_extra_bits(order):
+    # the same answer fields at other widths: copy_x and a stuck leaf at
+    # n = 1 and n = 2, a table and a mask read at n = 2, each lifted by one
+    # and by two help bits, in both orders, against the table spelled out
+    protocol._lifted_leaf.cache_clear()
+    leaves = {
+        1: [OutputLeaf(OutputFunction.copy_x()), StuckLeaf()],
+        2: [OutputLeaf(OutputFunction.copy_x()), StuckLeaf(),
+            OutputLeaf(OutputFunction.xor_mask("01")), OutputLeaf(OutputFunction.from_table("00101101"))],
+    }
+    for n in order:
+        for extra in order:
+            for leaf in leaves[n]:
+                lifted = _lift(leaf, n, extra, 0)
+                if isinstance(leaf, StuckLeaf):
+                    assert lifted == OutputLeaf(OutputFunction("const", "0" * n))
+                    continue
+                want = "".join(leaf.fn.evaluate(u[:n], n) for u in all_bitstrings(n + extra))
+                assert lifted == OutputLeaf(OutputFunction("table", want)), (n, extra, leaf)
+
+
+def test_help_path_caches_stay_within_their_bounds():
+    # a full (2,2,2,20) pass: every tree and its wraps for identity and eq,
+    # each asked about one pair, taken in turn so that every pair is asked
+    # under every help count; each cache holds all it is asked, never evicting
+    caches = [
+        protocol._lifted_leaf,
+        protocol._routing_read,
+        protocol._lifted_default,
+        protocol._help_cells,
+        protocol._answers,
+    ]
+    for cache in caches:
+        cache.cache_clear()
+    fns = (identity_fn(2), equality_fn(2))
+    pairs = [(x, y) for x in all_bitstrings(2) for y in all_bitstrings(2)]
+    for i, (_code, tree) in enumerate(enumerate_signature(2, 2, 2, 20)):
+        x, y = pairs[i % len(pairs)]
+        for f in fns:
+            cc_with_help(tree, f, x, y)
+            for mode, spec in _MODE_SPECS.items():
+                cc_with_help(help_bit_totalizer(tree, f, mode), f, x, y, spec)
+    answers = [protocol._answers(f, s.alice_bits, s.bob_bits) for f in fns for s in _ALL_SPECS]
+    for cache in caches + answers:
+        info = cache.cache_info()
+        assert 0 < info.currsize <= info.maxsize and info.misses == info.currsize, (cache, info)
+
+
+def test_pair_calls_on_one_fold_fold_nothing_more(monkeypatch):
+    # after the first call on a (tree, f, help counts), 15 more pairs are
+    # answered from the memo, with the help counts in a new HelpSpec each time
+    f = identity_fn(2)
+    plain = literal_identity(2)
+    cases = [(plain, HelpSpec())] + [(help_bit_totalizer(plain, f, m), s) for m, s in _MODE_SPECS.items()]
+    pairs = [(x, y) for x in all_bitstrings(2) for y in all_bitstrings(2)]
+    real = protocol._leaf_masks
+    for tree, spec in cases:
+        a, b = spec.alice_bits, spec.bob_bits
+        folds = []
+
+        def fold_once(*args):
+            assert not folds, "a second fold on a memo hit"
+            folds.append(args)
+            return real(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_last_fold", [None, None, -1, -1, ()])
+            m.setattr(protocol, "_leaf_masks", fold_once)
+            got = [cc_with_help(tree, f, x, y, HelpSpec(a, b)) for x, y in pairs]
+        assert len(folds) == 1
+        assert got == [_walked_cost(tree, f.value(x, y), x, y, spec) for x, y in pairs]
 
 
 def test_one_lift_per_tree_and_mode_is_shared_by_the_functions_asked(monkeypatch):
