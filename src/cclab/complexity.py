@@ -17,27 +17,29 @@ run on every call.  The member list is built only where it is counted
 (`_tcc_members`).  The record is read from fold classes
 (`_fold_classes`): each enumerated tree of a signature is folded over
 the whole grid once, trees that can strand a cell are dropped, and the
-rest are grouped by their leaves' (cells, depth, output).  The cells
-that reach a leaf form a rectangle fixed by the tree alone, so what a
-class can announce on each pair depends on the signature and not on f:
-with the classes the signature keeps an index, for each pair and value,
-of the classes with a leaf announcing that value on the pair.  A new
-function admits the classes of that index at its own value on every
-pair, one AND per pair, and reads the per-pair costs only of the
-admitted classes that can lower one: those whose least leaf depth, a
-fact of the class kept with it, undercuts the shape's greatest last
-step.  Classes are numbered in canonical order of their first members,
-and a smaller budget is a prefix of that order, so its table and its
-classes are read off the largest ones built for the signature.  CC and
-PCC need no enumeration: a tree of cost 0 on a pair is a lone output
-leaf, and any tree correct on the pair holds a leaf correct there that
-alone is total, one-way and no longer, so both values are 0 once the
-canonically first correct lone leaf fits the budget and infinite before
-(`individual_cc`).  On top of the measures sit the one-way simulation of
-arbitrary total identity protocols, the exchange between describable
-sets and one-way senders, structure profiles over the budget axis, and
-the exhaustive search for columns on which every cheap protocol must
-talk.
+rest are grouped by their shape, one-way or two-way, and their leaves'
+(cells, depth, output).  The cells that reach a leaf form a rectangle
+fixed by the tree alone, so what a class can announce on each pair
+depends on the signature and not on f: with the classes the signature
+keeps an index, for each pair and value, of the classes with a leaf
+announcing that value on the pair.  A new function admits the classes of
+that index at its own value on every pair, one AND per pair; each
+staircase is offered, in canonical order, the admitted classes of its
+shape, every one for two-way, and reads the per-pair costs only of those
+that can lower it: those whose least leaf depth, a fact of the class
+kept with it, undercuts the shape's greatest last step.  Classes are
+numbered in canonical order of their first members, and a smaller budget
+is a prefix of that order, so its table and its classes are read off the
+largest ones built for the signature; no query walks a member tree once
+they exist.  CC and PCC need no enumeration: a tree of cost 0 on a pair
+is a lone output leaf, and any tree correct on the pair holds a leaf
+correct there that alone is total, one-way and no longer, so both values
+are 0 once the canonically first correct lone leaf fits the budget and
+infinite before (`individual_cc`).  On top of the measures sit the
+one-way simulation of arbitrary total identity protocols, the exchange
+between describable sets and one-way senders, structure profiles over
+the budget axis, and the exhaustive search for columns on which every
+cheap protocol must talk.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ from .functions import FunctionSpec, _check_grid_bits, identity_fn
 from .protocol import (
     HelpSpec,
     OutputFunction,
+    OutputLeaf,
     ProtocolTree,
     _answers,
     _bob_message_classes,
     _check_grid,
+    _correct_by_depth,
     _help_cells,
     _leaf_masks,
     _no_stuck,
@@ -128,32 +132,31 @@ _CLASS_LIMIT = 64
 
 @dataclass
 class _FoldClasses:
-    """The fold classes of a signature's never-stuck trees, and an index of what they announce.
+    """The (shape, fold) classes of a signature's never-stuck trees, and an index of what they announce.
 
-    Class c is the c-th distinct fold met in canonical order: folds[c] is
-    the sorted (cells, depth, output kind, output value) of its leaves and
-    members[c] its ascending table indices.  A class is numbered when its
-    first member is folded, so the classes of a table are a prefix of the
-    numbering (`prefix`).  Two facts per class bound what it can add to a
-    staircase, and neither depends on a function: least_depth[c] is the
-    least depth of its leaves, which no member's cost on any pair
-    undercuts, and one_way[c] is (the table index of its first member in
-    which only Bob speaks or None, the count of its members walked to find
-    it), filled in by `first_one_way` when first asked.  The index depends
-    on no function either.  announced maps each distinct (cells, output
-    kind, output value) leaf to the (value, pairs) it announces: pairs has
-    bit x << n | y set for each base pair with a help-extended cell in the
-    leaf on which the output is value, n being the output width.
-    cover[x << n | y][v] has bit c set iff some leaf of class c announces v
-    on the pair (x, y).  folded counts the table entries folded so far.
+    Class c is the c-th distinct (shape, fold) met in canonical order:
+    folds[c] is the sorted (cells, depth, output kind, output value) of its
+    members' leaves, members[c] their ascending table indices, and bit c of
+    the one_way mask is set iff only Bob speaks in them.  A fold met in
+    both shapes is two classes, twins that differ only in that bit.  A
+    class is numbered when its first member is folded, so the classes of a
+    table are a prefix of the numbering (`prefix`).  least_depth[c] is the
+    least depth of the class's leaves, which no member's cost on any pair
+    undercuts.  Neither fact nor the index depends on a function.
+    announced maps each distinct (cells, output kind, output value) leaf to
+    the (value, pairs) it announces: pairs has bit x << n | y set for each
+    base pair with a help-extended cell in the leaf on which the output is
+    value, n being the output width.  cover[x << n | y][v] has bit c set
+    iff some leaf of class c announces v on the pair (x, y).  folded counts
+    the table entries folded so far.
     """
 
     folded: int = 0
     folds: list = field(default_factory=list)
     members: list = field(default_factory=list)
     least_depth: list = field(default_factory=list)
-    one_way: list = field(default_factory=list)
-    numbers: dict = field(default_factory=dict)  # fold -> class number
+    one_way: int = 0
+    numbers: dict = field(default_factory=dict)  # (one_way, fold) -> class number
     announced: dict = field(default_factory=dict)
     cover: list = field(default_factory=list)
 
@@ -161,43 +164,24 @@ class _FoldClasses:
         """The mask of the classes whose first member is among a table's first size entries."""
         return (1 << bisect_left(self.members, size, key=itemgetter(0))) - 1
 
-    def first_one_way(self, c: int, table: tuple):
-        """The index of class c's first one-way member in table, or None.
-
-        Members are walked in canonical order until one has no Alice node,
-        and the walk resumes where it stopped when a larger table has added
-        members, so each member's tree is walked at most once for every
-        function and budget of the signature.
-        """
-        found, walked = self.one_way[c]
-        if found is None:
-            members = self.members[c]
-            while walked < len(members) and members[walked] < len(table):
-                if node_is_one_way(table[members[walked]][1]):
-                    found = members[walked]
-                    break
-                walked += 1
-            self.one_way[c] = found, walked
-        return found if found is not None and found < len(table) else None
-
 
 def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
     """The fold classes of a table's never-stuck trees, kept per signature.
 
-    Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`);
-    a tree with a reachable stuck leaf can be in no TCC family and is
-    dropped.  The rest are grouped by their fold, on which both TCC
-    admissibility and the per-depth correct cells depend.  A new class sets
-    its bit in cover at each (pair, value) its leaves announce; a new leaf's
-    announcements are read off one tabulation, per distinct output, of the
-    grid rows on which it announces each value, and slid onto the base
-    pairs over the help strings (`_slid_onto_pairs`).  Help bits trail the
-    n = out_len base bits of each input, so a signature with an input
-    narrower than its output has no base pairs and an empty cover.  A table
-    is a prefix of the signature's larger tables, so the entry covers the
-    largest table seen and folds only the trees past it; a caller reads the
-    classes below its own table's `prefix`.  Only this function reads the
-    store.
+    Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`); a
+    tree with a reachable stuck leaf can be in no TCC family and is dropped.
+    The rest are grouped by their shape, read once per tree
+    (`node_is_one_way`), and their fold, on which both TCC admissibility and
+    the per-depth correct cells depend.  A new class sets its bit in cover
+    at each (pair, value) its leaves announce; a new leaf's announcements
+    are read off one tabulation, per distinct output, of the grid rows on
+    which it announces each value, and slid onto the base pairs over the
+    help strings (`_slid_onto_pairs`).  Help bits trail the n = out_len base
+    bits of each input, so a signature with an input narrower than its
+    output has no base pairs and an empty cover.  A table is a prefix of the
+    signature's larger tables, so the entry covers the largest table seen
+    and folds only the trees past it; a caller reads the classes below its
+    own table's `prefix`.  Only this function reads the store.
     """
     signature = na, nb, out_len
     classes = _class_store.pop(signature, None)
@@ -215,14 +199,15 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
         fold = tuple(sorted(
             (cells, path.bit_length() - 1, leaf.fn.kind, leaf.fn.value) for cells, path, leaf in leaves
         ))
-        c = classes.numbers.setdefault(fold, len(classes.folds))
+        one_way = node_is_one_way(table[i][1])
+        c = classes.numbers.setdefault((one_way, fold), len(classes.folds))
         if c < len(classes.folds):
             classes.members[c].append(i)
             continue
         classes.folds.append(fold)
         classes.members.append([i])
         classes.least_depth.append(min(map(itemgetter(1), fold)))
-        classes.one_way.append((None, 0))
+        classes.one_way |= one_way << c
         if not classes.cover:
             continue
         pairs_by_value: dict = {}
@@ -279,14 +264,17 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     under some help string, the rule of `computes_everywhere`, so the
     admitted classes are the table's prefix ANDed with the cover of every
     pair at f's value on it, one AND per pair and none after the mask
-    empties.  An admitted class's members share its per-pair costs, the
-    least depth whose correct cells slide onto the pair, so only its first
-    member and its first one-way member can add a step: a later one ties
-    and loses on canonical order.  These offers are taken in canonical
-    order, and an offer adds no step unless its class's least leaf depth
-    undercuts the greatest last step of its shape, since the class costs at
-    least that depth everywhere; only then are the class's correct cells
-    read.
+    empties.  An admitted class's members share its shape and its per-pair
+    costs, the least depth whose correct cells slide onto the pair, so only
+    its first member can add a step: a later one ties and loses on
+    canonical order, and so does a later twin of the other shape in the
+    two-way staircase.  Classes are numbered in canonical order of their
+    first members, so the two-way staircase is offered the admitted classes
+    in ascending order and the one-way staircase those of them in the
+    one_way mask.  An offer adds no step unless its class's least leaf
+    depth undercuts the greatest last step of its shape, since the class
+    costs at least that depth everywhere; only then are the class's
+    correct cells read.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
@@ -298,31 +286,26 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
         if not admitted:
             empty = ((),) * (1 << 2 * n)
             return 0, (empty, empty)
-    numbers, rest = [], admitted
-    while rest:
-        numbers.append((rest & -rest).bit_length() - 1)
-        rest &= rest - 1
-    offers = (
-        [(classes.members[c][0], c) for c in numbers],
-        sorted((i, c) for c in numbers if (i := classes.first_one_way(c, table)) is not None),
-    )
     pair_count = 1 << 2 * n
     answers, costs_of, steps = _answers(f, alice_bits, bob_bits), {}, []
-    for shape_offers in offers:
+    for offered in (admitted, admitted & classes.one_way):
         shape_steps = [[] for _ in range(pair_count)]
         ceiling = INF
-        for i, c in shape_offers:
+        while offered:
+            c = (offered & -offered).bit_length() - 1
+            offered &= offered - 1
             if classes.least_depth[c] >= ceiling:
                 continue
             costs = costs_of.get(c)
             if costs is None:
                 costs = costs_of[c] = [INF] * pair_count
-                for depth, cells in reversed(_fold_correct_at(classes.folds[c], answers)):
+                for depth, cells in reversed(_class_correct_at(classes.folds[c], answers)):
                     pairs = _plain_pairs(_slid_onto_pairs(cells, n, alice_bits, bob_bits), n, alice_bits, bob_bits)
                     for p in range(pair_count):
                         if pairs >> p & 1:
                             costs[p] = depth
-            length, code = len(table[i][0]), PdlCode(table[i][0])
+            bits = table[classes.members[c][0]][0]
+            length, code = len(bits), PdlCode(bits)
             for stairs, cost in zip(shape_steps, costs):
                 if not stairs or cost < stairs[-1][1]:
                     stairs.append((length, cost, code))
@@ -331,17 +314,10 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     return admitted, tuple(steps)
 
 
-def _fold_correct_at(fold: tuple, answers) -> tuple:
-    """A fold's ascending (depth, cells) of correct cells, as `protocol._correct_at` builds them.
-
-    answers is the `_answers` lookup of the function and help counts.
-    """
-    by_depth: dict[int, int] = {}
-    for cells, depth, kind, value in fold:
-        hit = cells & answers(kind, value)
-        if hit:
-            by_depth[depth] = by_depth.get(depth, 0) | hit
-    return tuple(sorted(by_depth.items()))
+def _class_correct_at(fold: tuple, answers) -> tuple:
+    """`_correct_by_depth` of a fold, its leaves given paths of their depths, under an `_answers` lookup."""
+    leaves = [(cells, 1 << depth, OutputLeaf(OutputFunction(kind, value))) for cells, depth, kind, value in fold]
+    return _correct_by_depth(leaves, answers)
 
 
 def _tcc_members(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
@@ -349,9 +325,9 @@ def _tcc_members(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) ->
 
     The members of the classes `_tcc_family` admits, below its table's
     length: correct_at is the class's ascending (depth, cells) of correct
-    cells, as `protocol._correct_at` builds them, and one_way marks the
-    trees in which only Bob speaks.  No query reads this; it serves the
-    audits that list the family and the tests.
+    cells, as `protocol._correct_at` builds them, and one_way, read off the
+    class, marks the trees in which only Bob speaks.  No query reads this;
+    it serves the audits that list the family and the tests.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
@@ -363,10 +339,10 @@ def _tcc_members(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) ->
     while admitted:
         c = (admitted & -admitted).bit_length() - 1
         admitted &= admitted - 1
-        correct_at = _fold_correct_at(classes.folds[c], answers)
-        members.extend((i, correct_at) for i in classes.members[c] if i < len(table))
+        entry = bool(classes.one_way >> c & 1), _class_correct_at(classes.folds[c], answers)
+        members.extend((i, entry) for i in classes.members[c] if i < len(table))
     members.sort(key=itemgetter(0))
-    return tuple((table[i][0], node_is_one_way(table[i][1]), correct_at) for i, correct_at in members)
+    return tuple((table[i][0], *entry) for i, entry in members)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
@@ -641,27 +617,15 @@ class TccProfileReport:
     agreement: list
 
 
-def _staircase_profile(label: str, alpha_max: int, stairs) -> ComplexityProfile:
-    """One pair's profile from its staircase: at each budget, the last step that fits."""
-    entries, best, i = {}, (INF, None), 0
-    for alpha in range(alpha_max + 1):
-        while i < len(stairs) and stairs[i][0] <= alpha:
-            best = stairs[i][1:]
-            i += 1
-        entries[alpha] = best
-    profile = ComplexityProfile(label, entries)
-    profile.assert_nonincreasing()
-    return profile
-
-
 def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccProfileReport:
     """One- and two-way TCC identity profiles of column y, from one cached record.
 
     Reads the staircases of `_tcc_family(identity_fn(n), 0, 0, alpha_max)`,
     which depends only on (n, alpha_max): a pair's value at a budget is its
-    last step whose code fits, one-way from pair (0, y), since a one-way
-    tree's cost does not depend on the row, and two-way from (row, y) for
-    each row.  The checks run on every call.
+    last step whose code fits, the prefix minimum of its steps
+    (`_fold_profile`), one-way from pair (0, y), since a one-way tree's
+    cost does not depend on the row, and two-way from (row, y) for each
+    row.  The checks run on every call.
     """
     n = len(check_bits(y))
     check_exhaustive_n(n, "identity profiles")
@@ -673,9 +637,9 @@ def tcc_identity_profile(y: str, alpha_max: int, x: str | None = None) -> TccPro
 
     steps = _tcc_family(f, 0, 0, alpha_max)[1]
     column = bits_to_int(y)
-    one_way = _staircase_profile(f"oneway({y})", alpha_max, steps[1][column])
+    one_way = _fold_profile(f"oneway({y})", alpha_max, steps[1][column])
     two_way = {
-        row: _staircase_profile(f"twoway({row},{y})", alpha_max, steps[0][bits_to_int(row) << n | column])
+        row: _fold_profile(f"twoway({row},{y})", alpha_max, steps[0][bits_to_int(row) << n | column])
         for row in rows
     }
 

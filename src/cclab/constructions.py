@@ -728,25 +728,17 @@ def replay_hard_instance(instance: HardInstance) -> ReplayReport:
 def verify_certificate(instance: HardInstance) -> bool:
     """Independent pass: the hard member defeats every enumerated protocol.
 
-    Re-runs every (protocol, help) triple on the hard pair and confirms
-    no correct conversation shorter than l exists; also re-checks the
-    stored serving rows.  Raises AuditFailure on any discrepancy.
+    Re-runs every (protocol, help) triple on every family member, refuses
+    a triple with a correct conversation shorter than l on the hard
+    member, and recomputes the serving table, which must equal the stored
+    one row for row.  Raises AuditFailure on any discrepancy.
     """
     n, a, b, l = instance.n, instance.a, instance.b, instance.l
     trees = [
         decode_signature(PdlCode.from_hex(h), n + a, n + b, n)
         for h in instance.protocols
     ]
-    yh = instance.hard_y
-    for idx, tree in enumerate(trees):
-        for ha in all_bitstrings(a):
-            for hb in all_bitstrings(b):
-                outcome = run(tree, instance.x + ha, yh + hb)
-                if not outcome.is_stuck and outcome.output == yh and outcome.cost < l:
-                    raise AuditFailure(
-                        f"protocol {idx} defeats the hard member with help ({ha!r},{hb!r})"
-                    )
-    expect = {}
+    rows = []
     for idx, tree in enumerate(trees):
         for ha in all_bitstrings(a):
             for hb in all_bitstrings(b):
@@ -754,12 +746,15 @@ def verify_certificate(instance: HardInstance) -> bool:
                 for j, yj in enumerate(instance.y_family):
                     outcome = run(tree, instance.x + ha, yj + hb)
                     if not outcome.is_stuck and outcome.output == yj and outcome.cost < l:
-                        hit = j
-                        break
-                expect[(idx, ha, hb)] = hit
-    for idx, ha, hb, stored in instance.served:
-        if expect.get((idx, ha, hb), None) != stored:
-            raise AuditFailure(
-                f"serving row ({idx},{ha!r},{hb!r}) disagrees with the re-run"
-            )
+                        if j == instance.hard_index:
+                            raise AuditFailure(
+                                f"protocol {idx} defeats the hard member with help ({ha!r},{hb!r})"
+                            )
+                        if hit is None:
+                            hit = j
+                rows.append((idx, ha, hb, hit))
+    if tuple(rows) != instance.served:
+        raise AuditFailure(
+            f"serving table of {len(instance.served)} rows disagrees with the {len(rows)} re-run rows"
+        )
     return True

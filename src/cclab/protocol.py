@@ -18,11 +18,10 @@ The fold reads two input domains:
 
 - the grid, where cell xa << nb | yb stands for Alice's input xa and Bob's
   input yb (`is_total`, `computes_everywhere`, the transcript classes of
-  `rectangles.transcript_partition`, the one cached family record per
-  (f, help counts, budget) in `complexity`, which folds each member once
-  into the per-depth correct cells of `_correct_by_depth` and keeps them,
-  and `cc_with_help`, which folds a tree once and then answers each pair
-  by a mask test);
+  `rectangles.transcript_partition`, the fold classes in `complexity`,
+  which fold each enumerated tree once and read a class's per-depth
+  correct cells with `_correct_by_depth`, and `cc_with_help`, which folds
+  a tree once and then answers each pair by a mask test);
 - the blocks of a one-way tree, a grid of one row whose column z stands
   for Bob's input made of the k-bit block z and a fixed suffix, split
   into classes by Bob's message (`_bob_message_classes`: the hard-instance
@@ -483,13 +482,6 @@ def _bob_message_classes(tree: ProtocolTree, k: int, suffix: str, l: int) -> dic
     return classes
 
 
-@lru_cache(maxsize=64)
-def _help_block(alice_bits: int, bob_bits: int, nb: int) -> int:
-    """The help-extended cells of base pair (0, 0) in a grid of nb-bit columns."""
-    rows = sum(1 << (ha << nb) for ha in range(1 << alice_bits))
-    return rows * ((1 << (1 << bob_bits)) - 1)
-
-
 @lru_cache(maxsize=256)
 def _help_cells(n: int, alice_bits: int, bob_bits: int, x: str, y: str) -> int:
     """The help-extended cells of base pair (x, y), which are checked here.
@@ -501,7 +493,8 @@ def _help_cells(n: int, alice_bits: int, bob_bits: int, x: str, y: str) -> int:
     """
     nb = n + bob_bits
     corner = int(check_bits(x, n), 2) << alice_bits + nb | int(check_bits(y, n), 2) << bob_bits
-    return _help_block(alice_bits, bob_bits, nb) << corner
+    rows = sum(1 << (ha << nb) for ha in range(1 << alice_bits))
+    return rows * ((1 << (1 << bob_bits)) - 1) << corner
 
 
 @lru_cache(maxsize=64)
@@ -619,16 +612,13 @@ def computes_everywhere(
     """True iff every input pair has a correct run under some help string.
 
     Without help bits this means every pair terminates with the right
-    answer, so such a tree is also total.
+    answer, so such a tree is also total.  Read from the fold of
+    `_correct_at`.
     """
-    _check_help_shape(tree, f, help_spec)
-    _check_grid(tree)
-    a, b = help_spec.alice_bits, help_spec.bob_bits
-    answers = _answers(f, a, b)
     correct = 0
-    for cells, _, leaf in _leaf_masks(tree.root, tree.n_alice, tree.n_bob):
-        if type(leaf) is OutputLeaf:
-            correct |= cells & answers(leaf.fn.kind, leaf.fn.value)
+    for _, cells in _correct_at(tree, f, help_spec):
+        correct |= cells
+    a, b = help_spec.alice_bits, help_spec.bob_bits
     return _slid_onto_pairs(correct, f.n, a, b) == _base_cells(f.n, a, b)
 
 

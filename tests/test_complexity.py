@@ -547,13 +547,13 @@ def test_cc_and_pcc_enumerate_nothing(monkeypatch):
 
 
 def test_tcc_queries_build_no_member_list(monkeypatch):
-    """TCC answers and identity profiles read staircases only, and walk each tree once.
+    """TCC answers and identity profiles read staircases only, and walk no tree once classes exist.
 
     Every query key is answered in both shapes for identity, eq and ip,
-    with the member list refused.  A build walks a tree for its shape only
-    in a class whose first one-way member no earlier build on the signature
-    has settled, and folds none that an earlier build folded; asked again
-    from an empty record cache, no key walks or folds a tree.
+    with the member list refused.  A tree is folded and its shape read only
+    when its signature's classes are first built; once they exist, a build
+    for another function neither folds a tree nor reads its shape, and
+    asked again from an empty record cache, no key does either.
     """
     _clear_family_stores()
 
@@ -578,15 +578,7 @@ def test_tcc_queries_build_no_member_list(monkeypatch):
     for again in (False, True):
         _tcc_family.cache_clear()
         for (n, (a, b)), budget in QUERY_BUDGETS.items():
-            signature = n + a, n + b, n
-            table = _enumeration_table(*signature, budget)
             for i, f in enumerate((identity_fn(n), equality_fn(n), inner_product_fn(n))):
-                classes = complexity._class_store.get(signature)
-                unsettled = set()
-                if classes is not None:
-                    for c, (found, count) in enumerate(classes.one_way):
-                        if found is None:
-                            unsettled.update(id(table[j][1]) for j in classes.members[c][count:] if j < len(table))
                 del walked[:], folded[:]
                 for one_way in (False, True):
                     m = Measure("TCC", one_way, HelpSpec(a, b), budget)
@@ -594,16 +586,31 @@ def test_tcc_queries_build_no_member_list(monkeypatch):
                         for y in all_bitstrings(n):
                             individual_cc(m, f, x, y)
                             answered += 1
-                if again:
+                if again or i:
                     assert walked == [] and folded == [], (n, a, b, f.name)
-                elif i:
-                    assert folded == [] and {id(node) for node in walked} <= unsettled, (n, a, b, f.name)
+                else:
+                    assert folded and len(walked) <= len(folded), (n, a, b)
     for n, budgets in ((1, (18, 19, 20)), (2, (19,))):
         for budget in budgets:
             for y in all_bitstrings(n):
                 tcc_identity_profile(y, budget)
     assert answered == 2 * sum(2 * 3 * (1 << 2 * n) for n, _ in QUERY_BUDGETS)
     _clear_family_stores()
+
+
+@pytest.mark.parametrize("key", QUERY_BUDGETS, ids=lambda key: f"n{key[0]}-h{key[1][0]}{key[1][1]}")
+def test_fold_class_members_share_the_class_shape(key):
+    """Every member of a class is one-way iff the class's bit in the one_way mask is set."""
+    n, (a, b) = key
+    signature = n + a, n + b, n
+    table = _enumeration_table(*signature, QUERY_BUDGETS[key])
+    classes = _fold_classes(*signature, table)
+    shapes = set()
+    for c, indices in enumerate(classes.members):
+        one_way = bool(classes.one_way >> c & 1)
+        shapes.add(one_way)
+        assert all(node_is_one_way(table[i][1]) == one_way for i in indices if i < len(table)), c
+    assert classes.one_way < 1 << len(classes.members) and shapes == {False, True}
 
 
 HELP_COUNTS = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -668,57 +675,60 @@ def _member_minima(f, help_bits, budget, one_way):
     return best
 
 
-def _mixed_admitted_classes(f, help_bits, budget):
-    """Admitted fold classes whose first member is two-way and a later one one-way."""
+def _twinned_admitted_folds(f, help_bits, budget):
+    """Admitted folds held by a two-way class and a later one-way twin."""
     n = f.n
     a, b = help_bits
-    table = _enumeration_table(n + a, n + b, n, budget)
-    admitted = {bits for bits, _, _ in _tcc_members(f, a, b, budget)}
-    count = 0
-    for indices in _fold_classes(n + a, n + b, n, table).members:
-        inside = [i for i in indices if i < len(table)]
-        if inside and table[inside[0]][0] in admitted and not node_is_one_way(table[inside[0]][1]):
-            count += any(node_is_one_way(table[i][1]) for i in inside[1:])
+    classes = _fold_classes(n + a, n + b, n, _enumeration_table(n + a, n + b, n, budget))
+    admitted = _tcc_family(f, a, b, budget)[0]
+    two_way, count = set(), 0
+    for c, fold in enumerate(classes.folds):
+        if admitted >> c & 1:
+            if not classes.one_way >> c & 1:
+                two_way.add(fold)
+            else:
+                count += fold in two_way
     return count
 
 
 def test_staircases_equal_prefix_minima_over_the_members():
     """Every TCC answer against the members asked one by one, in both shapes.
 
-    Classes whose first member is two-way and a later one one-way must
-    occur, so a one-way staircase that took its steps only from the first
-    member of each class would show.
+    Folds held by a two-way class and a later one-way twin must occur, so
+    a one-way staircase that took its steps from the first class of each
+    fold would show.
     """
-    mixed = 0
+    twinned = 0
     for f, help_bits, budget in STAIRCASE_KEYS:
         for one_way in (False, True):
             m = Measure("TCC", one_way, HelpSpec(*help_bits), budget)
             for (x, y), want in _member_minima(f, help_bits, budget, one_way).items():
                 assert individual_cc(m, f, x, y) == want, (f.name, help_bits, budget, one_way, x, y)
-        mixed += _mixed_admitted_classes(f, help_bits, budget)
-    assert mixed
+        twinned += _twinned_admitted_folds(f, help_bits, budget)
+    assert twinned
 
 
 def test_staircase_rules_on_planted_tables(monkeypatch):
     """The record's rules on hand-made tables, where the enumerated keys cannot tell.
 
-    Every key enumerated in these tests has one step per staircase, so
-    none of them changes if a class offered only its first member, if the
-    greatest depth over the help strings won, if a profile read the last
-    step at every budget or read the one-way profile off the two-way
-    staircase, if a class were skipped unless it undercut the least last
-    step rather than the greatest, or if the bound that skips a class were
-    read off other than its least leaf depth.  So the tables are planted,
-    in canonical order: a two-way and a one-way tree of one class, both
-    costing 2, then two longer one-way trees costing 1 on column 0 and on
-    column 1 respectively, and 2 on the other; and a help-bit tree costing
-    2 or 3 by Alice's help string, so 2 everywhere, then a longer one whose
-    leaves sit at depths 1 and 3.  Its depth-1 leaf is correct only on pair
-    (1, 1), and it is neither the first leaf the fold lists nor the first
-    in the class's sorted fold.  Under a Bob help bit, a two-way tree and a
-    longer one-way tree of one class are folded together before the
-    shorter budget is asked, so the larger budget's one-way step needs the
-    walk over the class's members to resume where the smaller table ended.
+    Every key enumerated in these tests has one step per staircase, so none
+    of them changes if the one-way staircase were offered every admitted
+    class, if the greatest depth over the help strings won, if a profile
+    read the last step at every budget or read the one-way profile off the
+    two-way staircase, if a class were skipped unless it undercut the least
+    last step rather than the greatest, or if the bound that skips a class
+    were read off other than its least leaf depth.  So the tables are
+    planted, in canonical order: a two-way and a one-way tree of one fold,
+    both costing 2, then two longer one-way trees costing 1 on column 0 and
+    on column 1 respectively, and 2 on the other; and a help-bit tree
+    costing 2 or 3 by Alice's help string, so 2 everywhere, then a longer
+    one whose leaves sit at depths 1 and 3.  Its depth-1 leaf is correct
+    only on pair (1, 1), and it is neither the first leaf the fold lists nor
+    the first in the class's sorted fold.  Under a Bob help bit, a two-way
+    tree and a longer one-way tree of one fold are folded together before
+    the shorter budget is asked, so the larger budget's one-way step must
+    come from the one-way twin class that the shorter table's prefix leaves
+    out.
     """
     def leaf(v):
         return OutputLeaf(OutputFunction.const(v))

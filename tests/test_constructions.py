@@ -462,6 +462,31 @@ def test_hard_instance_tampered_certificate_fails():
         verify_certificate(tampered)
 
 
+@pytest.mark.parametrize("edit", ["emptied", "extra row", "doubled"])
+def test_hard_instance_serving_table_must_be_whole(edit):
+    """Every stored row agrees with the re-run, yet the table is not the re-run's."""
+    inst = th7_hard_instance(10, 1, 2, 6)
+    assert len(inst.served) == 2 and verify_certificate(inst)
+    served = {
+        "emptied": (),
+        "extra row": inst.served + ((999, "xyz", "", None),),
+        "doubled": inst.served * 2,
+    }[edit]
+    with pytest.raises(AuditFailure, match="serving table"):
+        verify_certificate(dataclasses.replace(inst, served=served))
+
+
+def test_planted_protocol_announcing_the_hard_member_fails():
+    """A constant leaf announcing the hard member serves it at cost 0 < l."""
+    inst = th7_hard_instance(10, 1, 2, 6)
+    planted = pdl_encode(ProtocolTree.symmetric(inst.n, OutputLeaf(OutputFunction.const(inst.hard_y))))
+    protocols = inst.protocols + (planted.hex(),)
+    served = inst.served + ((len(inst.protocols), "", "", inst.hard_index),)
+    tampered = HardInstance.from_json(dataclasses.replace(inst, protocols=protocols, served=served).to_json())
+    with pytest.raises(AuditFailure, match=f"protocol {len(inst.protocols)} defeats the hard member"):
+        verify_certificate(tampered)
+
+
 def test_seeded_instance_is_deterministic():
     a = th7_hard_instance(10, 1, 2, 6, seed=7)
     b = th7_hard_instance(10, 1, 2, 6, seed=7)
