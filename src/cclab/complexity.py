@@ -18,18 +18,20 @@ run on every call.  The member list is built only where it is counted
 (`_fold_classes`): each enumerated tree of a signature is folded over
 the whole grid once, trees that can strand a cell are dropped, and the
 rest are grouped by their shape, one-way or two-way, and their leaves'
-(cells, depth, output).  The cells that reach a leaf form a rectangle
+(depth, cells, output).  The cells that reach a leaf form a rectangle
 fixed by the tree alone, so what a class can announce on each pair
 depends on the signature and not on f: with the classes the signature
 keeps an index, for each pair and value, of the classes with a leaf
 announcing that value on the pair.  A new function admits the classes of
-that index at its own value on every pair, one AND per pair; each
-staircase is offered, in canonical order, the admitted classes of its
-shape, every one for two-way, and reads the per-pair costs only of those
-that can lower it: those whose least leaf depth, a fact of the class
-kept with it, undercuts the shape's greatest last step.  Classes are
-numbered in canonical order of their first members, and a smaller budget
-is a prefix of that order, so its table and its classes are read off the
+that index at its own value on every pair, one AND per pair, and a
+class's cost on a pair is read off the same index: the least depth of a
+leaf announcing f's value there (`_class_costs`).  Each staircase is
+offered, in canonical order, the admitted classes of its shape, every
+one for two-way, and costs only those that can lower it: those whose
+least leaf depth, the first entry of the class's depth-sorted fold,
+undercuts the shape's greatest last step.  Classes are numbered in
+canonical order of their first members, and a smaller budget is a
+prefix of that order, so its table and its classes are read off the
 largest ones built for the signature; no query walks a member tree once
 they exist.  CC and PCC need no enumeration: a tree of cost 0 on a pair
 is a lone output leaf, and any tree correct on the pair holds a leaf
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
 
-from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, embed_bit, log2ceil
+from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, log2ceil
 from .codes import (
     PdlCode,
     _check_budget,
@@ -65,17 +67,13 @@ from .functions import FunctionSpec, _check_grid_bits, identity_fn
 from .protocol import (
     HelpSpec,
     OutputFunction,
-    OutputLeaf,
     ProtocolTree,
-    _answers,
     _bob_message_classes,
     _check_grid,
-    _correct_by_depth,
     _help_cells,
     _leaf_masks,
     _no_stuck,
-    _plain_pairs,
-    _slid_onto_pairs,
+    _pairs_of,
     cc_with_help,
     computes_everywhere,
     default_depth_cap,
@@ -135,14 +133,14 @@ class _FoldClasses:
     """The (shape, fold) classes of a signature's never-stuck trees, and an index of what they announce.
 
     Class c is the c-th distinct (shape, fold) met in canonical order:
-    folds[c] is the sorted (cells, depth, output kind, output value) of its
-    members' leaves, members[c] their ascending table indices, and bit c of
-    the one_way mask is set iff only Bob speaks in them.  A fold met in
-    both shapes is two classes, twins that differ only in that bit.  A
-    class is numbered when its first member is folded, so the classes of a
-    table are a prefix of the numbering (`prefix`).  least_depth[c] is the
-    least depth of the class's leaves, which no member's cost on any pair
-    undercuts.  Neither fact nor the index depends on a function.
+    folds[c] is the sorted (depth, cells, output kind, output value) of its
+    members' leaves, so folds[c][0][0] is the least leaf depth, which no
+    member's cost on any pair undercuts; members[c] are their ascending
+    table indices, and bit c of the one_way mask is set iff only Bob speaks
+    in them.  A fold met in both shapes is two classes, twins that differ
+    only in that bit.  A class is numbered when its first member is
+    folded, so the classes of a table are a prefix of the numbering
+    (`prefix`).  Neither the classes nor the index depends on a function.
     announced maps each distinct (cells, output kind, output value) leaf to
     the (value, pairs) it announces: pairs has bit x << n | y set for each
     base pair with a help-extended cell in the leaf on which the output is
@@ -154,7 +152,6 @@ class _FoldClasses:
     folded: int = 0
     folds: list = field(default_factory=list)
     members: list = field(default_factory=list)
-    least_depth: list = field(default_factory=list)
     one_way: int = 0
     numbers: dict = field(default_factory=dict)  # (one_way, fold) -> class number
     announced: dict = field(default_factory=dict)
@@ -172,11 +169,11 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
     tree with a reachable stuck leaf can be in no TCC family and is dropped.
     The rest are grouped by their shape, read once per tree
     (`node_is_one_way`), and their fold, on which both TCC admissibility and
-    the per-depth correct cells depend.  A new class sets its bit in cover
+    the per-pair costs depend.  A new class sets its bit in cover
     at each (pair, value) its leaves announce; a new leaf's announcements
     are read off one tabulation, per distinct output, of the grid rows on
     which it announces each value, and slid onto the base pairs over the
-    help strings (`_slid_onto_pairs`).  Help bits trail the n = out_len base
+    help strings (`_pairs_of`).  Help bits trail the n = out_len base
     bits of each input, so a signature with an input narrower than its
     output has no base pairs and an empty cover.  A table is a prefix of the
     signature's larger tables, so the entry covers the largest table seen
@@ -197,7 +194,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
         if not _no_stuck(leaves):
             continue
         fold = tuple(sorted(
-            (cells, path.bit_length() - 1, leaf.fn.kind, leaf.fn.value) for cells, path, leaf in leaves
+            (path.bit_length() - 1, cells, leaf.fn.kind, leaf.fn.value) for cells, path, leaf in leaves
         ))
         one_way = node_is_one_way(table[i][1])
         c = classes.numbers.setdefault((one_way, fold), len(classes.folds))
@@ -206,12 +203,11 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
             continue
         classes.folds.append(fold)
         classes.members.append([i])
-        classes.least_depth.append(min(map(itemgetter(1), fold)))
         classes.one_way |= one_way << c
         if not classes.cover:
             continue
         pairs_by_value: dict = {}
-        for cells, _, kind, value in fold:
+        for _, cells, kind, value in fold:
             said = classes.announced.get((cells, kind, value))
             if said is None:
                 rows = rows_by_output.get((kind, value))
@@ -220,9 +216,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
                     for xa, v in enumerate(OutputFunction(kind, value).evaluate_all(na, out_len)):
                         rows[v] = rows.get(v, 0) | full_row << (xa << nb)
                 said = classes.announced[cells, kind, value] = tuple(
-                    (v, _plain_pairs(_slid_onto_pairs(cells & r, n, alice_bits, bob_bits), n, alice_bits, bob_bits))
-                    for v, r in rows.items()
-                    if cells & r
+                    (v, _pairs_of(cells & r, n, alice_bits, bob_bits)) for v, r in rows.items() if cells & r
                 )
             for v, pairs in said:
                 pairs_by_value[v] = pairs_by_value.get(v, 0) | pairs
@@ -265,45 +259,37 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     admitted classes are the table's prefix ANDed with the cover of every
     pair at f's value on it, one AND per pair and none after the mask
     empties.  An admitted class's members share its shape and its per-pair
-    costs, the least depth whose correct cells slide onto the pair, so only
-    its first member can add a step: a later one ties and loses on
-    canonical order, and so does a later twin of the other shape in the
-    two-way staircase.  Classes are numbered in canonical order of their
+    costs (`_class_costs`), so only its first member can add a step: a
+    later one ties and loses on canonical order, and so does a later twin
+    of the other shape in the two-way staircase.  Classes are numbered in canonical order of their
     first members, so the two-way staircase is offered the admitted classes
     in ascending order and the one-way staircase those of them in the
     one_way mask.  An offer adds no step unless its class's least leaf
     depth undercuts the greatest last step of its shape, since the class
-    costs at least that depth everywhere; only then are the class's
-    correct cells read.
+    costs at least that depth everywhere; only then is the class costed.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
     table = _enumeration_table(na, nb, n, alpha)
     classes = _fold_classes(na, nb, n, table)
     admitted = classes.prefix(len(table))
-    for by_value, v in zip(classes.cover, (v for row in f.cells for v in row)):
-        admitted &= by_value.get(embed_bit(int(v), n) if f.boolean else v, 0)
+    for by_value, v in zip(classes.cover, f.words):
+        admitted &= by_value.get(v, 0)
         if not admitted:
             empty = ((),) * (1 << 2 * n)
             return 0, (empty, empty)
-    pair_count = 1 << 2 * n
-    answers, costs_of, steps = _answers(f, alice_bits, bob_bits), {}, []
+    costs_of, steps = {}, []
     for offered in (admitted, admitted & classes.one_way):
-        shape_steps = [[] for _ in range(pair_count)]
+        shape_steps = [[] for _ in f.words]
         ceiling = INF
         while offered:
             c = (offered & -offered).bit_length() - 1
             offered &= offered - 1
-            if classes.least_depth[c] >= ceiling:
+            if classes.folds[c][0][0] >= ceiling:
                 continue
             costs = costs_of.get(c)
             if costs is None:
-                costs = costs_of[c] = [INF] * pair_count
-                for depth, cells in reversed(_class_correct_at(classes.folds[c], answers)):
-                    pairs = _plain_pairs(_slid_onto_pairs(cells, n, alice_bits, bob_bits), n, alice_bits, bob_bits)
-                    for p in range(pair_count):
-                        if pairs >> p & 1:
-                            costs[p] = depth
+                costs = costs_of[c] = _class_costs(classes, c, f.words)
             bits = table[classes.members[c][0]][0]
             length, code = len(bits), PdlCode(bits)
             for stairs, cost in zip(shape_steps, costs):
@@ -314,32 +300,41 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     return admitted, tuple(steps)
 
 
-def _class_correct_at(fold: tuple, answers) -> tuple:
-    """`_correct_by_depth` of a fold, its leaves given paths of their depths, under an `_answers` lookup."""
-    leaves = [(cells, 1 << depth, OutputLeaf(OutputFunction(kind, value))) for cells, depth, kind, value in fold]
-    return _correct_by_depth(leaves, answers)
+def _class_costs(classes: _FoldClasses, c: int, values: tuple) -> tuple:
+    """Class c's cost on every pair x << n | y when values[x << n | y] is the answer there.
+
+    The least depth of a leaf whose announcement index entry holds the
+    pair's value on the pair, infinity where none does.  The fold is
+    sorted by depth, so a pair's first hit is its cost.
+    """
+    costs = [INF] * len(values)
+    for depth, cells, kind, value in classes.folds[c]:
+        for v, pairs in classes.announced[cells, kind, value]:
+            for p, want in enumerate(values):
+                if costs[p] == INF and want == v and pairs >> p & 1:
+                    costs[p] = depth
+    return tuple(costs)
 
 
 def _tcc_members(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> tuple:
-    """The TCC members in canonical order, as (bits, one_way, correct_at), built on each call.
+    """The TCC members in canonical order, as (bits, one_way, costs), built on each call.
 
     The members of the classes `_tcc_family` admits, below its table's
-    length: correct_at is the class's ascending (depth, cells) of correct
-    cells, as `protocol._correct_at` builds them, and one_way, read off the
-    class, marks the trees in which only Bob speaks.  No query reads this;
-    it serves the audits that list the family and the tests.
+    length: costs holds the class's cost on every pair x << n | y, the
+    member's `cc_with_help` there (`_class_costs`), and one_way, read off
+    the class, marks the trees in which only Bob speaks.  No query reads
+    this; it serves the audits that list the family and the tests.
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
     admitted = _tcc_family(f, alice_bits, bob_bits, alpha)[0]
     table = _enumeration_table(na, nb, n, alpha)
     classes = _fold_classes(na, nb, n, table)
-    answers = _answers(f, alice_bits, bob_bits)
     members = []
     while admitted:
         c = (admitted & -admitted).bit_length() - 1
         admitted &= admitted - 1
-        entry = bool(classes.one_way >> c & 1), _class_correct_at(classes.folds[c], answers)
+        entry = bool(classes.one_way >> c & 1), _class_costs(classes, c, f.words)
         members.extend((i, entry) for i in classes.members[c] if i < len(table))
     members.sort(key=itemgetter(0))
     return tuple((table[i][0], *entry) for i, entry in members)
@@ -369,9 +364,7 @@ def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):
     _help_cells(n, a, b, x, y)  # checks x and y
     row, col = int(x, 2), int(y, 2)
     if m.family != "TCC":
-        v = f.cells[row][col]
-        if f.boolean:
-            v = embed_bit(int(v), n)
+        v = f.words[row << n | col]
         if not a and v == x and m.alpha >= 4:
             return 0, PdlCode("1001")
         if m.alpha >= 4 + n:

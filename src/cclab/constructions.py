@@ -728,12 +728,18 @@ def replay_hard_instance(instance: HardInstance) -> ReplayReport:
 def verify_certificate(instance: HardInstance) -> bool:
     """Independent pass: the hard member defeats every enumerated protocol.
 
-    Re-runs every (protocol, help) triple on every family member, refuses
-    a triple with a correct conversation shorter than l on the hard
-    member, and recomputes the serving table, which must equal the stored
-    one row for row.  Raises AuditFailure on any discrepancy.
+    Checks that the family is the instance's distinct blocks, each padded
+    with zeros, and that x is their concatenation.  Then re-runs every
+    (protocol, help) triple on every family member, refuses a triple with
+    a correct conversation shorter than l on the hard member, and
+    recomputes the serving table, which must equal the stored one row for
+    row.  Raises AuditFailure on any discrepancy.
     """
     n, a, b, l = instance.n, instance.a, instance.b, instance.l
+    blocks = instance.z_blocks
+    want = tuple(z + "0" * (n - instance.k) for z in blocks), "".join(blocks)
+    if (instance.y_family, instance.x) != want or not len(set(blocks)) == len(blocks) == instance.blocks:
+        raise AuditFailure(f"the family is not the {instance.blocks} distinct zero-padded blocks of x")
     trees = [
         decode_signature(PdlCode.from_hex(h), n + a, n + b, n)
         for h in instance.protocols

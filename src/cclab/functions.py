@@ -51,7 +51,7 @@ class FunctionSpec:
 
     cells[i][j] is the value on (x_i, y_j) with rows and columns in
     ascending lexicographic order.  For truth-valued functions the cells
-    store the raw bit; value() always returns the width-n embedding.
+    store the raw bit; value() and words always give the width-n embedding.
     """
 
     name: str
@@ -84,10 +84,18 @@ class FunctionSpec:
         # string hashes differ between processes, so a copy recomputes its own
         return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
+    @property
+    def words(self) -> tuple:
+        """The width-n value on every pair, indexed x << n | y; built on first use, kept per instance."""
+        words = self.__dict__.get("_words")
+        if words is None:
+            words = tuple(embed_bit(int(v), self.n) if self.boolean else v for row in self.cells for v in row)
+            object.__setattr__(self, "_words", words)
+        return words
+
     def value(self, x: str, y: str) -> str:
         """f(x, y) as a width-n string."""
-        raw = self.cells[bits_to_int(check_bits(x, self.n))][bits_to_int(check_bits(y, self.n))]
-        return embed_bit(int(raw), self.n) if self.boolean else raw
+        return self.words[bits_to_int(check_bits(x, self.n)) << self.n | bits_to_int(check_bits(y, self.n))]
 
     def bit(self, x: str, y: str) -> int:
         """Truth value on (x, y); only defined for truth-valued functions."""

@@ -19,9 +19,8 @@ The fold reads two input domains:
 - the grid, where cell xa << nb | yb stands for Alice's input xa and Bob's
   input yb (`is_total`, `computes_everywhere`, the transcript classes of
   `rectangles.transcript_partition`, the fold classes in `complexity`,
-  which fold each enumerated tree once and read a class's per-depth
-  correct cells with `_correct_by_depth`, and `cc_with_help`, which folds
-  a tree once and then answers each pair by a mask test);
+  which fold each enumerated tree once, and `cc_with_help`, which folds a
+  tree once and then answers each pair by a mask test);
 - the blocks of a one-way tree, a grid of one row whose column z stands
   for Bob's input made of the k-bit block z and a fixed suffix, split
   into classes by Bob's message (`_bob_message_classes`: the hard-instance
@@ -31,9 +30,12 @@ The fold reads two input domains:
 and reads that one-slot memo inline, so a run of pairs on one protocol
 pays the shape and grid checks and the fold once; each pair's cells are
 checked and looked up in a memo instead of parsing the strings again.
-`_pairs_within` slides every depth of the fold over the help shifts at
-once, so a law over all pairs (the `helpbits` suite's totalizer bound) is
-checked on masks in one pass per tree.
+Help bits trail the base input, so a mask of help-extended cells maps to
+the base pairs it touches by one slide over the help strings, kept per
+mask (`_pairs_of`); every question asked of all pairs at once goes
+through it: `computes_everywhere`, the per-depth pair masks of
+`_pairs_within`, on which the `helpbits` suite checks the totalizer law
+in one pass per tree, and the announcements of the fold classes.
 
 Every tree is validated on construction by one full walk; a speak node
 whose two children are one object (the shared dead chains of the
@@ -497,13 +499,6 @@ def _help_cells(n: int, alice_bits: int, bob_bits: int, x: str, y: str) -> int:
     return rows * ((1 << (1 << bob_bits)) - 1) << corner
 
 
-@lru_cache(maxsize=64)
-def _base_cells(n: int, alice_bits: int, bob_bits: int) -> int:
-    """The cell of every base pair with both help strings all zero."""
-    rows = sum(1 << (x << alice_bits + n + bob_bits) for x in range(1 << n))
-    return rows * sum(1 << (y << bob_bits) for y in range(1 << n))
-
-
 def _joined(rows: list, width: int) -> int:
     """rows[0] | rows[1] << width | rows[2] << 2 * width | ..., in time linear in the bits.
 
@@ -533,12 +528,10 @@ def _answers(f: FunctionSpec, alice_bits: int, bob_bits: int):
     block = (1 << (1 << bob_bits)) - 1
     # rows[x][v]: the cells of one extended row of x whose base column y has f(x, y) == v
     rows = []
-    for cells_row in f.cells:
+    for x in range(1 << n):
         row: dict[str, int] = {}
-        for j, v in enumerate(cells_row):
+        for j, v in enumerate(f.words[x << n:(x + 1) << n]):
             row[v] = row.get(v, 0) | block << (j << bob_bits)
-        if f.boolean:
-            row = {embed_bit(int(v), n): cells for v, cells in row.items()}
         rows.append(row)
 
     @lru_cache(maxsize=1024)
@@ -553,12 +546,14 @@ def _no_stuck(leaves) -> bool:
     return all(type(leaf) is not StuckLeaf for _, _, leaf in leaves)
 
 
-def _slid_onto_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
-    """The base cells of the pairs that have a cell in cells under some help string.
+@lru_cache(maxsize=4096)
+def _pairs_of(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
+    """The base pairs with a help-extended cell in cells, as bit x << n | y.
 
-    Each help string's cells are slid onto the pairs' all-zero help cells;
-    without help bits each pair is one cell.  A tree computes f everywhere
-    iff the OR of this over its leaves' correct cells holds every base pair.
+    Each help string's cells are slid onto the pairs' all-zero help cells
+    and read off in plain coordinates; without help bits each pair is one
+    cell.  Keyed by the mask: the few masks a family of trees produces are
+    each translated once.
     """
     if not (alice_bits or bob_bits):
         return cells
@@ -567,24 +562,12 @@ def _slid_onto_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
     for ha in range(1 << alice_bits):
         for hb in range(1 << bob_bits):
             reached |= cells >> (ha << nb | hb)
-    return reached & _base_cells(n, alice_bits, bob_bits)
-
-
-@lru_cache(maxsize=4096)
-def _plain_pairs(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
-    """The pairs whose base cell is in cells, as bit x << n | y of the plain grid.
-
-    A change of coordinates, keyed by the mask: the few masks a family of
-    trees produces are each translated once.
-    """
-    if not (alice_bits or bob_bits):
-        return cells
-    row = alice_bits + n + bob_bits
+    row = alice_bits + nb
     return sum(
         1 << (x << n | y)
         for x in range(1 << n)
         for y in range(1 << n)
-        if cells >> (x << row | y << bob_bits) & 1
+        if reached >> (x << row | y << bob_bits) & 1
     )
 
 
@@ -618,8 +601,8 @@ def computes_everywhere(
     correct = 0
     for _, cells in _correct_at(tree, f, help_spec):
         correct |= cells
-    a, b = help_spec.alice_bits, help_spec.bob_bits
-    return _slid_onto_pairs(correct, f.n, a, b) == _base_cells(f.n, a, b)
+    pairs = _pairs_of(correct, f.n, help_spec.alice_bits, help_spec.bob_bits)
+    return pairs == (1 << (1 << 2 * f.n)) - 1
 
 
 # The fold for the last (tree, f, help counts) that cc_with_help saw:
@@ -642,25 +625,17 @@ def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tup
         return correct_at
     _check_help_shape(tree, f, help_spec)
     _check_grid(tree)
-    leaves = _leaf_masks(tree.root, tree.n_alice, tree.n_bob)
-    correct_at = _correct_by_depth(leaves, _answers(f, a, b))
-    _last_fold[:] = tree, f, a, b, correct_at
-    return correct_at
-
-
-def _correct_by_depth(leaves, answers) -> tuple:
-    """(depth, cells) for every depth whose output leaves answer on some cell.
-
-    Ascending by depth, nonempty cells only; answers is an `_answers` lookup.
-    """
+    answers = _answers(f, a, b)
     by_depth: dict[int, int] = {}
-    for cells, path, leaf in leaves:
+    for cells, path, leaf in _leaf_masks(tree.root, tree.n_alice, tree.n_bob):
         if type(leaf) is OutputLeaf:
             hit = cells & answers(leaf.fn.kind, leaf.fn.value)
             if hit:
                 depth = path.bit_length() - 1
                 by_depth[depth] = by_depth.get(depth, 0) | hit
-    return tuple(sorted(by_depth.items()))
+    correct_at = tuple(sorted(by_depth.items()))
+    _last_fold[:] = tree, f, a, b, correct_at
+    return correct_at
 
 
 def cc_with_help(
@@ -694,8 +669,8 @@ def _pairs_within(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec, most
     """within[t] for t = 0 .. most: the base pairs whose `cc_with_help` is at most t.
 
     Pair (x, y) is bit x << n | y, whatever the help counts.  Read from the
-    one fold of `_correct_at`: each depth's correct cells are slid over the
-    help shifts onto the base cells, so no pair is asked on its own.
+    one fold of `_correct_at`: the correct cells up to each depth are slid
+    onto the base pairs (`_pairs_of`), so no pair is asked on its own.
     """
     a, b = help_spec.alice_bits, help_spec.bob_bits
     within = [0] * (most + 1)
@@ -703,8 +678,8 @@ def _pairs_within(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec, most
     for depth, cells in _correct_at(tree, f, help_spec):
         if depth > most:
             break
-        reached |= _slid_onto_pairs(cells, f.n, a, b)
-        within[depth:] = [_plain_pairs(reached, f.n, a, b)] * (most + 1 - depth)
+        reached |= cells
+        within[depth:] = [_pairs_of(reached, f.n, a, b)] * (most + 1 - depth)
     return within
 
 

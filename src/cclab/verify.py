@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .bits import all_bitstrings, bits_to_int, log2ceil
+from .bits import all_bitstrings, bits_from_int, bits_to_int, log2ceil
 from .codes import (
     PdlCode,
     _check_budget,
@@ -667,39 +667,32 @@ _TOTALIZER_MODES = {
 }
 
 
-def _totalizer_law_holds(tree: ProtocolTree, f) -> bool:
-    """Every mode's wrap costs at most min(cost + 1, n + 1) on every pair.
+def _totalizer_violation(code, tree: ProtocolTree, f) -> str:
+    """The first (mode, pair) at which a wrap costs more than min(cost + 1, n + 1), or "".
 
-    Read from per-depth pair masks: every pair must have helped cost at
-    most n + 1, and for t = 1 .. n the pairs of base cost at most t - 1
-    helped cost at most t.
+    Read from per-depth pair masks (`_pairs_within`): every pair must have
+    helped cost at most n + 1, and for t = 1 .. n the pairs of base cost at
+    most t - 1 helped cost at most t.  Only the lowest pair that breaks the
+    first failing mode is asked on its own (`cc_with_help`), to spell the
+    witness.
     """
     n = f.n
     every = (1 << (1 << 2 * n)) - 1
     base = _pairs_within(tree, f, HelpSpec(), n - 1)
     for mode, spec in _TOTALIZER_MODES.items():
-        helped = _pairs_within(help_bit_totalizer(tree, f, mode), f, spec, n + 1)
-        if helped[n + 1] != every:
-            return False
-        for t in range(1, n + 1):
-            if base[t - 1] & ~helped[t]:
-                return False
-    return True
-
-
-def _totalizer_violation(code, tree: ProtocolTree, f) -> str:
-    """The first (mode, pair) that breaks the totalizer law, asked pair by pair."""
-    n = f.n
-    pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
-    base = {pair: cc_with_help(tree, f, *pair) for pair in pairs}
-    for mode, spec in _TOTALIZER_MODES.items():
         wrapped = help_bit_totalizer(tree, f, mode)
-        for pair, cost in base.items():
+        helped = _pairs_within(wrapped, f, spec, n + 1)
+        broken = every & ~helped[n + 1]
+        for t in range(1, n + 1):
+            broken |= base[t - 1] & ~helped[t]
+        if broken:
+            p = (broken & -broken).bit_length() - 1
+            pair = tuple(bits_from_int(v, n) for v in divmod(p, 1 << n))
+            cost = cc_with_help(tree, f, *pair)
             bound = n + 1 if cost == INF else min(cost + 1, n + 1)
             got = cc_with_help(wrapped, f, *pair, spec)
-            if got > bound:
-                return f"{code.bits} mode {mode}: helped cost {got} > {bound} on {pair}"
-    return f"{code.bits}: the pair masks break the law but no single pair does"
+            return f"{code.bits} mode {mode}: helped cost {got} > {bound} on {pair}"
+    return ""
 
 
 def verify_helpbits(replay: str | None = None) -> VerificationReport:
@@ -716,8 +709,7 @@ def verify_helpbits(replay: str | None = None) -> VerificationReport:
         if not live:
             break
         for i in live:
-            if not _totalizer_law_holds(tree, fns[i]):
-                failure[i] = _totalizer_violation(code, tree, fns[i])
+            failure[i] = _totalizer_violation(code, tree, fns[i])
             checked[i] += 1
     for f, count, text in zip(fns, checked, failure):
         out.add(

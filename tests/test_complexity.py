@@ -47,7 +47,6 @@ from cclab.protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
-    _correct_at,
     bob_message,
     cc_on_input,
     cc_with_help,
@@ -367,15 +366,8 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
     """
     n, (a, b) = key
     budget = QUERY_BUDGETS[key]
-    help_spec = HelpSpec(a, b)
     fns = [identity_fn(n), equality_fn(n), inner_product_fn(n)]
-    members = {f: [] for f in fns}
-    for code, tree in enumerate_signature(n + a, n + b, n, budget):
-        if not is_total(tree):
-            continue
-        for f in fns:
-            if computes_everywhere(tree, f, help_spec):
-                members[f].append((code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)))
+    members = _per_tree_family(fns, n, a, b, budget)
     # everywhere-correct trees fit these budgets at n = 1, and at n = 2 only with help
     assert any(members.values()) == (n == 1 or (n == 2 and a + b > 0))
     for order in ((budget, budget - 2), (budget - 2, budget)):
@@ -388,43 +380,37 @@ def test_tcc_family_matches_a_per_tree_oracle_in_both_build_orders(key):
 
 
 def _staircases_of(members, n, a, b):
-    """The record's staircases read off a member list: where each pair's cost strictly falls, per shape.
-
-    A member's cost on a pair is its least depth whose correct cells hold
-    the pair's cell under some help string.
-    """
-    nb = n + b
+    """The record's staircases read off a member list: where each pair's cost strictly falls, per shape."""
     steps = []
     for shape in (0, 1):
         pairs = []
-        for x in range(1 << n):
-            for y in range(1 << n):
-                cells = [(x << a | ha) << nb | y << b | hb for ha in range(1 << a) for hb in range(1 << b)]
-                stairs = []
-                for bits, one_way, correct_at in members:
-                    if one_way or not shape:
-                        cost = next(depth for depth, mask in correct_at if any(mask >> cell & 1 for cell in cells))
-                        if not stairs or cost < stairs[-1][1]:
-                            stairs.append((len(bits), cost, PdlCode(bits)))
-                pairs.append(tuple(stairs))
+        for p in range(1 << 2 * n):
+            stairs = []
+            for bits, one_way, costs in members:
+                if (one_way or not shape) and (not stairs or costs[p] < stairs[-1][1]):
+                    stairs.append((len(bits), costs[p], PdlCode(bits)))
+            pairs.append(tuple(stairs))
         steps.append(tuple(pairs))
     return tuple(steps)
 
 
 def _per_tree_family(fns, n, a, b, budget):
-    """{f: [(bits, one_way, correct_at)]} for every tree decided on its own.
+    """{f: [(bits, one_way, costs)]} for every tree decided on its own.
 
-    The oracle of the test above: `computes_everywhere` on every total tree
-    that `enumerate_signature` yields, and `_correct_at` on each member.
+    The oracle of the tests above and below: `computes_everywhere` on every
+    total tree that `enumerate_signature` yields, and each member's
+    `cc_with_help` on every pair (x, y), in the order x << n | y.
     """
     help_spec = HelpSpec(a, b)
+    pairs = [(x, y) for x in all_bitstrings(n) for y in all_bitstrings(n)]
     members = {f: [] for f in fns}
     for code, tree in enumerate_signature(n + a, n + b, n, budget):
         if not is_total(tree):
             continue
         for f in fns:
             if computes_everywhere(tree, f, help_spec):
-                members[f].append((code.bits, is_one_way(tree), _correct_at(tree, f, help_spec)))
+                costs = tuple(cc_with_help(tree, f, x, y, help_spec) for x, y in pairs)
+                members[f].append((code.bits, is_one_way(tree), costs))
     return members
 
 
@@ -815,22 +801,17 @@ def _fold_over_members(alpha_max, candidates):
 def test_identity_profiles_equal_a_fold_over_the_members(n, alpha_max):
     members = _tcc_members(identity_fn(n), 0, 0, alpha_max)
     assert bool(members) == (n == 1)
-
-    def depth_at(correct_at, cell):
-        return next(depth for depth, cells in correct_at if cells >> cell & 1)
-
     for y in all_bitstrings(n):
         column = int(y, 2)
         report = tcc_identity_profile(y, alpha_max)
         want = _fold_over_members(alpha_max, (
-            (len(bits), depth_at(correct_at, column), PdlCode(bits))
-            for bits, bob_only, correct_at in members if bob_only
+            (len(bits), costs[column], PdlCode(bits)) for bits, bob_only, costs in members if bob_only
         ))
         assert report.one_way.entries == want, y
         for row in all_bitstrings(n):
             cell = int(row, 2) << n | column
             want = _fold_over_members(alpha_max, (
-                (len(bits), depth_at(correct_at, cell), PdlCode(bits)) for bits, _, correct_at in members
+                (len(bits), costs[cell], PdlCode(bits)) for bits, _, costs in members
             ))
             assert report.two_way[row].entries == want, (row, y)
             assert tcc_identity_profile(y, alpha_max, x=row).two_way[row].entries == want

@@ -476,6 +476,20 @@ def test_hard_instance_serving_table_must_be_whole(edit):
         verify_certificate(dataclasses.replace(inst, served=served))
 
 
+@pytest.mark.parametrize("edit", ["hard member only", "family repeated", "zero blocks"])
+def test_hard_instance_family_must_be_the_blocks_of_x(edit):
+    """A family that is not the padded blocks of x fails, whatever the serving table says."""
+    inst = th7_hard_instance(10, 1, 2, 6)
+    assert inst.blocks == 3 and verify_certificate(inst)
+    tampered = {
+        "hard member only": dict(y_family=(inst.hard_y,), hard_index=0),
+        "family repeated": dict(y_family=inst.y_family * 500),
+        "zero blocks": dict(z_blocks=("0" * 10,) * 3),
+    }[edit]
+    with pytest.raises(AuditFailure, match="the family is not the 3 distinct zero-padded blocks of x"):
+        verify_certificate(dataclasses.replace(inst, **tampered))
+
+
 def test_planted_protocol_announcing_the_hard_member_fails():
     """A constant leaf announcing the hard member serves it at cost 0 < l."""
     inst = th7_hard_instance(10, 1, 2, 6)

@@ -1,5 +1,6 @@
 """Built-in functions, truth-table I/O and bit-string checks."""
 
+import dataclasses
 import pickle
 import random
 
@@ -185,6 +186,30 @@ def test_a_spec_hashes_its_fields_once_and_copies_rehash():
     copy = pickle.loads(pickle.dumps(f))
     assert "_hash" not in copy.__dict__
     assert copy == f and hash(copy) == hash(f)
+
+
+def _word_table(n, seed):
+    rng = random.Random(seed)
+    words = [format(v, f"0{n}b") for v in range(1 << n)]
+    return FunctionSpec("words", n, False, tuple(tuple(rng.choice(words) for _ in words) for _ in words))
+
+
+def test_words_hold_the_value_on_every_pair():
+    """words[x << n | y] is f(x, y), the cell zero-padded to n bits, also on copies and on a spec with other cells."""
+    specs = [make(n) for make in (identity_fn, equality_fn, inner_product_fn) for n in (1, 2, 3)]
+    specs += [_word_table(n, seed=n) for n in (1, 2, 3)]
+    for f in specs:
+        copy = pickle.loads(pickle.dumps(f))
+        flipped = dataclasses.replace(f, cells=f.cells[::-1])
+        for g in (f, copy, flipped):
+            n = g.n
+            assert len(g.words) == 1 << 2 * n
+            for x in range(1 << n):
+                for y in range(1 << n):
+                    xs, ys = format(x, f"0{n}b"), format(y, f"0{n}b")
+                    cell = g.cells[x][y].zfill(n)
+                    assert g.words[x << n | y] == g.value(xs, ys) == cell, (g.name, n, xs, ys)
+        assert copy.words == f.words and f.words is f.words
 
 
 def test_named_functions_are_built_once_per_n():

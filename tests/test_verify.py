@@ -147,6 +147,45 @@ def test_totalizer_law_matches_a_per_pair_loop_when_wraps_break_it(monkeypatch, 
     assert [not ok for ok, _, _ in want] == damaged
 
 
+def _scanned_violation(code, tree, f, wrap):
+    """The first (mode, pair) whose helped cost breaks min(cost + 1, n + 1), pair by pair, or ""."""
+    n = f.n
+    for mode, spec in verify._TOTALIZER_MODES.items():
+        wrapped = wrap(tree, f, mode)
+        for x, y in _PAIRS:
+            cost = _walked(tree, f, x, y, HelpSpec())
+            bound = n + 1 if cost == INF else min(cost + 1, n + 1)
+            got = _walked(wrapped, f, x, y, spec)
+            if got > bound:
+                return f"{code.bits} mode {mode}: helped cost {got} > {bound} on {(x, y)}"
+    return ""
+
+
+@pytest.mark.parametrize("damaged", [("both", "alice-only", "bob-only"), ("bob-only",)], ids=["every mode", "bob-only"])
+def test_totalizer_violation_names_the_first_breaking_mode_and_pair(monkeypatch, damaged):
+    """The mask check spells the lowest breaking pair of the first breaking mode, as a scan would.
+
+    The damaged wraps have a stuck leaf for help bit 0, so every tree that
+    misses a pair breaks the law there.
+    """
+    def wrap(tree, f, mode):
+        wrapped = help_bit_totalizer(tree, f, mode)
+        if mode not in damaged:
+            return wrapped
+        return ProtocolTree(wrapped.n_alice, wrapped.n_bob, wrapped.out_len, _stuck_default(wrapped.root))
+
+    trees = list(islice(enumerate_signature(2, 2, 2, 20), 64))
+    for f in (identity_fn(2), equality_fn(2)):
+        for code, tree in trees:
+            assert verify._totalizer_violation(code, tree, f) == ""
+        monkeypatch.setattr(verify, "help_bit_totalizer", wrap)
+        for code, tree in trees:
+            want = _scanned_violation(code, tree, f, wrap)
+            assert want and f" mode {damaged[0]}: " in want
+            assert verify._totalizer_violation(code, tree, f) == want, (f.name, code.bits)
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("f", [identity_fn(1), equality_fn(1)], ids=lambda f: f.name)
 @pytest.mark.parametrize("one_way", [False, True], ids=["two-way", "one-way"])
 def test_everywhere_correct_family_matches_a_filtered_enumeration(f, one_way):
