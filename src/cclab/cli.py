@@ -13,9 +13,9 @@ import sys
 
 from .codes import enumerate_sets, enumerate_signature, pdl_encode
 from .complexity import (
-    INF,
     Measure,
     check_exhaustive_n,
+    format_value,
     individual_cc,
     structure_function_profile,
     tcc_identity_profile,
@@ -39,14 +39,6 @@ def _write_output(text: str, out: str | None) -> None:
     print(f"wrote {out}", file=sys.stderr)
 
 
-def _format_value(v) -> str:
-    if v == INF:
-        return "inf"
-    if isinstance(v, float) and v.is_integer():
-        return str(int(v))
-    return str(v)
-
-
 def _cmd_cc(args) -> int:
     n = len(args.x)
     check_exhaustive_n(n)  # before a table file is read
@@ -58,7 +50,7 @@ def _cmd_cc(args) -> int:
         alpha=args.alpha,
     )
     value, witness = individual_cc(measure, f, args.x, args.y)
-    print(f"value: {_format_value(value)}")
+    print(f"value: {format_value(value)}")
     if witness is None:
         print("witness: none")
     else:
@@ -79,10 +71,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_hardness(args) -> int:
     if args.engine == "th7":
+        if args.a is not None or args.b is not None:
+            raise UsageError("--a and --b apply to the helpbit engine only")
         instance = th7_hard_instance(args.k, args.s, args.l, args.budget, seed=args.seed)
     else:
         instance = helpbit_hard_instance(
-            args.k, args.s, args.l, args.a, args.b, args.budget, seed=args.seed
+            args.k, args.s, args.l, args.a or 0, args.b or 0, args.budget, seed=args.seed
         )
     _write_output(instance.to_json(), args.out)
     return 0
@@ -167,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     hardness.add_argument("--k", type=int, required=True, help="member length")
     hardness.add_argument("--s", type=int, required=True, help="log2 of the family size - 1")
     hardness.add_argument("--l", type=int, required=True, help="message length threshold")
-    hardness.add_argument("--a", type=int, default=0, help="Alice help bits (helpbit)")
-    hardness.add_argument("--b", type=int, default=0, help="Bob help bits (helpbit)")
+    hardness.add_argument("--a", type=int, default=None, help="Alice help bits (helpbit; default 0)")
+    hardness.add_argument("--b", type=int, default=None, help="Bob help bits (helpbit; default 0)")
     hardness.add_argument("--budget", type=int, required=True, help="enumeration budget")
     hardness.add_argument("--seed", type=int, default=None, help="sample members instead of lex-first")
     hardness.add_argument("--out", default=None, help="JSON path; stdout if absent")

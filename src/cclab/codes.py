@@ -393,10 +393,16 @@ def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tup
 
 
 _HARD_BUDGET_LIMIT = 28
+# Hard-instance parameters are bounded before a build or replay does any
+# work: a fiber mask holds 2^k bits, and the companion's exchange tree one
+# leaf per answer to its 2^(a+b+s) slot queries (65,536 at a+b+s = 4).
+_MAX_HARD_K = 16
+_MAX_HARD_SLOTS_LOG = 4
 # The widest input or output enumerated, that of the widest hard instance:
-# 2^4 + 1 blocks of 16 bits plus 4 help bits.  No budget admits a table past
-# 4 input bits, yet the form rules spell a table's 2^m-bit width as an int.
-_MAX_ENUMERATION_WIDTH = ((1 << 4) + 1) * 16 + 4
+# 2^(a+b+s) + 1 blocks of k bits plus a help bits.  No budget admits a table
+# past 4 input bits, yet the form rules spell a table's 2^m-bit width as an int.
+_MAX_ENUMERATION_WIDTH = ((1 << _MAX_HARD_SLOTS_LOG) + 1) * _MAX_HARD_K + _MAX_HARD_SLOTS_LOG
+_MAX_SET_N = 4  # set enumeration walks the subset lattice exhaustively
 _warned_about_cap = False
 
 
@@ -562,10 +568,10 @@ def enumerate_sets(n: int, budget: int):
     """Canonical codes of every describable set within the length budget.
 
     Yields (code, set) for each distinct nonempty subset whose canonical
-    code fits, ordered by (length, code).  n is capped at 4 because the
-    subset lattice is walked exhaustively.
+    code fits, ordered by (length, code).  n is capped at _MAX_SET_N
+    because the subset lattice is walked exhaustively.
     """
-    if n < 1 or n > 4:
-        raise UsageError("set enumeration supports 1 <= n <= 4")
+    if n < 1 or n > _MAX_SET_N:
+        raise UsageError(f"set enumeration supports 1 <= n <= {_MAX_SET_N}")
     _check_budget(budget)
     yield from _set_table(n, budget)

@@ -55,6 +55,7 @@ from operator import itemgetter
 
 from .bits import all_bitstrings, bits_from_int, bits_to_int, check_bits, log2ceil
 from .codes import (
+    _MAX_SET_N,
     PdlCode,
     _check_budget,
     _enumeration_table,
@@ -498,6 +499,15 @@ def oneway_to_set(tree: ProtocolTree, y: str) -> frozenset:
 # profiles over the budget axis
 
 
+def format_value(v) -> str:
+    """A measure's value as `cclab cc` and the profile CSV print it."""
+    if v == INF:
+        return "inf"
+    if isinstance(v, float) and not v.is_integer():
+        return f"{v:.10g}"
+    return str(int(v))
+
+
 @dataclass
 class ComplexityProfile:
     """Value and witness per budget; values never increase with budget."""
@@ -523,19 +533,11 @@ class ComplexityProfile:
                 )
             last = v
 
-    @staticmethod
-    def _format_value(v) -> str:
-        if v == INF:
-            return "inf"
-        if isinstance(v, float) and not v.is_integer():
-            return f"{v:.10g}"
-        return str(int(v))
-
     def to_csv(self) -> str:
         lines = ["alpha,value,witness_hex"]
         for alpha in sorted(self.entries):
             v, w = self.entries[alpha]
-            lines.append(f"{alpha},{self._format_value(v)},{w.hex() if w else ''}")
+            lines.append(f"{alpha},{format_value(v)},{w.hex() if w else ''}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -570,8 +572,8 @@ def _fold_profile(label: str, alpha_max: int, candidates) -> ComplexityProfile:
 def structure_function_profile(y: str, alpha_max: int) -> ComplexityProfile:
     """Least log-size of a describable set containing y, per set-code budget."""
     n = len(check_bits(y))
-    if n > 4:
-        raise UsageError("set profiles support n <= 4")
+    if n > _MAX_SET_N:
+        raise UsageError(f"set profiles support n <= {_MAX_SET_N}")
     _check_budget(alpha_max)
 
     def candidates():

@@ -25,6 +25,8 @@ from .bits import (
     log2ceil,
 )
 from .codes import (
+    _MAX_HARD_K,
+    _MAX_HARD_SLOTS_LOG,
     PdlCode,
     _check_budget,
     decode_signature,
@@ -147,7 +149,7 @@ def equality_shortcut_protocol(n: int) -> ProtocolTree:
     if n < 1:
         raise UsageError("need n >= 1")
     zero = OutputLeaf(OutputFunction.const(embed_bit(0, n)))
-    send = _literal_send(equality_fn(n))
+    send = _literal_send(equality_fn(n), 0)
     root = Speak(
         BOB,
         NodeFunction.input_bit(0),
@@ -180,7 +182,7 @@ def large_rectangle_shortcut(f: FunctionSpec, rects: list) -> ProtocolTree:
             if rects[i].rows & rects[j].rows and rects[i].cols & rects[j].cols:
                 raise UsageError(f"rectangles {i} and {j} overlap")
     width = log2ceil(len(rects) + 1)
-    default = _literal_send(f)
+    default = _literal_send(f, 0)
 
     def index_of(y: str) -> int:
         for i, rect in enumerate(rects):
@@ -360,51 +362,25 @@ def _exchange_cost(tree: ProtocolTree, z_list) -> int:
 
 HARD_INSTANCE_SCHEMA = "cclab-hard-instance/1"
 
-# Replay rebuilds an instance from stored parameters, so they are bounded
-# before any work starts: each fiber mask holds one bit per k-bit block,
-# 2^k bits in all, and the companion's exchange tree has one leaf per
-# answer to its 2^(a+b+s) slot queries, 2^(2^(a+b+s)) leaves in all
-# (65,536 at a+b+s = 4).
-_MAX_HARD_K = 16
-_MAX_HARD_SLOTS_LOG = 4
-
-
 _HEX = (bits_to_hex, bits_from_hex)
 # a code is stored as its hex form and kept as one, refused unless canonical
 _CODE = (str, lambda h: _checked_hex(h) and h)
 _INF = (lambda c: "inf" if c is None else c, lambda c: None if c == "inf" else c)
 _ROW = (list, tuple)
 
-# The certificate format, one row per HardInstance field: its key in the
-# JSON object ("companion.*" nests), its JSON shape and the (to JSON, from
-# JSON) conversion of its value, or of each element of a list.  Shapes are
-# "int", "int?" (integer or null), "str", "strs" and "ints" (lists, held as
-# tuples) and "rows" (the served table: [protocol index, Alice help, Bob
-# help, member or null], held as a tuple of tuples).
-_FIELDS = (
-    ("k", "k", "int", None),
-    ("s", "s", "int", None),
-    ("l", "l", "int", None),
-    ("a", "a", "int", None),
-    ("b", "b", "int", None),
-    ("budget", "budget", "int", None),
-    ("n", "n", "int", None),
-    ("protocols", "protocols", "strs", _CODE),
-    ("fiber_label", "fiber_label", "strs", _INF),
-    ("fiber_size", "fiber_size", "int", None),
-    ("fiber_floor", "fiber_floor", "int", None),
-    ("z_blocks", "z_blocks", "strs", None),
-    ("x", "x", "str", _HEX),
-    ("y_family", "y_family", "strs", _HEX),
-    ("served", "served", "rows", _ROW),
-    ("hard_index", "hard_index", "int", None),
-    ("companion_kind", "companion.kind", "str", None),
-    ("companion_hex", "companion.code", "str", _CODE),
-    ("companion_signature", "companion.signature", "ints", None),
-    ("companion_cost", "companion.cost", "int", None),
-    ("companion_bound_bits", "companion.bound_bits", "int", None),
-    ("seed", "seed", "int?", None),
-)
+
+def _json(shape: str, codec=None, key: str | None = None, **kwargs):
+    """A HardInstance field whose metadata holds its certificate format.
+
+    key is its JSON key ("companion.*" nests), the field's name when None;
+    codec is the (to JSON, from JSON) conversion of the value, or of each
+    list element.  Shapes: "int", "int?" (or null), "str", "strs", "ints"
+    (lists, held as tuples) and "rows" (the served table, a tuple of
+    [protocol index, Alice help, Bob help, member or null] rows).
+    """
+    return field(metadata={"json": (key, shape, codec)}, **kwargs)
+
+
 _ROW_SHAPE = ("int", "str", "str", "int?")
 
 
@@ -468,30 +444,32 @@ class HardInstance:
     block, so no message class splits the blocks and the label carries
     no information (checked for k 1-16, s 0-2, l 1-3, a and b 0-1 and
     budgets 0-20).
+
+    Each field carries its certificate format (`_json`), read in field order.
     """
 
-    k: int
-    s: int
-    l: int
-    a: int
-    b: int
-    budget: int
-    n: int
-    protocols: tuple
-    fiber_label: tuple
-    fiber_size: int
-    fiber_floor: int
-    z_blocks: tuple
-    x: str
-    y_family: tuple
-    served: tuple  # (protocol index, h_a, h_b, served j or None)
-    hard_index: int
-    companion_kind: str
-    companion_hex: str
-    companion_signature: tuple
-    companion_cost: int
-    companion_bound_bits: int
-    seed: int | None = None
+    k: int = _json("int")
+    s: int = _json("int")
+    l: int = _json("int")
+    a: int = _json("int")
+    b: int = _json("int")
+    budget: int = _json("int")
+    n: int = _json("int")
+    protocols: tuple = _json("strs", _CODE)
+    fiber_label: tuple = _json("strs", _INF)
+    fiber_size: int = _json("int")
+    fiber_floor: int = _json("int")
+    z_blocks: tuple = _json("strs")
+    x: str = _json("str", _HEX)
+    y_family: tuple = _json("strs", _HEX)
+    served: tuple = _json("rows", _ROW)  # (protocol index, h_a, h_b, served j or None)
+    hard_index: int = _json("int")
+    companion_kind: str = _json("str", key="companion.kind")
+    companion_hex: str = _json("str", _CODE, key="companion.code")
+    companion_signature: tuple = _json("ints", key="companion.signature")
+    companion_cost: int = _json("int", key="companion.cost")
+    companion_bound_bits: int = _json("int", key="companion.bound_bits")
+    seed: int | None = _json("int?", default=None)
 
     @property
     def blocks(self) -> int:
@@ -503,10 +481,11 @@ class HardInstance:
 
     def to_json(self) -> str:
         data: dict = {"schema": HARD_INSTANCE_SCHEMA}
-        for name, key, shape, codec in _FIELDS:
-            head, _, tail = key.rpartition(".")
+        for item in fields(self):
+            key, shape, codec = item.metadata["json"]
+            head, _, tail = (key or item.name).rpartition(".")
             where = data.setdefault(head, {}) if head else data
-            where[tail] = _convert(getattr(self, name), shape, codec, 0)
+            where[tail] = _convert(getattr(self, item.name), shape, codec, 0)
         return json.dumps(data, indent=2, sort_keys=True)
 
     @classmethod
@@ -521,13 +500,15 @@ class HardInstance:
         if data.get("schema") != HARD_INSTANCE_SCHEMA:
             raise UsageError(f"unknown instance schema {data.get('schema')!r}")
         values = {}
-        for name, key, shape, codec in _FIELDS:
+        for item in fields(cls):
+            key, shape, codec = item.metadata["json"]
+            key = key or item.name
             head, _, tail = key.rpartition(".")
             where = data.get(head) if head else data
             if not (isinstance(where, dict) and tail in where and _has_shape(where[tail], shape)):
                 raise UsageError(f"instance field {key!r} is missing or not of shape {shape}")
             try:
-                values[name] = _convert(where[tail], shape, codec, 1)
+                values[item.name] = _convert(where[tail], shape, codec, 1)
             except ValueError as exc:
                 raise UsageError(f"instance field {key!r} is malformed: {exc}")
         inst = cls(**values)

@@ -40,14 +40,15 @@ in one pass per tree, and the announcements of the fold classes.
 Every tree is validated on construction by one full walk; a speak node
 whose two children are one object (the shared dead chains of the
 index-exchange companion) walks that child once.  The literal-send default
-is built once per function (`_literal_send`) and shared by every protocol
-that holds it.  `help_bit_totalizer` lifts that default once per function
-and mode, and the wrapped protocol once per protocol and mode, a lift
-shared by every function asked about that protocol; only the last
-protocol's lifts are kept.  A lifted output leaf depends only on its
-answer, n and Alice's extra bits, so each is built once (`_lifted_leaf`)
-and shared by every lifted tree that holds it, as is the routing read at
-the root of every wrap of one width.
+is built once per function and Alice's help bits, directly at her extended
+width (`_literal_send`), and shared by every protocol that holds it.
+`help_bit_totalizer` takes its help counts from `TOTALIZER_MODES` and
+lifts the wrapped protocol once per protocol and mode, a lift shared by
+every function asked about that protocol; only the last protocol's lifts
+are kept.  A lifted output leaf depends only on its answer, n and Alice's
+extra bits, so each is built once (`_lifted_leaf`) and shared by every
+lifted tree that holds it, as is the routing read at the root of every
+wrap of one width.
 """
 
 from __future__ import annotations
@@ -350,6 +351,10 @@ class HelpSpec:
     def __post_init__(self) -> None:
         if self.alice_bits < 0 or self.bob_bits < 0:
             raise UsageError("help bit counts must be nonnegative")
+
+
+# The help bits of each `help_bit_totalizer` mode, in the order the help-bit suite checks them
+TOTALIZER_MODES = {"both": HelpSpec(1, 1), "alice-only": HelpSpec(1, 0), "bob-only": HelpSpec(0, 1)}
 
 
 def _walk(tree: ProtocolTree, x: str, y: str) -> tuple[str, Node]:
@@ -700,14 +705,16 @@ def _spell_input(owner: str, n: int, leaf, prefix: str = "") -> Node:
 
 
 @lru_cache(maxsize=32)
-def _literal_send(f: FunctionSpec) -> Node:
-    """Bob spells out y and Alice answers f(x, y) from a table, built once per f.
+def _literal_send(f: FunctionSpec, alice_bits: int) -> Node:
+    """Bob spells out y and Alice answers f(x, y) from a table, built once per f and width.
 
-    Nodes are frozen, so every protocol that holds this default shares it.
+    Alice's input may carry alice_bits trailing help bits, which her
+    tables ignore; Bob's reads are bit reads, whatever his width.  Nodes
+    are frozen, so every protocol that holds this default shares it.
     """
     n = f.n
     return _spell_input(
-        BOB, n, lambda y: OutputLeaf(OutputFunction.from_map(n, n, lambda u: f.value(u, y)))
+        BOB, n, lambda y: OutputLeaf(OutputFunction.from_map(n + alice_bits, n, lambda u: f.value(u[:n], y)))
     )
 
 
@@ -759,12 +766,6 @@ def _lifted_leaf(kind: str, value: str, n: int, extra_alice: int) -> OutputLeaf:
     return OutputLeaf(fn)
 
 
-@lru_cache(maxsize=32)
-def _lifted_default(f: FunctionSpec, extra_alice: int, extra_bob: int) -> Node:
-    """The totalizer's literal-send default, lifted once per f and mode."""
-    return _lift(_literal_send(f), f.n, extra_alice, extra_bob)
-
-
 # The lift of the last tree wrapped in each mode, keyed by the help counts:
 # the lift does not read f, so every function asked about one tree shares
 # it.  Each slot holds its tree's root, so an identity hit is safe.
@@ -798,30 +799,30 @@ def help_bit_totalizer(
     wrapped protocol answers correctly the wrapper therefore costs at most
     one bit more; elsewhere the default costs n + 1.
 
-    mode selects who receives help: "both" (one bit each), "alice-only",
-    or "bob-only".  The routing bit always belongs to a helped party; with
-    "alice-only" Alice both holds and resends it, so the wrapper is never
-    one-way even if the wrapped protocol was.
+    mode selects who receives help (`TOTALIZER_MODES`): "both" (one bit
+    each), "alice-only" or "bob-only".  The routing bit always belongs to a
+    helped party; with "alice-only" Alice both holds and resends it, so the
+    wrapper is never one-way even if the wrapped protocol was.
 
-    Neither branch is rebuilt per wrap: the default is lifted once per f
-    and mode, and the lift of the protocol, which does not depend on f, is
-    built once per mode for the last protocol wrapped, so the functions
-    asked about one protocol share it.  A new protocol's lift builds only
-    its speak nodes: its output leaves come lifted from `_lifted_leaf`,
-    and the routing read is built once per width (`_routing_read`).  Each
-    wrap is validated by one full walk, as every tree is.
+    Neither branch is rebuilt per wrap: the default is built once per f
+    and Alice's help bits, at her extended width (`_literal_send`), and the
+    lift of the protocol, which does not depend on f, is built once per
+    mode for the last protocol wrapped, so the functions asked about one
+    protocol share it.  A new protocol's lift builds only its speak nodes:
+    its output leaves come lifted from `_lifted_leaf`, and the routing read
+    is built once per width (`_routing_read`).  Each wrap is validated by
+    one full walk, as every tree is.
     """
     if not tree.is_symmetric or tree.n_alice != f.n:
         raise UsageError("protocol shape does not match the function")
-    if mode not in ("both", "alice-only", "bob-only"):
+    spec = TOTALIZER_MODES.get(mode) if isinstance(mode, str) else None
+    if spec is None:
         raise UsageError(f"unknown totalizer mode {mode!r}")
-    n = f.n
-    extra_alice = 1 if mode in ("both", "alice-only") else 0
-    extra_bob = 1 if mode in ("both", "bob-only") else 0
+    n, extra_alice, extra_bob = f.n, spec.alice_bits, spec.bob_bits
     root = Speak(
         BOB if extra_bob else ALICE,
         _routing_read(n),
-        _lifted_default(f, extra_alice, extra_bob),
+        _literal_send(f, extra_alice),
         _shared_lift(tree.root, n, extra_alice, extra_bob),
     )
     return ProtocolTree(n + extra_alice, n + extra_bob, n, root)

@@ -30,7 +30,7 @@ from .rectangles import Rectangle
 
 def literal_send_protocol(f: FunctionSpec) -> ProtocolTree:
     """Bob spells out y, Alice answers from the table.  Cost n everywhere."""
-    return ProtocolTree.symmetric(f.n, _literal_send(f))
+    return ProtocolTree.symmetric(f.n, _literal_send(f, 0))
 
 
 def alice_flag_identity(n: int) -> ProtocolTree:
@@ -40,7 +40,7 @@ def alice_flag_identity(n: int) -> ProtocolTree:
     computed; the 1-branch of the opener is dead (a constant function
     never takes it) and holds a zero leaf.
     """
-    chain = _literal_send(identity_fn(n))
+    chain = _literal_send(identity_fn(n), 0)
     dead = OutputLeaf(OutputFunction.const("0" * n))
     return ProtocolTree.symmetric(
         n, Speak(ALICE, NodeFunction.const(0), chain, dead)
@@ -54,7 +54,7 @@ def alice_bit_identity(n: int) -> ProtocolTree:
     full literal sender; a genuinely two-way tree whose one-way collapse
     saves exactly one bit.
     """
-    chain = _literal_send(identity_fn(n))
+    chain = _literal_send(identity_fn(n), 0)
     return ProtocolTree.symmetric(n, Speak(ALICE, NodeFunction.input_bit(0), chain, chain))
 
 
@@ -126,7 +126,7 @@ def zero_indicator_ip(n: int) -> ProtocolTree:
         table="".join("1" if x == "0" * n else "0" for x in all_bitstrings(n)),
     )
     return ProtocolTree.symmetric(
-        n, Speak(ALICE, fn, _literal_send(f), zero_leaf)
+        n, Speak(ALICE, fn, _literal_send(f, 0), zero_leaf)
     )
 
 

@@ -48,6 +48,7 @@ from .constructions import (
 from .errors import AuditFailure, CclabError, RectangleViolation, UsageError
 from .functions import equality_fn, identity_fn, inner_product_fn
 from .protocol import (
+    TOTALIZER_MODES,
     HelpSpec,
     OutputFunction,
     OutputLeaf,
@@ -660,13 +661,6 @@ def verify_th7(replay: str | None = None) -> VerificationReport:
 # help bits
 
 
-_TOTALIZER_MODES = {
-    "both": HelpSpec(1, 1),
-    "alice-only": HelpSpec(1, 0),
-    "bob-only": HelpSpec(0, 1),
-}
-
-
 def _totalizer_violation(code, tree: ProtocolTree, f) -> str:
     """The first (mode, pair) at which a wrap costs more than min(cost + 1, n + 1), or "".
 
@@ -679,7 +673,7 @@ def _totalizer_violation(code, tree: ProtocolTree, f) -> str:
     n = f.n
     every = (1 << (1 << 2 * n)) - 1
     base = _pairs_within(tree, f, HelpSpec(), n - 1)
-    for mode, spec in _TOTALIZER_MODES.items():
+    for mode, spec in TOTALIZER_MODES.items():
         wrapped = help_bit_totalizer(tree, f, mode)
         helped = _pairs_within(wrapped, f, spec, n + 1)
         broken = every & ~helped[n + 1]

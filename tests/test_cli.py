@@ -76,6 +76,20 @@ def test_cc_and_pcc_output_is_pinned_at_n3(capsys, query, want, mode):
     assert out == want
 
 
+@pytest.mark.parametrize(
+    "fn, x, y, alpha, want",
+    [
+        ("identity", "0", "1", "15", "value: 1\nwitness: 15:5422 (15 bits)\n"),
+        ("eq", "1", "1", "14", "value: 1\nwitness: 14:5564 (14 bits)\n"),
+        ("identity", "0", "1", "14", "value: inf\nwitness: none\n"),
+    ],
+)
+def test_tcc_output_is_pinned_for_finite_and_infinite_values(capsys, fn, x, y, alpha, want):
+    code, out = run_cli(capsys, "cc", "--fn", fn, "--x", x, "--y", y, "--alpha", alpha)
+    assert code == 0
+    assert out == want
+
+
 def test_profile_csv_on_stdout(capsys):
     code, out = run_cli(capsys, "profile", "--y", "01", "--alpha-max", "8")
     assert code == 0
@@ -165,6 +179,23 @@ def test_hardness_output_matches_golden(capsys, golden, argv):
     code, out = run_cli(capsys, "hardness", *argv)
     assert code == 0
     assert out == (GOLDEN / f"{golden}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("flag", ["--a", "--b"])
+def test_th7_refuses_the_help_flags(capsys, flag):
+    code = main(["hardness", "th7", "--k", "10", "--s", "1", "--l", "2", "--budget", "6", flag, "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "helpbit" in captured.err
+
+
+def test_helpbit_without_help_flags_means_no_help_bits(capsys):
+    argv = ["hardness", "helpbit", "--k", "10", "--s", "1", "--l", "2", "--budget", "6"]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["a"], payload["b"]) == (0, 0)
+    assert run_cli(capsys, *argv, "--a", "0", "--b", "0") == (0, out)
 
 
 def test_hardness_output_is_deterministic(tmp_path, capsys):

@@ -348,6 +348,21 @@ def test_hard_instance_json_round_trip():
     assert HardInstance.from_json(text) == inst
 
 
+def test_every_hard_instance_field_carries_its_json_key():
+    keys = []
+    for item in dataclasses.fields(HardInstance):
+        key, shape, _codec = item.metadata["json"]
+        assert shape in ("int", "int?", "str", "strs", "ints", "rows"), item.name
+        keys.append(key or item.name)
+    # the companion's fields nest under "companion", under their own keys
+    assert [k for k in keys if k.startswith("companion")] == [
+        "companion.kind", "companion.code", "companion.signature", "companion.cost", "companion.bound_bits",
+    ]
+    data = json.loads(helpbit_hard_instance(11, 1, 2, 1, 1, 6, seed=3).to_json())
+    written = [key for key in data if key != "companion"] + [f"companion.{key}" for key in data["companion"]]
+    assert sorted(written) == sorted(keys + ["schema"])
+
+
 @pytest.mark.parametrize(
     "edit",
     [

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 import time
 import tracemalloc
 
@@ -588,8 +589,25 @@ def test_totalizer_encodings_are_pinned():
 
 
 def test_totalizer_mode_validation():
-    with pytest.raises(UsageError):
-        help_bit_totalizer(literal_identity(2), identity_fn(2), "neither")
+    # the one mode table holds the help counts spelled out here, in this order
+    assert list(protocol.TOTALIZER_MODES.items()) == list(_MODE_SPECS.items())
+    for mode in ("neither", ["both"], None):
+        with pytest.raises(UsageError, match=re.escape(f"unknown totalizer mode {mode!r}")):
+            help_bit_totalizer(literal_identity(2), identity_fn(2), mode)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_default_at_alices_width_equals_the_lifted_base_default(n):
+    # the oracle is the earlier definition: the base-width default, lifted
+    for f in (identity_fn(n), equality_fn(n), inner_product_fn(n)):
+        for mode, spec in _MODE_SPECS.items():
+            a, b = spec.alice_bits, spec.bob_bits
+            want = _lift(protocol._literal_send(f, 0), n, a, b)
+            got = help_bit_totalizer(literal_send_protocol(f), f, mode).root.child0
+            assert got is protocol._literal_send(f, a)
+            assert got == want, (f.name, mode)
+            encoded = [pdl_encode(ProtocolTree(n + a, n + b, n, root)) for root in (got, want)]
+            assert encoded[0] == encoded[1], (f.name, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +694,7 @@ def test_help_path_caches_stay_within_their_bounds():
     caches = [
         protocol._lifted_leaf,
         protocol._routing_read,
-        protocol._lifted_default,
+        protocol._literal_send,
         protocol._help_cells,
         protocol._answers,
     ]

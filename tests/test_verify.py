@@ -19,7 +19,7 @@ from cclab import (
     help_bit_totalizer,
     identity_fn,
 )
-from cclab import verify
+from cclab import protocol, verify
 from cclab.codes import _enumeration_table
 from cclab.protocol import ALICE, BOB
 
@@ -150,7 +150,7 @@ def test_totalizer_law_matches_a_per_pair_loop_when_wraps_break_it(monkeypatch, 
 def _scanned_violation(code, tree, f, wrap):
     """The first (mode, pair) whose helped cost breaks min(cost + 1, n + 1), pair by pair, or ""."""
     n = f.n
-    for mode, spec in verify._TOTALIZER_MODES.items():
+    for mode, spec in protocol.TOTALIZER_MODES.items():
         wrapped = wrap(tree, f, mode)
         for x, y in _PAIRS:
             cost = _walked(tree, f, x, y, HelpSpec())
