@@ -25,6 +25,10 @@ coincide); a table, or an all-zero xor mask, is collapsed to the shortest
 equal form, and a table over more than 16 input bits is refused.
 Protocol complexity is the canonical code length in bits ("PDL bits" in
 reports).
+An enumeration table (`_enumeration_table`) holds every decodable code of
+a signature within a budget and its tree as two parallel tuples, each code
+an int behind a leading 1 bit, so numeric order is canonical (length,
+bits) order; other modules spell a code only through `_code_bits`.
 
 Set grammar: a leading form tag, then either a per-position template
 ("0", then 2 bits per position: 00 fixed zero, 01 fixed one, 10 free) or
@@ -39,10 +43,10 @@ from __future__ import annotations
 import os
 import re
 import sys
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Any, Callable, NamedTuple
 
 from .bits import (
@@ -66,6 +70,7 @@ from .protocol import (
     ProtocolTree,
     Speak,
     StuckLeaf,
+    _transcript as _code_bits,  # a table code is held as a path is
     default_depth_cap,
     node_is_one_way,
     tree_has_stuck,
@@ -334,62 +339,70 @@ def _encodings(forms, budget: int) -> list[tuple[str, object]]:
                 continue
     return out
 
-def _raw_enumeration(na: int, nb: int, out_len: int, budget: int) -> list[tuple[str, Node]]:
-    """All decodable codes of length <= budget, sorted canonically.
+def _raw_enumeration(na: int, nb: int, out_len: int, budget: int) -> tuple[tuple[int, ...], tuple[Node, ...]]:
+    """(codes, roots): every decodable code of length <= budget and its tree, sorted canonically.
 
     Codes are built by exact length, shortest first: a speak node's code is
-    its head and two shorter codes, so each code is built once, as one node
-    that every longer code holding it shares as a child; the heads of one
-    length are paired with each pair of children in turn.  Codes of one
-    length are distinct, so each length sorts by its codes alone and the
-    lengths are joined in order.
+    its head and two shorter codes, shifted together, so each code is built
+    once, as one node that every longer code holding it shares as a child;
+    the heads of one length are paired with each pair of children in turn.
+    Codes of one length are distinct ints of one bit length, so each length
+    sorts by its codes alone and the lengths are joined in order.
     """
-    by_length: list[list[tuple[str, Node]]] = [[] for _ in range(budget + 1)]
+    levels: list[dict[int, Node]] = [{} for _ in range(budget + 1)]  # code -> root, by length
     if budget >= 2:
-        by_length[2].append(("11", StuckLeaf()))
+        levels[2][0b1_11] = StuckLeaf()
     for code, fn in _encodings(_output_rule(na, out_len).forms, budget - 2):
-        by_length[2 + len(code)].append(("10" + code, OutputLeaf(fn)))
-    heads: dict[int, list[tuple[str, str, NodeFunction]]] = {}  # by length
+        levels[2 + len(code)][int("1" "10" + code, 2)] = OutputLeaf(fn)
+    heads: dict[int, list[tuple[int, str, NodeFunction]]] = {}  # by length
     for tag, owner, m in (("00", ALICE, na), ("01", BOB, nb)):
         for fn_code, fn in _encodings(_node_rule(m).forms, budget - 2 - 4):
-            heads.setdefault(2 + len(fn_code), []).append((tag + fn_code, owner, fn))
-    for length, level in enumerate(by_length):
+            heads.setdefault(2 + len(fn_code), []).append((int("1" + tag + fn_code, 2), owner, fn))
+    for length, level in enumerate(levels):
         for head_length, group in heads.items():
             rest = length - head_length
             for length0 in range(2, rest - 1):
-                for c0, t0 in by_length[length0]:
-                    for c1, t1 in by_length[rest - length0]:
-                        children = c0 + c1
-                        for head, owner, fn in group:
-                            level.append((head + children, Speak(owner, fn, t0, t1)))
-        level.sort()
-    return [item for level in by_length for item in level]
+                length1 = rest - length0
+                # c0 << length1 + c1 carries both leading 1 bits, which the shifted head drops
+                drop = (1 << rest) + (1 << length1)
+                shifted = [((head << rest) - drop, owner, fn) for head, owner, fn in group]
+                for c0, t0 in levels[length0].items():
+                    for c1, t1 in levels[length1].items():
+                        children = (c0 << length1) + c1
+                        for head, owner, fn in shifted:
+                            level[head + children] = Speak(owner, fn, t0, t1)
+        levels[length] = {code: level[code] for code in sorted(level)}
+    return tuple(chain.from_iterable(levels)), tuple(chain.from_iterable(map(dict.values, levels)))
 
 
 # The largest table built per signature (na, nb, out_len), as (budget,
-# table), most recently used last and oldest dropped past the limit.
+# codes, roots), most recently used last and oldest dropped past the limit.
 _largest_tables: dict = {}
 _LARGEST_LIMIT = 64
 
 
-def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tuple[str, Node], ...]:
-    """(code, root) for every decodable code of at most budget bits, in canonical order.
+def _enumeration_table(na: int, nb: int, out_len: int, budget: int) -> tuple[tuple[int, ...], tuple[Node, ...]]:
+    """(codes, roots) for every decodable code of at most budget bits, in canonical order.
 
-    Canonical order sorts by (length, code), so the table of a smaller
-    budget is a prefix of a larger one's, and index i names the same tree
-    at every budget that holds it.  A budget up to the largest built for
-    the signature is served as a prefix of that table; a larger one is
-    enumerated and becomes the signature's largest.
+    codes[i] is the code of the tree roots[i], held as an int behind a
+    leading 1 bit (`_code_bits` spells it), so numeric order is canonical
+    (length, bits) order and the codes of at most b bits are those below
+    1 << (b + 1).  The table of a smaller budget is thus a prefix of a
+    larger one's, and index i names the same tree at every budget that
+    holds it.  A budget up to the largest built for the signature is served
+    as a prefix of that table; a larger one is enumerated and becomes the
+    signature's largest.
     """
     signature = na, nb, out_len
     largest = _largest_tables.pop(signature, None)
     if largest is None or largest[0] < budget:
-        largest = budget, tuple(_raw_enumeration(na, nb, out_len, budget))
+        largest = budget, *_raw_enumeration(na, nb, out_len, budget)
     _largest_tables[signature] = largest
     if len(_largest_tables) > _LARGEST_LIMIT:
         del _largest_tables[next(iter(_largest_tables))]
-    table = largest[1]
-    return table[:bisect_right(table, budget, key=lambda item: len(item[0]))]
+    _, codes, roots = largest
+    size = bisect_left(codes, 1 << (budget + 1))
+    return codes[:size], roots[:size]
 
 
 _HARD_BUDGET_LIMIT = 28
@@ -402,6 +415,14 @@ _MAX_HARD_SLOTS_LOG = 4
 # 2^(a+b+s) + 1 blocks of k bits plus a help bits.  No budget admits a table
 # past 4 input bits, yet the form rules spell a table's 2^m-bit width as an int.
 _MAX_ENUMERATION_WIDTH = ((1 << _MAX_HARD_SLOTS_LOG) + 1) * _MAX_HARD_K + _MAX_HARD_SLOTS_LOG
+# The largest certificate file read.  Its companion code dominates, in hex:
+# the exchange tree's 2^(2^(a+b+s)) Bob leaves, its Alice chain's dead leaves
+# and a routing default, each leaf at most 4 + _MAX_ENUMERATION_WIDTH bits and
+# each speak node fewer; 64 KiB more covers every other field.
+_MAX_CERTIFICATE_BYTES = (
+    2 * ((1 << (1 << _MAX_HARD_SLOTS_LOG)) + (1 << _MAX_HARD_SLOTS_LOG) * log2ceil(_MAX_HARD_K) + 1)
+    * (4 + _MAX_ENUMERATION_WIDTH) // 4 + (1 << 16)
+)
 _MAX_SET_N = 4  # set enumeration walks the subset lattice exhaustively
 _warned_about_cap = False
 
@@ -466,12 +487,12 @@ def enumerate_signature(
             f"got {na}, {nb} and {out_len}"
         )
     _check_budget(budget)
-    for bits, node in _enumeration_table(na, nb, out_len, budget):
+    for code, node in zip(*_enumeration_table(na, nb, out_len, budget)):
         if require_total and tree_has_stuck(node):
             continue
         if require_one_way and not node_is_one_way(node):
             continue
-        yield PdlCode(bits), ProtocolTree(na, nb, out_len, node)
+        yield PdlCode(_code_bits(code)), ProtocolTree(na, nb, out_len, node)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .codes import (
     _MAX_SET_N,
     PdlCode,
     _check_budget,
+    _code_bits,
     _enumeration_table,
     enumerate_sets,
     pdl_encode,
@@ -147,7 +148,7 @@ class _FoldClasses:
     base pair with a help-extended cell in the leaf on which the output is
     value, n being the output width.  cover[x << n | y][v] has bit c set
     iff some leaf of class c announces v on the pair (x, y).  folded counts
-    the table entries folded so far.
+    the table roots folded so far.
     """
 
     folded: int = 0
@@ -159,12 +160,12 @@ class _FoldClasses:
     cover: list = field(default_factory=list)
 
     def prefix(self, size: int) -> int:
-        """The mask of the classes whose first member is among a table's first size entries."""
+        """The mask of the classes whose first member is among a table's first size roots."""
         return (1 << bisect_left(self.members, size, key=itemgetter(0))) - 1
 
 
-def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
-    """The fold classes of a table's never-stuck trees, kept per signature.
+def _fold_classes(na: int, nb: int, out_len: int, roots: tuple) -> _FoldClasses:
+    """The fold classes of the never-stuck trees among a table's roots, kept per signature.
 
     Each tree is folded over the whole (na, nb) grid once (`_leaf_masks`); a
     tree with a reachable stuck leaf can be in no TCC family and is dropped.
@@ -179,7 +180,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
     output has no base pairs and an empty cover.  A table is a prefix of the
     signature's larger tables, so the entry covers the largest table seen
     and folds only the trees past it; a caller reads the classes below its
-    own table's `prefix`.  Only this function reads the store.
+    own table's `prefix`.  The codes play no part.  Only this function reads the store.
     """
     signature = na, nb, out_len
     classes = _class_store.pop(signature, None)
@@ -190,14 +191,14 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
     full_row = (1 << (1 << nb)) - 1
     rows_by_output: dict = {}  # (kind, value) -> {v: cells of the rows on which the output is v}
     new_classes: dict = {}  # a class's {(v, pairs)} -> mask of the classes numbered here that announce it
-    for i in range(classes.folded, len(table)):
-        leaves = _leaf_masks(table[i][1], na, nb)
+    for i in range(classes.folded, len(roots)):
+        leaves = _leaf_masks(roots[i], na, nb)
         if not _no_stuck(leaves):
             continue
         fold = tuple(sorted(
             (path.bit_length() - 1, cells, leaf.fn.kind, leaf.fn.value) for cells, path, leaf in leaves
         ))
-        one_way = node_is_one_way(table[i][1])
+        one_way = node_is_one_way(roots[i])
         c = classes.numbers.setdefault((one_way, fold), len(classes.folds))
         if c < len(classes.folds):
             classes.members[c].append(i)
@@ -230,7 +231,7 @@ def _fold_classes(na: int, nb: int, out_len: int, table: tuple) -> _FoldClasses:
                 by_value = classes.cover[(pairs & -pairs).bit_length() - 1]
                 by_value[v] = by_value.get(v, 0) | mask
                 pairs &= pairs - 1
-    classes.folded = max(classes.folded, len(table))
+    classes.folded = max(classes.folded, len(roots))
     _class_store[signature] = classes
     if len(_class_store) > _CLASS_LIMIT:
         del _class_store[next(iter(_class_store))]
@@ -271,9 +272,9 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
     """
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
-    table = _enumeration_table(na, nb, n, alpha)
-    classes = _fold_classes(na, nb, n, table)
-    admitted = classes.prefix(len(table))
+    codes, roots = _enumeration_table(na, nb, n, alpha)
+    classes = _fold_classes(na, nb, n, roots)
+    admitted = classes.prefix(len(roots))
     for by_value, v in zip(classes.cover, f.words):
         admitted &= by_value.get(v, 0)
         if not admitted:
@@ -291,7 +292,7 @@ def _tcc_family(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) -> 
             costs = costs_of.get(c)
             if costs is None:
                 costs = costs_of[c] = _class_costs(classes, c, f.words)
-            bits = table[classes.members[c][0]][0]
+            bits = _code_bits(codes[classes.members[c][0]])
             length, code = len(bits), PdlCode(bits)
             for stairs, cost in zip(shape_steps, costs):
                 if not stairs or cost < stairs[-1][1]:
@@ -329,16 +330,16 @@ def _tcc_members(f: FunctionSpec, alice_bits: int, bob_bits: int, alpha: int) ->
     n = f.n
     na, nb = n + alice_bits, n + bob_bits
     admitted = _tcc_family(f, alice_bits, bob_bits, alpha)[0]
-    table = _enumeration_table(na, nb, n, alpha)
-    classes = _fold_classes(na, nb, n, table)
+    codes, roots = _enumeration_table(na, nb, n, alpha)
+    classes = _fold_classes(na, nb, n, roots)
     members = []
     while admitted:
         c = (admitted & -admitted).bit_length() - 1
         admitted &= admitted - 1
         entry = bool(classes.one_way >> c & 1), _class_costs(classes, c, f.words)
-        members.extend((i, entry) for i in classes.members[c] if i < len(table))
+        members.extend((i, entry) for i in classes.members[c] if i < len(codes))
     members.sort(key=itemgetter(0))
-    return tuple((table[i][0], *entry) for i, entry in members)
+    return tuple((_code_bits(codes[i]), *entry) for i, entry in members)
 
 
 def individual_cc(m: Measure, f: FunctionSpec, x: str, y: str):

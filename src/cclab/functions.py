@@ -45,6 +45,21 @@ def _check_grid_bits(bits: int, what: str = "input grid") -> None:
         raise UsageError(f"the 2^{bits}-cell {what} exceeds the limit of {_EXHAUSTIVE_LIMIT} cells")
 
 
+# The largest table file read: word-valued rows at the largest n the grid
+# limit admits, as to_text writes them, and as many bytes again of whitespace.
+_MAX_TABLE_N = (_EXHAUSTIVE_LIMIT.bit_length() - 1) // 2
+_MAX_TABLE_BYTES = 2 * (len(f"n={_MAX_TABLE_N}\n") + (1 << 2 * _MAX_TABLE_N) * (_MAX_TABLE_N + 1))
+
+
+def _read_bounded(path: str | os.PathLike, limit: int, what: str, encoding: str) -> str:
+    """The text of a file of at most limit bytes; a longer one is refused after limit + 1 bytes."""
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
+        raise UsageError(f"{what} file {path} exceeds the limit of {limit} bytes")
+    return data.decode(encoding)
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """A named total function on n-bit input pairs.
@@ -159,8 +174,8 @@ def inner_product_fn(n: int) -> FunctionSpec:
 
 
 def table_fn(path: str | os.PathLike, name: str | None = None) -> FunctionSpec:
-    with open(path, "r", encoding="ascii") as fh:
-        return FunctionSpec.from_text(fh.read(), name if name is not None else f"table:{path}")
+    text = _read_bounded(path, _MAX_TABLE_BYTES, "table", "ascii")
+    return FunctionSpec.from_text(text, name if name is not None else f"table:{path}")
 
 
 def parse_function(spec: str, n: int) -> FunctionSpec:

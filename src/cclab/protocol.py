@@ -93,7 +93,7 @@ ALICE = "A"
 BOB = "B"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeFunction:
     """Next-bit function of the owning party's input.
 
@@ -149,7 +149,7 @@ class NodeFunction:
         return int(self.table[bits_to_int(u)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutputFunction:
     """Answer announced at a leaf, a pure function of Alice's input.
 
@@ -226,7 +226,7 @@ class OutputFunction:
         return [self.evaluate(x, out_len) for x in all_bitstrings(width)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Speak:
     owner: str
     fn: NodeFunction
@@ -234,12 +234,12 @@ class Speak:
     child1: "Node"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutputLeaf:
     fn: OutputFunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StuckLeaf:
     pass
 

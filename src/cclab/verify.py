@@ -16,8 +16,10 @@ from itertools import islice
 
 from .bits import all_bitstrings, bits_from_int, bits_to_int, log2ceil
 from .codes import (
+    _MAX_CERTIFICATE_BYTES,
     PdlCode,
     _check_budget,
+    _code_bits,
     _enumeration_table,
     decode_signature,
     enumerate_sets,
@@ -46,7 +48,7 @@ from .constructions import (
     verify_certificate,
 )
 from .errors import AuditFailure, CclabError, RectangleViolation, UsageError
-from .functions import equality_fn, identity_fn, inner_product_fn
+from .functions import _read_bounded, equality_fn, identity_fn, inner_product_fn
 from .protocol import (
     TOTALIZER_MODES,
     HelpSpec,
@@ -618,8 +620,7 @@ def _instance_checks(out: _Collector, label: str, instance: HardInstance) -> Non
 
 def _replayed(suite: str, path: str) -> VerificationReport:
     out = _Collector(suite)
-    with open(path, "r", encoding="utf-8") as handle:
-        instance = HardInstance.from_json(handle.read())
+    instance = HardInstance.from_json(_read_bounded(path, _MAX_CERTIFICATE_BYTES, "certificate", "utf-8"))
     _instance_checks(out, "replayed", instance)
     return out.report()
 
@@ -724,7 +725,7 @@ def verify_helpbits(replay: str | None = None) -> VerificationReport:
     # by row from the outputs on x + ha for both help strings ha
     outputs_wanted = set(all_bitstrings(2))
     rows = [(x + "0", x + "1") for x in all_bitstrings(2)]
-    for bits, root in _enumeration_table(3, 3, 2, 20):
+    for code, root in zip(*_enumeration_table(3, 3, 2, 20)):
         if isinstance(root, OutputLeaf):
             leaf_roots += 1
             evaluate = root.fn.evaluate
@@ -732,7 +733,7 @@ def verify_helpbits(replay: str | None = None) -> VerificationReport:
                 outputs_wanted <= {evaluate(u0, 2), evaluate(u1, 2)} for u0, u1 in rows
             )
             if covered:
-                failure = f"{bits}: leaf covers every pair at cost 0"
+                failure = f"{_code_bits(code)}: leaf covers every pair at cost 0"
                 break
         else:
             speak_roots += 1

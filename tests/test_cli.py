@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cclab import codes
+from cclab import codes, functions
 from cclab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -391,6 +391,35 @@ def test_huge_table_header_refused_before_any_power_of_two(tmp_path, capsys):
     path = tmp_path / "huge.txt"
     path.write_text("n=100000\n0\n")
     _refused_quickly_naming_the_limit(capsys, "dcc", "--fn", f"table:{path}", "--n", "2")
+
+
+_FILE_LIMITS = {
+    "table": (functions._MAX_TABLE_BYTES, ("cc", "--fn", "table:{}", "--x", "0", "--y", "1", "--alpha", "6")),
+    "certificate": (codes._MAX_CERTIFICATE_BYTES, ("verify", "th7", "--replay", "{}")),
+}
+
+
+@pytest.mark.parametrize("kind", _FILE_LIMITS)
+def test_input_file_one_byte_over_its_limit_is_refused(tmp_path, capsys, kind):
+    limit, argv = _FILE_LIMITS[kind]
+    path = tmp_path / "input"
+    for size, refused in ((limit, False), (limit + 1, True)):
+        path.write_bytes(b" " * size)
+        assert main([arg.format(path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # at the limit the file is read and refused for its content
+        assert (f"{kind} file {path} exceeds the limit of {limit} bytes" in captured.err) == refused
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("kind", _FILE_LIMITS)
+def test_endless_input_file_is_refused_quickly(capsys, kind):
+    limit, argv = _FILE_LIMITS[kind]
+    start = time.perf_counter()
+    assert main([arg.format("/dev/zero") for arg in argv]) == 2
+    assert time.perf_counter() - start < 2
+    assert f"exceeds the limit of {limit} bytes" in capsys.readouterr().err
 
 
 def test_python_dash_m_runs_the_command_line_from_a_checkout():

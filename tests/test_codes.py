@@ -32,7 +32,7 @@ from cclab import (
     sdl_encode,
 )
 from cclab import codes
-from cclab.codes import _HARD_BUDGET_LIMIT, _enumeration_table, _raw_enumeration, _set_table
+from cclab.codes import _HARD_BUDGET_LIMIT, _code_bits, _enumeration_table, _raw_enumeration, _set_table
 from cclab.constructions import _MAX_HARD_K, _MAX_HARD_SLOTS_LOG, _exchange_tree
 from cclab.protocol import ALICE, BOB, default_depth_cap, run
 
@@ -340,18 +340,18 @@ def test_scanned_tables_hold_valid_shallow_trees(n):
     # lower budgets are prefixes of the same canonical stream
     for a in (0, 1):
         for b in (0, 1):
-            for bits, node in _enumeration_table(n + a, n + b, n, 20):
+            for code, node in zip(*_enumeration_table(n + a, n + b, n, 20)):
                 tree = ProtocolTree(n + a, n + b, n, node)
                 # each speak node on a path costs at least 2 + 3 bits and its
                 # other child at least 2, and the path ends in a 2-bit leaf
-                assert len(bits) >= 7 * _depth(tree.root) + 2
+                assert len(_code_bits(code)) >= 7 * _depth(tree.root) + 2
 
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 4, 3)])
 def test_budget_prefixes_equal_fresh_enumerations(signature):
     # a table is served as the prefix of the largest one built for its
     # signature, so both build orders must give every budget's own stream
-    fresh = {budget: tuple(_raw_enumeration(*signature, budget)) for budget in range(21)}
+    fresh = {budget: _raw_enumeration(*signature, budget) for budget in range(21)}
     for budgets in (range(20, -1, -1), range(21)):
         codes._largest_tables.clear()
         for budget in budgets:
@@ -359,20 +359,50 @@ def test_budget_prefixes_equal_fresh_enumerations(signature):
         assert codes._largest_tables[signature][0] == 20
 
 
+# the signatures of the benchmark's queries at budget 14, and (2, 2, 2) at 20
+_TABLE_KEYS = [(n + a, n + b, n, 14) for n in (1, 2, 3) for a in (0, 1) for b in (0, 1)] + [(2, 2, 2, 20)]
+
+
+@pytest.mark.parametrize("key", _TABLE_KEYS, ids=str)
+def test_table_codes_spell_their_roots_in_canonical_order(key):
+    *signature, budget = key
+    codes._largest_tables.clear()
+    table_codes, roots = _enumeration_table(*signature, budget)
+    spelled = [_code_bits(code) for code in table_codes]
+    # a decodable code need not be canonical: "10" "10" "0", an all-zero xor mask, is copy_x
+    assert [decode_signature(bits, *signature).root for bits in spelled] == list(roots)
+    assert all(len(pdl_encode(ProtocolTree(*signature, root))) <= len(bits) for bits, root in zip(spelled, roots))
+    assert all((len(a), a) < (len(b), b) for a, b in zip(spelled, spelled[1:]))
+    for smaller in range(budget):
+        small_codes, small_roots = _enumeration_table(*signature, smaller)
+        size = sum(len(bits) <= smaller for bits in spelled)
+        assert small_codes == table_codes[:size] and small_roots == roots[:size], smaller
+
+
+def test_largest_tables_hold_int_codes_beside_their_roots():
+    codes._largest_tables.clear()
+    _enumeration_table(2, 2, 2, 16)
+    budget, table_codes, roots = codes._largest_tables[2, 2, 2]
+    assert budget == 16 and type(table_codes) is tuple and type(roots) is tuple
+    assert len(table_codes) == len(roots) == 826
+    assert all(type(code) is int for code in table_codes)
+    assert all(type(root) in (Speak, OutputLeaf, StuckLeaf) for root in roots)
+
+
 @pytest.mark.parametrize("signature", [(2, 2, 2), (3, 3, 2)])
 def test_each_code_is_one_node_shared_wherever_it_is_a_child(signature):
-    table = _raw_enumeration(*signature, 16)
+    table_codes, roots = _raw_enumeration(*signature, 16)
     reached = {}
-    todo = [node for _, node in table]
+    todo = list(roots)
     while todo:
         node = todo.pop()
         if id(node) not in reached:
             reached[id(node)] = node
             if isinstance(node, Speak):
                 todo += [node.child0, node.child1]
-    assert len(reached) == len(table)
-    for bits, node in table:
-        assert decode_signature(bits, *signature).root == node
+    assert len(reached) == len(roots)
+    for code, node in zip(table_codes, roots):
+        assert decode_signature(_code_bits(code), *signature).root == node
 
 
 def test_depth_bound_stays_below_every_depth_cap():

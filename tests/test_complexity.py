@@ -442,13 +442,13 @@ def test_tcc_family_matches_a_per_tree_oracle_on_random_tables(key):
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 2, 2), (2, 3, 2), (3, 3, 3)])
 def test_fold_classes_hold_exactly_the_never_stuck_trees(signature):
-    table = _enumeration_table(*signature, 16)
-    held = sorted(i for indices in _fold_classes(*signature, table).members for i in indices if i < len(table))
-    total = [i for i, (_, node) in enumerate(table) if is_total(ProtocolTree(*signature, node))]
+    _, roots = _enumeration_table(*signature, 16)
+    held = sorted(i for indices in _fold_classes(*signature, roots).members for i in indices if i < len(roots))
+    total = [i for i, node in enumerate(roots) if is_total(ProtocolTree(*signature, node))]
     assert held == total
     # trees whose stuck leaves no cell reaches are in, the others are out
-    assert any(tree_has_stuck(table[i][1]) for i in total)
-    assert len(total) < len(table)
+    assert any(tree_has_stuck(roots[i]) for i in total)
+    assert len(total) < len(roots)
 
 
 @pytest.mark.parametrize("signature", [(1, 1, 1), (2, 1, 1), (1, 2, 1), (2, 2, 1), (2, 2, 2)])
@@ -463,12 +463,12 @@ def test_cover_marks_what_each_class_announces_on_each_pair(signature):
     na, nb, n = signature
     a, b = na - n, nb - n
     _clear_family_stores()
-    table = _enumeration_table(*signature, 16)
-    classes = _fold_classes(*signature, table)
+    _, roots = _enumeration_table(*signature, 16)
+    classes = _fold_classes(*signature, roots)
     values = list(all_bitstrings(n))
     assert len(classes.cover) == 1 << 2 * n
     for c, indices in enumerate(classes.members):
-        tree = ProtocolTree(*signature, table[indices[0]][1])
+        tree = ProtocolTree(*signature, roots[indices[0]])
         for x in all_bitstrings(n):
             for y in all_bitstrings(n):
                 said = {
@@ -482,11 +482,11 @@ def test_cover_marks_what_each_class_announces_on_each_pair(signature):
     for order in ((12, 16), (16, 12)):
         _clear_family_stores()
         for alpha in order:
-            _fold_classes(*signature, _enumeration_table(*signature, alpha))
-        classes = _fold_classes(*signature, table)
+            _fold_classes(*signature, _enumeration_table(*signature, alpha)[1])
+        classes = _fold_classes(*signature, roots)
         numberings.append(classes.folds)
         for alpha in (12, 14, 16):
-            size = len(_enumeration_table(*signature, alpha))
+            size = len(_enumeration_table(*signature, alpha)[1])
             held = {c for c, indices in enumerate(classes.members) if any(i < size for i in indices)}
             assert classes.prefix(size) == (1 << len(held)) - 1 and held == set(range(len(held))), (order, alpha)
     assert numberings[0] == numberings[1]
@@ -496,9 +496,9 @@ def test_cover_marks_what_each_class_announces_on_each_pair(signature):
 def test_family_stores_stay_within_their_bounds():
     """The stores keep at most their limits, and each index lives and dies in its class entry."""
     signatures = [(na, nb, w) for na in range(1, 6) for nb in range(1, 6) for w in (1, 2, 3)][:70]
-    first = weakref.ref(_fold_classes(*signatures[0], _enumeration_table(*signatures[0], 9)))
+    first = weakref.ref(_fold_classes(*signatures[0], _enumeration_table(*signatures[0], 9)[1]))
     for signature in signatures[1:]:
-        _fold_classes(*signature, _enumeration_table(*signature, 9))
+        _fold_classes(*signature, _enumeration_table(*signature, 9)[1])
     assert len(complexity._class_store) == complexity._CLASS_LIMIT == _tcc_family.cache_info().maxsize
     assert len(codes._largest_tables) == codes._LARGEST_LIMIT
     assert signatures[-1] in complexity._class_store and signatures[0] not in complexity._class_store
@@ -589,13 +589,13 @@ def test_fold_class_members_share_the_class_shape(key):
     """Every member of a class is one-way iff the class's bit in the one_way mask is set."""
     n, (a, b) = key
     signature = n + a, n + b, n
-    table = _enumeration_table(*signature, QUERY_BUDGETS[key])
-    classes = _fold_classes(*signature, table)
+    _, roots = _enumeration_table(*signature, QUERY_BUDGETS[key])
+    classes = _fold_classes(*signature, roots)
     shapes = set()
     for c, indices in enumerate(classes.members):
         one_way = bool(classes.one_way >> c & 1)
         shapes.add(one_way)
-        assert all(node_is_one_way(table[i][1]) == one_way for i in indices if i < len(table)), c
+        assert all(node_is_one_way(roots[i]) == one_way for i in indices if i < len(roots)), c
     assert classes.one_way < 1 << len(classes.members) and shapes == {False, True}
 
 
@@ -665,7 +665,7 @@ def _twinned_admitted_folds(f, help_bits, budget):
     """Admitted folds held by a two-way class and a later one-way twin."""
     n = f.n
     a, b = help_bits
-    classes = _fold_classes(n + a, n + b, n, _enumeration_table(n + a, n + b, n, budget))
+    classes = _fold_classes(n + a, n + b, n, _enumeration_table(n + a, n + b, n, budget)[1])
     admitted = _tcc_family(f, a, b, budget)[0]
     two_way, count = set(), 0
     for c, fold in enumerate(classes.folds):
@@ -732,21 +732,23 @@ def test_staircase_rules_on_planted_tables(monkeypatch):
     helped = Speak(ALICE, NodeFunction.input_bit(1), spell(), Speak(BOB, NodeFunction.const(0), spell(), StuckLeaf()))
     late = Speak(ALICE, NodeFunction.from_table("1110"), leaf("1"), Speak(BOB, NodeFunction.const(0), spell(), spell()))
     planted = {
-        (1, 1, 1): tuple(zip((two, one, cheap0, cheap1), roots)),
-        (2, 1, 1): tuple((pdl_encode(ProtocolTree(2, 1, 1, root)).bits, root) for root in (helped, late)),
-        (1, 2, 1): tuple(
-            (pdl_encode(ProtocolTree(1, 2, 1, root)).bits, root)
-            for root in (roots[0], Speak(BOB, NodeFunction.const(0), spell(), spell()))
-        ),
+        (1, 1, 1): tuple(roots),
+        (2, 1, 1): (helped, late),
+        (1, 2, 1): (roots[0], Speak(BOB, NodeFunction.const(0), spell(), spell())),
     }
-    (bits, _), (late_bits, _) = planted[2, 1, 1]
+    spelled = {
+        signature: tuple(pdl_encode(ProtocolTree(*signature, root)).bits for root in held)
+        for signature, held in planted.items()
+    }
+    bits, late_bits = spelled[2, 1, 1]
     assert [len(bits), len(late_bits)] == [43, 49]
     assert [len(bits) for bits in (two, one, cheap0, cheap1)] == [22, 22, 25, 25] and two < one < cheap0 < cheap1
-    monkeypatch.setattr(
-        complexity,
-        "_enumeration_table",
-        lambda na, nb, out_len, alpha: tuple(e for e in planted[na, nb, out_len] if len(e[0]) <= alpha),
-    )
+    def planted_table(na, nb, out_len, alpha):
+        # a table holds each code as an int behind a leading 1 bit
+        fitting = [bits for bits in spelled[na, nb, out_len] if len(bits) <= alpha]
+        return tuple(int("1" + bits, 2) for bits in fitting), planted[na, nb, out_len][:len(fitting)]
+
+    monkeypatch.setattr(complexity, "_enumeration_table", planted_table)
     monkeypatch.setenv("CCLAB_BUDGET_CAP", "25")
     f = identity_fn(1)
     _clear_family_stores()
@@ -773,7 +775,7 @@ def test_staircase_rules_on_planted_tables(monkeypatch):
         assert costs == [3, 3, 3, 1]
         late_stairs = stairs + ((len(late_bits), 1, PdlCode(late_bits)),)
         assert _tcc_family(f, 1, 0, len(late_bits))[1] == ((stairs,) * 3 + (late_stairs,), ((),) * 4)
-        (short, _), (long, _) = planted[1, 2, 1]
+        short, long = spelled[1, 2, 1]
         assert len(short) < len(long)
         _fold_classes(1, 2, 1, planted[1, 2, 1])
         stairs = ((len(short), 2, PdlCode(short)),)
@@ -876,7 +878,7 @@ def test_tcc_with_help_refuses_a_tree_stranded_by_one_help_string():
     # a one-tree table would pass for the signature's prefix in the stores
     _clear_family_stores()
     try:
-        assert _fold_classes(2, 1, 1, ((bits, tree.root),)).members == []
+        assert _fold_classes(2, 1, 1, (tree.root,)).members == []
     finally:
         _clear_family_stores()
 

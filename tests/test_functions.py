@@ -85,6 +85,15 @@ def test_table_round_trip_string_valued(tmp_path):
     assert not back.boolean
 
 
+def test_widest_legal_table_file_loads(tmp_path):
+    # word-valued at the largest grid-limited n, as written and with CRLF line ends and padding
+    f = identity_fn(8)
+    path = tmp_path / "id8.txt"
+    for text in (f.to_text(), f.to_text().replace("\n", " \r\n")):
+        path.write_bytes(text.encode("ascii"))
+        assert table_fn(path).cells == f.cells
+
+
 def _random_table(rng, n, boolean):
     width = 1 if boolean else n
     size = 1 << n

@@ -1,6 +1,9 @@
 """Protocol trees: execution, predicates, help bits."""
 
+import copy
+import dataclasses
 import hashlib
+import pickle
 import random
 import re
 import time
@@ -75,6 +78,28 @@ def test_output_function_kinds():
     assert OutputFunction.xor_mask("11").evaluate("01", 2) == "10"
     fn = OutputFunction.from_map(2, 2, lambda u: u[::-1])
     assert fn.evaluate("01", 2) == "10"
+
+
+_NODES = [
+    NodeFunction.input_bit(1),
+    OutputFunction.xor_mask("01"),
+    Speak(ALICE, NodeFunction.from_table("0110"), OutputLeaf(OutputFunction.copy_x()), StuckLeaf()),
+    OutputLeaf(OutputFunction.const("10")),
+    StuckLeaf(),
+]
+
+
+@pytest.mark.parametrize("node", _NODES, ids=lambda node: type(node).__name__)
+def test_node_classes_are_slotted_frozen_and_copy_equal(node):
+    assert not hasattr(node, "__dict__")
+    for item in dataclasses.fields(node):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, item.name, None)
+    # no slot to hold it; which error says so differs between Python versions
+    with pytest.raises((AttributeError, TypeError)):
+        node.extra = None
+    for copied in (pickle.loads(pickle.dumps(node)), copy.deepcopy(node)):
+        assert copied == node and hash(copied) == hash(node) and type(copied) is type(node)
 
 
 def test_output_function_validation():

@@ -135,7 +135,9 @@ def test_totalizer_law_matches_a_per_pair_loop_when_wraps_break_it(monkeypatch, 
     monkeypatch.setattr(
         verify, "enumerate_signature", lambda *args: islice(enumerate_signature(*args), _PREFIX)
     )
-    monkeypatch.setattr(verify, "_enumeration_table", lambda *args: _enumeration_table(*args)[:_PREFIX])
+    monkeypatch.setattr(
+        verify, "_enumeration_table", lambda *args: tuple(part[:_PREFIX] for part in _enumeration_table(*args))
+    )
     report = verify.verify_helpbits()
     want = _reference(trees, wrap)
     assert [(c.ok, c.slack, c.witness) for c in report.checks[:2]] == want
