@@ -115,7 +115,13 @@ class _Code:
 
     @classmethod
     def from_hex(cls, h: str):
-        return cls(bits_from_hex(h))
+        # bits_from_hex refuses a malformed form and only ever builds a bit
+        # string, so the bits are not checked a second time
+        bits = bits_from_hex(h)
+        code = cls.__new__(cls)
+        object.__setattr__(code, "bits", bits)
+        object.__setattr__(code, "sort_key", (len(bits), bits))
+        return code
 
 
 class PdlCode(_Code):

@@ -29,7 +29,9 @@ The fold reads two input domains:
 `cc_with_help` keeps the fold of the last (tree, f, help counts) it saw
 and reads that one-slot memo inline, so a run of pairs on one protocol
 pays the shape and grid checks and the fold once; each pair's cells are
-checked and looked up in a memo instead of parsing the strings again.
+checked once per help counts and then read from a dict.  A totalizer
+wrap, recognised by identity, is folded from its parts: the default's
+part once per (f, help counts), the lift alone per wrap.
 Help bits trail the base input, so a mask of help-extended cells maps to
 the base pairs it touches by one slide over the help strings, kept per
 mask (`_pairs_of`); every question asked of all pairs at once goes
@@ -39,7 +41,9 @@ in one pass per tree, and the announcements of the fold classes.
 
 Every tree is validated on construction by one full walk; a speak node
 whose two children are one object (the shared dead chains of the
-index-exchange companion) walks that child once.  The literal-send default
+index-exchange companion) walks that child once, and a wrap does not walk
+again a branch an earlier wrap of its widths has passed with
+(`_valid_branches`).  The literal-send default
 is built once per function and Alice's help bits, directly at her extended
 width (`_literal_send`), and shared by every protocol that holds it.
 `help_bit_totalizer` takes its help counts from `TOTALIZER_MODES` and
@@ -289,14 +293,66 @@ def _validate(node: Node, depth: int, cap: int, widths: tuple) -> None:
         raise UsageError(f"unknown node {node!r}")
 
 
+# The branches of totalizer wraps already validated, per mode's help
+# counts: (widths, lift, defaults), where the lift (route 1) and each
+# default (route 0) are known to be valid at depth 1 of a tree of those
+# widths.  Only help_bit_totalizer fills it, after a wrap has passed
+# validation.  It keeps no node alive that the caches do not hold: the
+# lift is the one in its mode's `_last_lift` slot and is replaced with it,
+# and the defaults are `_literal_send`'s, all forgotten when it builds a
+# new one, which may evict an old one.  Nodes are matched by identity
+# (`_held`), so an equal node built elsewhere is walked.
+_valid_branches: dict = {}
+
+
+def _held(node: Node, nodes: tuple) -> bool:
+    """True iff node is one of nodes, the object itself, not an equal one."""
+    for held in nodes:
+        if held is node:
+            return True
+    return False
+
+
+def _validate_wrap(root: Speak, cap: int, widths: tuple) -> bool:
+    """`_validate` of a speak root whose branches `_valid_branches` records are not walked.
+
+    A branch is recorded if it sits in its place at these widths: a
+    default in route 0, the lift in route 1.  The root's own fields and
+    every branch not recorded are checked as `_validate` checks them.
+    False, with nothing checked, if neither branch is recorded.
+    """
+    n = widths[2]
+    known = _valid_branches.get((widths[0] - n, widths[1] - n))
+    if known is None or known[0] != widths:
+        return False
+    _, lift, defaults = known
+    zero, one = root.child0, root.child1
+    walk0 = not _held(zero, defaults)
+    walk1 = one is not lift and one is not zero
+    if walk0 and one is not lift:
+        return False
+    if root.owner not in (ALICE, BOB):
+        raise UsageError(f"unknown owner {root.owner!r}")
+    root.fn.validate(widths[0] if root.owner == ALICE else widths[1])
+    if walk0:
+        _validate(zero, 1, cap, widths)
+    if walk1:
+        _validate(one, 1, cap, widths)
+    return True
+
+
 @dataclass(frozen=True)
 class ProtocolTree:
     """A protocol with declared input lengths and output width.
 
     The tree is validated on construction: node functions must match the
     owner's input length, output functions the output width, and every
-    root-to-leaf path must stay within the depth cap.  One full walk
-    checks it all (`_validate`).
+    root-to-leaf path must stay within the depth cap.  One walk checks it
+    all (`_validate`).  It skips only a branch of the root that
+    help_bit_totalizer has recorded as validated at these widths and in
+    that place (a wrap's shared default and lift, `_valid_branches`): a
+    frozen subtree valid at depth 1 stays valid there.  The root and every
+    other node are walked.
     """
 
     n_alice: int
@@ -308,7 +364,10 @@ class ProtocolTree:
         if min(self.n_alice, self.n_bob, self.out_len) < 1:
             raise UsageError("input lengths and output width must be positive")
         cap = default_depth_cap(self.n_alice, self.n_bob)
-        _validate(self.root, 0, cap, (self.n_alice, self.n_bob, self.out_len))
+        widths = (self.n_alice, self.n_bob, self.out_len)
+        root = self.root
+        if not (_valid_branches and type(root) is Speak and _validate_wrap(root, cap, widths)):
+            _validate(root, 0, cap, widths)
 
     @classmethod
     def symmetric(cls, n: int, root: Node) -> "ProtocolTree":
@@ -434,7 +493,9 @@ def _reads_one(owner: str, kind: str, index: int, table: str, na: int, nb: int, 
     return column * sum(1 << (xa << nb) for xa in range(1 << na))
 
 
-def _leaf_masks(node: Node, na: int, nb: int, suffix: str = "") -> list[tuple[int, int, Node]]:
+def _leaf_masks(
+    node: Node, na: int, nb: int, suffix: str = "", cells: int | None = None, path: int = 1
+) -> list[tuple[int, int, Node]]:
     """(cells, path, leaf) for every leaf, with the cells of the whole grid that reach it.
 
     Cell xa << nb | yb is the run on Alice's input xa and Bob's input yb,
@@ -442,9 +503,13 @@ def _leaf_masks(node: Node, na: int, nb: int, suffix: str = "") -> list[tuple[in
     help bits trail the base input as in `_lift`.  path is the leaf's
     transcript as an integer behind a leading 1 bit, so its depth is
     path.bit_length() - 1 (`_transcript` spells it).
+
+    Given cells and path, the fold starts at node as the branch that those
+    cells reach after that transcript: one branch of a wrap's root is
+    folded alone (`_correct_at`), with the same leaves as in the whole fold.
     """
     leaves = []
-    todo = [(node, (1 << (1 << (na + nb))) - 1, 1)]
+    todo = [(node, (1 << (1 << (na + nb))) - 1 if cells is None else cells, path)]
     while todo:
         node, cells, path = todo.pop()
         while type(node) is Speak:
@@ -551,14 +616,27 @@ def _no_stuck(leaves) -> bool:
     return all(type(leaf) is not StuckLeaf for _, _, leaf in leaves)
 
 
-@lru_cache(maxsize=4096)
+def _add_hits(by_depth: dict, leaves, answers) -> None:
+    """OR into by_depth[depth] the cells where an output leaf at that depth answers right."""
+    for cells, path, leaf in leaves:
+        if type(leaf) is OutputLeaf:
+            hit = cells & answers(leaf.fn.kind, leaf.fn.value)
+            if hit:
+                depth = path.bit_length() - 1
+                by_depth[depth] = by_depth.get(depth, 0) | hit
+
+
+@lru_cache(maxsize=8192)
 def _pairs_of(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
     """The base pairs with a help-extended cell in cells, as bit x << n | y.
 
     Each help string's cells are slid onto the pairs' all-zero help cells
     and read off in plain coordinates; without help bits each pair is one
     cell.  Keyed by the mask: the few masks a family of trees produces are
-    each translated once.
+    each translated once.  A slide maps a union of masks to the union of
+    their pairs, so callers translate the correct cells of one depth at a
+    time: a family has fewer of those than of their running unions (4,147
+    against 6,646 in the `helpbits` suite), and all of them stay cached.
     """
     if not (alice_bits or bob_bits):
         return cells
@@ -601,20 +679,28 @@ def computes_everywhere(
 
     Without help bits this means every pair terminates with the right
     answer, so such a tree is also total.  Read from the fold of
-    `_correct_at`.
+    `_correct_at`, each depth's cells slid onto the base pairs as in
+    `_pairs_within`.
     """
-    correct = 0
+    a, b = help_spec.alice_bits, help_spec.bob_bits
+    pairs = 0
     for _, cells in _correct_at(tree, f, help_spec):
-        correct |= cells
-    pairs = _pairs_of(correct, f.n, help_spec.alice_bits, help_spec.bob_bits)
+        pairs |= _pairs_of(cells, f.n, a, b)
     return pairs == (1 << (1 << 2 * f.n)) - 1
 
 
-# The fold for the last (tree, f, help counts) that cc_with_help saw:
-# callers ask about every pair of one tree before moving on.  It caches a
-# pure result, so it changes no answer.  Trees are frozen and the slot
-# holds them, so an identity hit cannot be a recycled id.
-_last_fold: list = [None, None, -1, -1, ()]
+# The fold for the last (tree, f, help counts) asked about, as [tree, f,
+# help_spec, alice_bits, bob_bits, correct_at, checked]: callers ask about
+# every pair of one tree before moving on.  help_spec is the HelpSpec
+# object last asked with, so a repeated cc_with_help call is three
+# identity tests, and checked is `_checked_pairs` of the help counts.  It
+# caches pure results, so it changes no answer.  Trees are frozen and the
+# slot holds them, so an identity hit cannot be a recycled id.
+_last_fold: list = [None, None, None, -1, -1, (), {}]
+
+# The most pairs kept per `_checked_pairs` dict: its 16 dicts hold at most
+# as many pairs as `_help_cells`, and the cells are its objects
+_PAIR_SLOTS = 16
 
 
 def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tuple:
@@ -623,24 +709,78 @@ def _correct_at(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec) -> tup
     Ascending by depth, nonempty cells only.  One grid fold per (tree, f,
     help counts), held in a one-slot memo; the checks that read only that
     key run on a miss.
+
+    A totalizer wrap is folded from its parts: its root routes by a help
+    bit into the default or the lift, so its leaves are the default's
+    below the route-0 half of the grid and the lift's below the route-1
+    half.  The default's part is folded once per (f, help counts)
+    (`_default_part`), and only the lift is folded here.  A root counts
+    as a wrap by identity only (`_is_wrap`); any other tree, equal or not,
+    is folded whole.
     """
     a, b = help_spec.alice_bits, help_spec.bob_bits
-    last_tree, last_f, last_a, last_b, correct_at = _last_fold
-    if tree is last_tree and a == last_a and b == last_b and (f is last_f or f == last_f):
-        return correct_at
+    memo = _last_fold
+    if tree is memo[0] and a == memo[3] and b == memo[4] and (f is memo[1] or f == memo[1]):
+        memo[1], memo[2] = f, help_spec
+        return memo[5]
     _check_help_shape(tree, f, help_spec)
     _check_grid(tree)
-    answers = _answers(f, a, b)
-    by_depth: dict[int, int] = {}
-    for cells, path, leaf in _leaf_masks(tree.root, tree.n_alice, tree.n_bob):
-        if type(leaf) is OutputLeaf:
-            hit = cells & answers(leaf.fn.kind, leaf.fn.value)
-            if hit:
-                depth = path.bit_length() - 1
-                by_depth[depth] = by_depth.get(depth, 0) | hit
+    na, nb, root = tree.n_alice, tree.n_bob, tree.root
+    if _is_wrap(root, f, a, b):
+        route, hits = _default_part(f, a, b)
+        by_depth = dict(hits)
+        leaves = _leaf_masks(root.child1, na, nb, cells=route, path=0b11)
+    else:
+        by_depth = {}
+        leaves = _leaf_masks(root, na, nb)
+    _add_hits(by_depth, leaves, _answers(f, a, b))
     correct_at = tuple(sorted(by_depth.items()))
-    _last_fold[:] = tree, f, a, b, correct_at
+    memo[:] = tree, f, help_spec, a, b, correct_at, _checked_pairs(f.n, a, b)
     return correct_at
+
+
+def _is_wrap(root: Node, f: FunctionSpec, alice_bits: int, bob_bits: int) -> bool:
+    """True iff root is help_bit_totalizer's root for f and these help counts, object for object.
+
+    The root must be a speak node of the routing party whose function is
+    `_routing_read(n)` and whose route-0 branch is `_literal_send(f,
+    alice_bits)` itself; the route-1 branch may be anything.
+    """
+    return (
+        type(root) is Speak
+        and root.owner == _router(bob_bits)
+        and root.fn is _routing_read(f.n)
+        and root.child0 is _literal_send(f, alice_bits)
+    )
+
+
+@lru_cache(maxsize=64)
+def _default_part(f: FunctionSpec, alice_bits: int, bob_bits: int) -> tuple:
+    """(route, hits): what every totalizer wrap of f with these help counts shares.
+
+    route is the cells of the grid where the routing bit reads 1, and hits
+    the (depth, cells) where the default answers f on the other half, one
+    level down, ascending by depth: the default's part of `_correct_at`.
+    """
+    n = f.n
+    na, nb = n + alice_bits, n + bob_bits
+    route = _reads_one(_router(bob_bits), "bit", n, "", na, nb, "")
+    half = ((1 << (1 << (na + nb))) - 1) ^ route
+    by_depth: dict[int, int] = {}
+    leaves = _leaf_masks(_literal_send(f, alice_bits), na, nb, cells=half, path=0b10)
+    _add_hits(by_depth, leaves, _answers(f, alice_bits, bob_bits))
+    return route, tuple(sorted(by_depth.items()))
+
+
+@lru_cache(maxsize=16)
+def _checked_pairs(n: int, alice_bits: int, bob_bits: int) -> dict:
+    """{(x, y): `_help_cells(n, alice_bits, bob_bits, x, y)`} for pairs already checked.
+
+    Filled by cc_with_help, up to `_PAIR_SLOTS` pairs, so a pair asked
+    again under these help counts, for any tree, is one dict lookup.  A
+    pair not in it goes through `_help_cells`, which checks x and y.
+    """
+    return {}
 
 
 def cc_with_help(
@@ -655,16 +795,22 @@ def cc_with_help(
     infinity.  It is the least depth whose correct cells meet the pair's
     help cells.
 
-    A run of calls on one (tree, f, help counts) reads the `_correct_at`
+    A run of calls on one (tree, f, help_spec) reads the `_correct_at`
     memo inline, so only its first call pays the shape and grid checks and
-    the fold; every call checks x and y (`_help_cells`).
+    the fold, which for a totalizer wrap folds only its lift.  A pair is
+    checked the first time it is asked under its help counts
+    (`_help_cells`) and then read from the memo's dict of checked pairs.
     """
-    a, b = help_spec.alice_bits, help_spec.bob_bits
-    last_tree, last_f, last_a, last_b, correct_at = _last_fold
-    if tree is not last_tree or a != last_a or b != last_b or (f is not last_f and f != last_f):
-        correct_at = _correct_at(tree, f, help_spec)
-    pair = _help_cells(f.n, a, b, x, y)
-    for depth, cells in correct_at:
+    memo = _last_fold
+    if tree is not memo[0] or help_spec is not memo[2] or f is not memo[1]:
+        _correct_at(tree, f, help_spec)
+    checked = memo[6]
+    pair = checked.get((x, y))
+    if pair is None:
+        pair = _help_cells(f.n, memo[3], memo[4], x, y)
+        if len(checked) < _PAIR_SLOTS:
+            checked[x, y] = pair
+    for depth, cells in memo[5]:
         if cells & pair:
             return depth
     return math.inf
@@ -674,8 +820,9 @@ def _pairs_within(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec, most
     """within[t] for t = 0 .. most: the base pairs whose `cc_with_help` is at most t.
 
     Pair (x, y) is bit x << n | y, whatever the help counts.  Read from the
-    one fold of `_correct_at`: the correct cells up to each depth are slid
-    onto the base pairs (`_pairs_of`), so no pair is asked on its own.
+    one fold of `_correct_at`: the correct cells of each depth are slid
+    onto the base pairs (`_pairs_of`) and joined with the depths above, so
+    no pair is asked on its own.
     """
     a, b = help_spec.alice_bits, help_spec.bob_bits
     within = [0] * (most + 1)
@@ -683,8 +830,8 @@ def _pairs_within(tree: ProtocolTree, f: FunctionSpec, help_spec: HelpSpec, most
     for depth, cells in _correct_at(tree, f, help_spec):
         if depth > most:
             break
-        reached |= cells
-        within[depth:] = [_pairs_of(reached, f.n, a, b)] * (most + 1 - depth)
+        reached |= _pairs_of(cells, f.n, a, b)
+        within[depth:] = [reached] * (most + 1 - depth)
     return within
 
 
@@ -711,7 +858,9 @@ def _literal_send(f: FunctionSpec, alice_bits: int) -> Node:
     Alice's input may carry alice_bits trailing help bits, which her
     tables ignore; Bob's reads are bit reads, whatever his width.  Nodes
     are frozen, so every protocol that holds this default shares it.
+    Building one may evict another, so `_valid_branches` forgets them all.
     """
+    _valid_branches.clear()
     n = f.n
     return _spell_input(
         BOB, n, lambda y: OutputLeaf(OutputFunction.from_map(n + alice_bits, n, lambda u: f.value(u[:n], y)))
@@ -782,6 +931,11 @@ def _shared_lift(root: Node, n: int, extra_alice: int, extra_bob: int) -> Node:
     return lifted
 
 
+def _router(bob_bits: int) -> str:
+    """The party that speaks a wrap's routing bit: Bob if he gets help, else Alice."""
+    return BOB if bob_bits else ALICE
+
+
 @lru_cache(maxsize=32)
 def _routing_read(n: int) -> NodeFunction:
     """The read of bit n, the helped party's help bit, at the root of every wrap of width n."""
@@ -810,8 +964,10 @@ def help_bit_totalizer(
     mode for the last protocol wrapped, so the functions asked about one
     protocol share it.  A new protocol's lift builds only its speak nodes:
     its output leaves come lifted from `_lifted_leaf`, and the routing read
-    is built once per width (`_routing_read`).  Each wrap is validated by
-    one full walk, as every tree is.
+    is built once per width (`_routing_read`).  Each wrap's root is
+    validated, and of its branches only those no earlier wrap of these
+    widths has passed with: after a wrap passes, its default and lift are
+    recorded (`_valid_branches`).
     """
     if not tree.is_symmetric or tree.n_alice != f.n:
         raise UsageError("protocol shape does not match the function")
@@ -819,13 +975,19 @@ def help_bit_totalizer(
     if spec is None:
         raise UsageError(f"unknown totalizer mode {mode!r}")
     n, extra_alice, extra_bob = f.n, spec.alice_bits, spec.bob_bits
-    root = Speak(
-        BOB if extra_bob else ALICE,
-        _routing_read(n),
-        _literal_send(f, extra_alice),
-        _shared_lift(tree.root, n, extra_alice, extra_bob),
+    default = _literal_send(f, extra_alice)
+    lift = _shared_lift(tree.root, n, extra_alice, extra_bob)
+    wrapped = ProtocolTree(
+        n + extra_alice, n + extra_bob, n, Speak(_router(extra_bob), _routing_read(n), default, lift)
     )
-    return ProtocolTree(n + extra_alice, n + extra_bob, n, root)
+    widths = (n + extra_alice, n + extra_bob, n)
+    known = _valid_branches.get((extra_alice, extra_bob))
+    if known is None or known[0] != widths:
+        _valid_branches[extra_alice, extra_bob] = widths, lift, (default,)
+    elif known[1] is not lift or not _held(default, known[2]):
+        defaults = known[2] if _held(default, known[2]) else known[2] + (default,)
+        _valid_branches[extra_alice, extra_bob] = widths, lift, defaults
+    return wrapped
 
 
 def value_as_help_protocol(f: FunctionSpec) -> ProtocolTree:

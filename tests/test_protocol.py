@@ -715,13 +715,17 @@ def test_lifted_leaves_are_kept_apart_by_n_and_alices_extra_bits(order):
 def test_help_path_caches_stay_within_their_bounds():
     # a full (2,2,2,20) pass: every tree and its wraps for identity and eq,
     # each asked about one pair, taken in turn so that every pair is asked
-    # under every help count; each cache holds all it is asked, never evicting
+    # under every help count, and about all pairs at once; each cache holds
+    # all it is asked, never evicting
     caches = [
         protocol._lifted_leaf,
         protocol._routing_read,
         protocol._literal_send,
         protocol._help_cells,
         protocol._answers,
+        protocol._default_part,
+        protocol._checked_pairs,
+        protocol._pairs_of,
     ]
     for cache in caches:
         cache.cache_clear()
@@ -731,8 +735,11 @@ def test_help_path_caches_stay_within_their_bounds():
         x, y = pairs[i % len(pairs)]
         for f in fns:
             cc_with_help(tree, f, x, y)
+            computes_everywhere(tree, f)
             for mode, spec in _MODE_SPECS.items():
-                cc_with_help(help_bit_totalizer(tree, f, mode), f, x, y, spec)
+                wrapped = help_bit_totalizer(tree, f, mode)
+                cc_with_help(wrapped, f, x, y, spec)
+                computes_everywhere(wrapped, f, spec)
     answers = [protocol._answers(f, s.alice_bits, s.bob_bits) for f in fns for s in _ALL_SPECS]
     for cache in caches + answers:
         info = cache.cache_info()
@@ -741,7 +748,9 @@ def test_help_path_caches_stay_within_their_bounds():
 
 def test_pair_calls_on_one_fold_fold_nothing_more(monkeypatch):
     # after the first call on a (tree, f, help counts), 15 more pairs are
-    # answered from the memo, with the help counts in a new HelpSpec each time
+    # answered from the memo, with the help counts in a new HelpSpec each
+    # time; once a wrap's default part is folded, the first call on a wrap
+    # folds its lift alone
     f = identity_fn(2)
     plain = literal_identity(2)
     cases = [(plain, HelpSpec())] + [(help_bit_totalizer(plain, f, m), s) for m, s in _MODE_SPECS.items()]
@@ -749,18 +758,20 @@ def test_pair_calls_on_one_fold_fold_nothing_more(monkeypatch):
     real = protocol._leaf_masks
     for tree, spec in cases:
         a, b = spec.alice_bits, spec.bob_bits
+        if a or b:
+            protocol._default_part(f, a, b)
         folds = []
 
-        def fold_once(*args):
+        def fold_once(*args, **kwargs):
             assert not folds, "a second fold on a memo hit"
-            folds.append(args)
-            return real(*args)
+            folds.append(args[0])
+            return real(*args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(protocol, "_last_fold", [None, None, -1, -1, ()])
+            m.setattr(protocol, "_last_fold", [None, None, None, -1, -1, (), {}])
             m.setattr(protocol, "_leaf_masks", fold_once)
             got = [cc_with_help(tree, f, x, y, HelpSpec(a, b)) for x, y in pairs]
-        assert len(folds) == 1
+        assert folds == [tree.root.child1 if a or b else tree.root]
         assert got == [_walked_cost(tree, f.value(x, y), x, y, spec) for x, y in pairs]
 
 
@@ -791,6 +802,131 @@ def test_the_lift_slots_hold_only_the_last_trees_lifts(monkeypatch):
     for (a, b), (root, n, lifted) in protocol._last_lift.items():
         assert root is tree.root and n == 2
         assert lifted == _lift(tree.root, 2, a, b)
+
+
+def _whole_fold(tree, f, spec):
+    """`_correct_at` as one `_leaf_masks` fold of the whole tree, the fold any tree but a wrap gets."""
+    answers = protocol._answers(f, spec.alice_bits, spec.bob_bits)
+    by_depth = {}
+    for cells, path, leaf in protocol._leaf_masks(tree.root, tree.n_alice, tree.n_bob):
+        if isinstance(leaf, OutputLeaf) and cells & answers(leaf.fn.kind, leaf.fn.value):
+            depth = path.bit_length() - 1
+            by_depth[depth] = by_depth.get(depth, 0) | cells & answers(leaf.fn.kind, leaf.fn.value)
+    return tuple(sorted(by_depth.items()))
+
+
+def test_a_wrap_folded_from_its_parts_equals_its_whole_fold():
+    # every tree of (2,2,2,18), for identity, eq and ip, in all three modes
+    fns = (identity_fn(2), equality_fn(2), inner_product_fn(2))
+    count = 0
+    for _code, tree in enumerate_signature(2, 2, 2, 18):
+        for f in fns:
+            for mode, spec in _MODE_SPECS.items():
+                wrapped = help_bit_totalizer(tree, f, mode)
+                assert protocol._is_wrap(wrapped.root, f, spec.alice_bits, spec.bob_bits)
+                assert protocol._correct_at(wrapped, f, spec) == _whole_fold(wrapped, f, spec), (tree, f.name, mode)
+                count += 1
+    assert count > 1000 * len(fns) * len(_MODE_SPECS)
+
+
+def test_a_lookalike_wrap_is_folded_whole():
+    # roots that read like a wrap but are not one object for object: an
+    # equal default that is another object, another function's default,
+    # a negated route read and the other party's route read
+    f, g = identity_fn(2), equality_fn(2)
+    pairs = [(x, y) for x in all_bitstrings(2) for y in all_bitstrings(2)]
+    base = ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.input_bit(0), StuckLeaf(), OutputLeaf(OutputFunction.copy_x())))
+    for mode, spec in _MODE_SPECS.items():
+        a, b = spec.alice_bits, spec.bob_bits
+        root = help_bit_totalizer(base, f, mode).root
+        assert root.child0 is protocol._literal_send(f, a)
+        other = ALICE if root.owner == BOB else BOB
+        lookalikes = [
+            Speak(root.owner, root.fn, copy.deepcopy(root.child0), root.child1),
+            Speak(root.owner, root.fn, protocol._literal_send(g, a), root.child1),
+            Speak(root.owner, NodeFunction.negated_bit(2), root.child0, root.child1),
+        ]
+        if (a, b) == (1, 1):
+            lookalikes.append(Speak(other, root.fn, root.child0, root.child1))
+        for lookalike in lookalikes:
+            tree = ProtocolTree(2 + a, 2 + b, 2, lookalike)
+            assert not protocol._is_wrap(tree.root, f, a, b)
+            assert protocol._correct_at(tree, f, spec) == _whole_fold(tree, f, spec), (mode, lookalike)
+            got = [cc_with_help(tree, f, x, y, spec) for x, y in pairs]
+            assert got == [_walked_cost(tree, f.value(x, y), x, y, spec) for x, y in pairs], (mode, lookalike)
+
+
+def test_a_wrap_walks_only_what_is_new_in_it(monkeypatch):
+    # once a tree's lift and a function's default have passed in one wrap,
+    # a wrap that holds both walks neither, and one with a new lift walks
+    # only that lift; the record holds only the slots' lifts and defaults
+    # that _literal_send holds
+    monkeypatch.setattr(protocol, "_last_lift", {})
+    monkeypatch.setattr(protocol, "_valid_branches", {})
+    ident, eq = identity_fn(2), equality_fn(2)
+    one = literal_identity(2)
+    two = ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.from_table("0110"), OutputLeaf(OutputFunction.copy_x()), StuckLeaf()))
+    real = protocol._validate
+    for mode, spec in _MODE_SPECS.items():
+        for f in (ident, eq):
+            help_bit_totalizer(one, f, mode)
+        walked = []
+
+        def counting(node, *args):
+            walked.append(node)
+            return real(node, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "_validate", counting)
+            again = help_bit_totalizer(one, eq, mode)
+            assert walked == []
+            first = help_bit_totalizer(two, ident, mode)
+            assert walked[0] is first.root.child1 and len(walked) == 3
+            walked.clear()
+            second = help_bit_totalizer(two, eq, mode)
+            assert walked == []
+        a = spec.alice_bits
+        assert again.root.child0 is protocol._literal_send(eq, a) and second.root.child1 is first.root.child1
+        widths, lift, defaults = protocol._valid_branches[a, spec.bob_bits]
+        assert widths == (2 + a, 2 + spec.bob_bits, 2) and lift is protocol._last_lift[a, spec.bob_bits][2]
+        assert [d is protocol._literal_send(f, a) for d, f in zip(defaults, (ident, eq))] == [True, True]
+    # building a default may evict another, so the record forgets them all
+    fresh = FunctionSpec("forgets-the-record", 2, False, (("01",) * 4,) * 4)
+    protocol._literal_send(fresh, 1)
+    assert protocol._valid_branches == {}
+
+
+def test_validation_still_walks_what_sits_beside_a_recorded_branch():
+    leaf = OutputLeaf(OutputFunction.const("00"))
+    tree = ProtocolTree(2, 2, 2, Speak(BOB, NodeFunction.from_table("0110"), leaf, OutputLeaf(OutputFunction.copy_x())))
+    f = identity_fn(2)
+    root = help_bit_totalizer(tree, f, "both").root
+    default, lift, route = root.child0, root.child1, root.fn
+    narrow = Speak(ALICE, NodeFunction.from_table("01"), leaf, leaf)  # Alice reads 1 bit, not 3
+    # an invalid node beside a recorded default or lift, or at the root
+    for planted in (Speak(BOB, route, default, narrow), Speak(BOB, route, narrow, lift)):
+        with pytest.raises(UsageError, match="table has 2 entries, expected 8"):
+            ProtocolTree(3, 3, 2, planted)
+    with pytest.raises(UsageError, match="bit index 5 out of range"):
+        ProtocolTree(3, 3, 2, Speak(BOB, NodeFunction.input_bit(5), default, lift))
+    with pytest.raises(UsageError, match="unknown owner"):
+        ProtocolTree(3, 3, 2, Speak("C", route, default, lift))
+    deep = lift
+    for _ in range(default_depth_cap(3, 3)):
+        deep = Speak(BOB, NodeFunction.const(1), StuckLeaf(), deep)
+    with pytest.raises(UsageError, match="depth cap"):
+        ProtocolTree(3, 3, 2, Speak(BOB, route, default, deep))
+    # the branches recorded at (3, 3, 2), reused where the other modes have
+    # records of their own: Bob's lifted table reads 3 bits, not 2, and the
+    # default's answers read Alice's 3 bits, not 2
+    for mode in ("alice-only", "bob-only"):
+        help_bit_totalizer(tree, f, mode)
+    with pytest.raises(UsageError, match="table has 8 entries, expected 4"):
+        ProtocolTree(3, 2, 2, Speak(ALICE, route, default, lift))
+    with pytest.raises(UsageError, match="output table has 16 bits, expected 8"):
+        ProtocolTree(2, 3, 2, Speak(BOB, route, default, lift))
+    # the wraps themselves still pass
+    assert ProtocolTree(3, 3, 2, root).root is root
 
 
 def test_validation_refuses_a_subtree_of_other_widths_and_a_chain_past_the_cap():
