@@ -634,9 +634,10 @@ def _pairs_of(cells: int, n: int, alice_bits: int, bob_bits: int) -> int:
     and read off in plain coordinates; without help bits each pair is one
     cell.  Keyed by the mask: the few masks a family of trees produces are
     each translated once.  A slide maps a union of masks to the union of
-    their pairs, so callers translate the correct cells of one depth at a
-    time: a family has fewer of those than of their running unions (4,147
-    against 6,646 in the `helpbits` suite), and all of them stay cached.
+    their pairs, so `_pairs_within` translates the correct cells of one
+    depth at a time: a family has fewer of those than of their running
+    unions (4,147 against 6,646 in the `helpbits` suite), and all of them
+    stay cached.
     """
     if not (alice_bits or bob_bits):
         return cells
@@ -679,13 +680,13 @@ def computes_everywhere(
 
     Without help bits this means every pair terminates with the right
     answer, so such a tree is also total.  Read from the fold of
-    `_correct_at`, each depth's cells slid onto the base pairs as in
-    `_pairs_within`.
+    `_correct_at`: the correct cells of all depths are slid onto the base
+    pairs at once, so one call adds one mask to `_pairs_of`.
     """
-    a, b = help_spec.alice_bits, help_spec.bob_bits
-    pairs = 0
+    correct = 0
     for _, cells in _correct_at(tree, f, help_spec):
-        pairs |= _pairs_of(cells, f.n, a, b)
+        correct |= cells
+    pairs = _pairs_of(correct, f.n, help_spec.alice_bits, help_spec.bob_bits)
     return pairs == (1 << (1 << 2 * f.n)) - 1
 
 
